@@ -380,7 +380,8 @@ class RootInterval:
         if lo == hi:
             self._sign_lo = 0
         else:
-            assert poly is not None
+            if poly is None:
+                raise ValueError("a non-degenerate interval needs its polynomial")
             self._sign_lo = sign_at(poly, lo)
             if self._sign_lo == 0 or self._sign_lo == sign_at(poly, hi):
                 raise ValueError("not a sign-change isolating interval")

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Tuple
 
 from rootline.chebyshev import _cheb_coeffs
@@ -48,6 +47,7 @@ from rootline.symfuncs import (
     SymmetricProfile,
     extended_power_sums,
     power_sums_from_elementary,
+    scaled_integers,
 )
 
 POWER_SUM = "power-sum"
@@ -115,41 +115,47 @@ def alpha_factor(k: int, n: int) -> Fraction:
     return f * f * _GUARD
 
 
-def _normalized_power_sums(prof: SymmetricProfile) -> Tuple[Fraction, ...]:
-    """Power sums of the e_1-normalized profile (root sum scaled to 1)."""
-    e1 = prof.e[0]
-    scaled = tuple(prof.e[i] / e1 ** (i + 1) for i in range(prof.k))
-    return power_sums_from_elementary(SymmetricProfile(prof.n, scaled)).p
+def _threshold_coeffs(n: int, e1: Fraction, psums: Tuple[Fraction, ...]) -> Tuple[int, ...]:
+    """Integers c_0..c_k of the loop's threshold test, built once per call.
 
-
-def _cheb_sum_exceeds(coeffs: Tuple[int, ...], psums: Tuple[Fraction, ...],
-                      n: int, t: Fraction) -> bool:
-    """Exact decision  sum_i T_k(mu_i / t) > n  from power sums.
-
-    sum_i T_k(mu_i/t) = a_0 n + sum_j a_j p_j t^-j.  Everything is put
-    over one integer denominator so the comparison is a single integer
-    inequality; no rational normalization happens in the loop.
+    The roots are normalized by e_1 > 0 (root sum 1).  With the power
+    sums over a common scale, p_j = P_j / D^j, the normalized sums are
+    p_j / e_1^j = P_j / w^j with w = D e_1, an integer because D^1 p_1 =
+    D e_1 is.  For 1/t = u/v (v > 0),
+    sum_i T_k(mu_i / t) - n = (a_0 - 1) n + sum_j a_j P_j w^-j (u/v)^j,
+    and multiplying by w^k v^k > 0 gives sum_j c_j u^j v^(k-j) with
+    c_0 = (a_0 - 1) n w^k and c_j = a_j P_j w^(k-j).
     """
-    k = len(coeffs) - 1
-    u_num, u_den = t.denominator, t.numerator  # 1/t = u_num/u_den, u_den > 0
-    den_lcm = 1
+    k = len(psums)
+    scale, ints = scaled_integers(psums)
+    w = scale * e1.numerator // e1.denominator
+    a = _cheb_coeffs(k)
+    wpow = [1] * (k + 1)
     for j in range(1, k + 1):
-        if coeffs[j]:
-            den_lcm = lcm(den_lcm, psums[j - 1].denominator)
-    # common denominator: den_lcm * u_den^k
-    upow = [1] * (k + 1)
-    vpow = [1] * (k + 1)
-    for j in range(1, k + 1):
-        upow[j] = upow[j - 1] * u_num
-        vpow[j] = vpow[j - 1] * u_den
-    total = coeffs[0] * n * den_lcm * vpow[k]
-    for j in range(1, k + 1):
-        a = coeffs[j]
-        if not a:
-            continue
-        p = psums[j - 1]
-        total += a * p.numerator * (den_lcm // p.denominator) * upow[j] * vpow[k - j]
-    return total > n * den_lcm * vpow[k]
+        wpow[j] = wpow[j - 1] * w
+    return ((a[0] - 1) * n * wpow[k],) + tuple(
+        a[j] * ints[j - 1] * wpow[k - j] for j in range(1, k + 1))
+
+
+def _cheb_sum_exceeds(coeffs: Tuple[int, ...], t: Fraction) -> bool:
+    """Exact decision  sum_i T_k(mu_i / t) > n  from :func:`_threshold_coeffs`.
+
+    The sign of sum_j c_j u^j v^(k-j), 1/t = u/v, by Horner's rule in v.
+    Writing u = 2^s o with o odd, u^j is a shift by s j times o^j; the
+    loop's thresholds are dyadic, so o = 1 there and every step is a
+    multiplication by the small v plus a shift.
+    """
+    u, v = t.denominator, t.numerator  # 1/t = u/v, v > 0
+    shift = (u & -u).bit_length() - 1
+    odd = u >> shift
+    acc = 0
+    opow = 1
+    for j, c in enumerate(coeffs):
+        acc *= v
+        if c:
+            acc += (c * opow) << (shift * j)
+        opow *= odd
+    return acc > 0
 
 
 def root_sum_test(prof: SymmetricProfile, t, cheb_index: int = None) -> Fraction:
@@ -207,10 +213,10 @@ def approx_max_root(prof: SymmetricProfile) -> ApproxResult:
         return ApproxResult(Fraction(0), alpha_factor(k, n), 0,
                             POWER_SUM if uses_power_sum_branch(k, n) else CHEBYSHEV_LOOP)
 
-    psums = _normalized_power_sums(prof)
+    psums = power_sums_from_elementary(prof).p
 
     if uses_power_sum_branch(k, n):
-        pk = psums[k - 1]
+        pk = psums[k - 1] / e1**k  # of the e_1-normalized roots
         if pk < 0:
             raise InconsistentProfileError(
                 f"power sum p_{k} < 0 is impossible for nonnegative roots")
@@ -219,14 +225,14 @@ def approx_max_root(prof: SymmetricProfile) -> ApproxResult:
         est = e1 * nth_root_lower(pk / n, k, _ROOT_BITS)
         return ApproxResult(est, alpha_factor(k, n), 0, POWER_SUM)
 
-    coeffs = _cheb_coeffs(k)
+    coeffs = _threshold_coeffs(n, e1, psums)
     f = shrink_factor(k, n)
     cap = 10 * k * k + 100
     t = Fraction(1)  # normalized e_1
     iterations = 0
     while iterations < cap:
         iterations += 1
-        if _cheb_sum_exceeds(coeffs, psums, n, t):
+        if _cheb_sum_exceeds(coeffs, t):
             return ApproxResult(e1 * t, alpha_factor(k, n), iterations, CHEBYSHEV_LOOP)
         t = dyadic_floor(t / f, _T_BITS)
     raise InconsistentProfileError(

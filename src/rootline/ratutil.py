@@ -16,6 +16,7 @@ independent of platform or call history.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -37,7 +38,7 @@ def to_fraction(x: RationalLike) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return parse_rational(x)
-    raise TypeError(f"not an exact rational: {x!r} (floats are refused)")
+    raise ValueError(f"not an exact rational: {x!r} (floats are refused)")
 
 
 def parse_rational(s: str) -> Fraction:
@@ -47,6 +48,8 @@ def parse_rational(s: str) -> Fraction:
         raise ValueError(f"decimal notation is not exact: {s!r}")
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {s!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 
@@ -185,24 +188,31 @@ def _iv_endpoints(value) -> Tuple[Fraction, Fraction]:
     return Fraction(int(pa), int(qa)), Fraction(int(pb), int(qb))
 
 
+@contextmanager
 def _with_prec(prec: int):
+    """mpmath's interval context at ``prec`` bits, its previous precision
+    put back on exit (``mpmath.iv`` has no ``workprec``)."""
     ctx = mpmath.iv
+    saved = ctx.prec
     ctx.prec = prec
-    return ctx
+    try:
+        yield ctx
+    finally:
+        ctx.prec = saved
 
 
 def ln_bounds(x: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:
     """Certified rational (lo, hi) with lo <= ln(x) <= hi, x > 0."""
     if x <= 0:
         raise ValueError("ln_bounds needs x > 0")
-    ctx = _with_prec(prec)
-    return _iv_endpoints(ctx.log(_iv_from_fraction(ctx, x)))
+    with _with_prec(prec) as ctx:
+        return _iv_endpoints(ctx.log(_iv_from_fraction(ctx, x)))
 
 
 def exp_bounds(x: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:
     """Certified rational (lo, hi) with lo <= exp(x) <= hi."""
-    ctx = _with_prec(prec)
-    return _iv_endpoints(ctx.exp(_iv_from_fraction(ctx, x)))
+    with _with_prec(prec) as ctx:
+        return _iv_endpoints(ctx.exp(_iv_from_fraction(ctx, x)))
 
 
 def cos_pi_bounds(r: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:
@@ -211,12 +221,11 @@ def cos_pi_bounds(r: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:
     Angles are exact rational multiples of pi, so the only rounding is in
     the interval evaluation itself.
     """
-    ctx = _with_prec(prec)
     # reduce mod 2 first: cos(pi r) has period 2 and huge multiples of pi
     # would needlessly inflate the interval
     r = Fraction(r.numerator % (2 * r.denominator), r.denominator)
-    val = ctx.cos(ctx.pi * _iv_from_fraction(ctx, r))
-    lo, hi = _iv_endpoints(val)
+    with _with_prec(prec) as ctx:
+        lo, hi = _iv_endpoints(ctx.cos(ctx.pi * _iv_from_fraction(ctx, r)))
     return max(lo, Fraction(-1)), min(hi, Fraction(1))
 
 

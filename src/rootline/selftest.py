@@ -52,7 +52,7 @@ from rootline.maxroot import (
 )
 from rootline.poly import ExactPolynomial
 from rootline.ratutil import parse_rational
-from rootline.symfuncs import SymmetricProfile, profiles_equal_up_to_k
+from rootline.symfuncs import profile_of_roots, profiles_equal_up_to_k
 
 DEFAULT_SEED = 20260810
 
@@ -93,29 +93,6 @@ def _random_root_vector(rng: random.Random, n: int) -> List[Fraction]:
     return [Fraction(rng.randint(0, 640), 64) for _ in range(n)]
 
 
-def _profile_of_fractions(n: int, mu: List[Fraction]) -> SymmetricProfile:
-    """Same values as profile_of_roots, via integer expansion (faster).
-
-    With mu_i = a_i / d over one common denominator d,
-    e_j(mu) = e_j(a) / d^j with e_j(a) computed over plain ints.
-    """
-    d = 1
-    for x in mu:
-        d = d * x.denominator // math.gcd(d, x.denominator)
-    nums = [int(x * d) for x in mu]
-    e = [0] * (n + 1)
-    e[0] = 1
-    for a in nums:
-        for i in range(n, 0, -1):
-            e[i] += a * e[i - 1]
-    dp = 1
-    out = []
-    for j in range(1, n + 1):
-        dp *= d
-        out.append(Fraction(e[j], dp))
-    return SymmetricProfile(n, tuple(out))
-
-
 @dataclass
 class BracketOutcome:
     """Shared corpus pass feeding criteria 1, 2 and 3."""
@@ -128,14 +105,25 @@ class BracketOutcome:
 
 
 def _direct_power_sums(mu: List[Fraction], upto: int) -> List[Fraction]:
-    """Brute-force p_j = sum mu_i^j for j = 1..upto (the chain's oracle)."""
-    sums = [Fraction(0)] * upto
-    for x in mu:
-        power = Fraction(1)
+    """Brute-force p_j = sum mu_i^j for j = 1..upto (the chain's oracle).
+
+    With mu_i = a_i / d over one common denominator d, p_j is the integer
+    sum of a_i^j over d^j; Newton's identities play no part.
+    """
+    d = math.lcm(*(x.denominator for x in mu))
+    nums = [x.numerator * (d // x.denominator) for x in mu]
+    sums = [0] * upto
+    for a in nums:
+        power = 1
         for j in range(upto):
-            power *= x
+            power *= a
             sums[j] += power
-    return sums
+    out = []
+    dpow = 1
+    for j in range(upto):
+        dpow *= d
+        out.append(Fraction(sums[j], dpow))
+    return out
 
 
 def run_bracket_corpus(seed: int = DEFAULT_SEED) -> BracketOutcome:
@@ -150,7 +138,7 @@ def run_bracket_corpus(seed: int = DEFAULT_SEED) -> BracketOutcome:
         for _ in range(count):
             mu = _random_root_vector(rng, n)
             mu_max = max(mu)
-            prof_full = _profile_of_fractions(n, mu)
+            prof_full = profile_of_roots(n, mu)
             psums = _direct_power_sums(mu, max(ks))
             for k in ks:
                 prof = prof_full.truncate(k)

@@ -113,6 +113,19 @@ def test_round_subcommand(tmp_path):
     assert out["certified"] and out["exhaustive_root_match"]
 
 
+@pytest.mark.parametrize("profile", [
+    {"n": 4, "e": ["1/0", "35/1"]},
+    {"n": 4, "e": [1.5, "35/1"]},
+    [1, 2],
+], ids=["zero-denominator", "float", "array"])
+def test_malformed_profile_exits_2(profile, tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps(profile))
+    res = run_cli(["approx-root", "--profile", "bad.json"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "error" in json.loads(res.stderr)
+
+
 def test_unknown_subcommand_exits_2(tmp_path):
     res = run_cli(["no-such-command"], tmp_path)
     assert res.returncode == 2

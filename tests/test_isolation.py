@@ -5,6 +5,7 @@ import pytest
 
 from rootline.chebyshev import cheb_poly
 from rootline.isolation import (
+    RootInterval,
     all_roots_real,
     compare_roots,
     count_distinct_roots_in,
@@ -150,3 +151,10 @@ def test_eval_on_interval_contains_range():
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         isolate_real_roots(P.zero())
+
+
+def test_root_interval_without_polynomial_raises():
+    # a check that raises, not an assert, so it holds under python -O
+    with pytest.raises(ValueError):
+        RootInterval(None, F(0), F(1))
+    assert RootInterval(None, F(1, 2), F(1, 2)).exact

@@ -148,10 +148,11 @@ def test_iteration_bound_formula():
 
 
 def test_loop_decision_agrees_with_fraction_sum():
-    # the integer common-denominator decision inside the loop must agree
-    # with the plain Fraction evaluation of the Chebyshev sum
-    from rootline.chebyshev import _cheb_coeffs
-    from rootline.maxroot import _cheb_sum_exceeds, _normalized_power_sums
+    # the integer decision inside the loop, on coefficients built once
+    # per call, must agree with the plain Fraction evaluation of the
+    # Chebyshev sum
+    from rootline.maxroot import _cheb_sum_exceeds, _threshold_coeffs
+    from rootline.symfuncs import power_sums_from_elementary
 
     rng = random.Random(404)
     for _ in range(20):
@@ -162,10 +163,9 @@ def test_loop_decision_agrees_with_fraction_sum():
             mu[0] = F(1, 2)
         prof = profile_of_roots(n, mu, k)
         e1 = prof.e[0]
-        psums = _normalized_power_sums(prof)
-        coeffs = _cheb_coeffs(k)
+        coeffs = _threshold_coeffs(n, e1, power_sums_from_elementary(prof).p)
         for _ in range(3):
             t_hat = F(rng.randint(1, 64), rng.randint(1, 64))
-            fast = _cheb_sum_exceeds(coeffs, psums, n, t_hat)
+            fast = _cheb_sum_exceeds(coeffs, t_hat)
             slow = root_sum_test(prof, e1 * t_hat) > n
             assert fast == slow

@@ -13,6 +13,7 @@ from rootline.ratutil import (
     iroot_floor,
     le_ln,
     ln_bounds,
+    ln_upper_dyadic,
     nth_root_lower,
     nth_root_upper,
     parse_rational,
@@ -29,10 +30,13 @@ def test_parse_and_format():
     assert format_rational(F(5)) == "5/1"
     with pytest.raises(ValueError):
         parse_rational("0.5")
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
 
 
 def test_to_fraction_refuses_floats():
-    with pytest.raises(TypeError):
+    # a ValueError, so the CLI reports malformed input with exit status 2
+    with pytest.raises(ValueError):
         to_fraction(0.5)
 
 
@@ -118,3 +122,21 @@ def test_math_agreement_smoke():
     for n in (2, 10, 1000):
         lo, hi = ln_bounds(F(n))
         assert float(lo) <= math.log(n) <= float(hi)
+
+
+@pytest.mark.parametrize("bound", [
+    lambda: ln_bounds(F(3)),
+    lambda: exp_bounds(F(1, 2)),
+    lambda: cos_pi_bounds(F(1, 3)),
+    lambda: ln_upper_dyadic(256),
+], ids=["ln_bounds", "exp_bounds", "cos_pi_bounds", "ln_upper_dyadic"])
+def test_bounds_leave_mpmath_precision_unchanged(bound):
+    import mpmath
+
+    saved = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = 77
+        bound()
+        assert mpmath.iv.prec == 77
+    finally:
+        mpmath.iv.prec = saved

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from rootline.symfuncs import (
     elementary_from_power_sums,
     eval_poly_sum,
     extended_power_sums,
+    integer_power_sums,
     power_sums_from_elementary,
     profile_from_coefficients,
     profile_from_polynomial,
@@ -153,3 +155,90 @@ def test_k_zero_profile_is_legal():
     prof = SymmetricProfile(3, ())
     assert prof.k == 0
     assert power_sums_from_elementary(prof).p == ()
+
+
+def _fraction_power_sums(e, upto):
+    """The Newton recurrence over Fraction, the reference for the integer kernel.
+
+    p_i = sum_{j=1..min(i-1,k)} (-1)^(j-1) e_j p_{i-j} + (-1)^(i-1) i e_i,
+    the last term only for i <= k.
+    """
+    k = len(e)
+    p = []
+    for i in range(1, upto + 1):
+        acc = F(0)
+        for j in range(1, min(i - 1, k) + 1):
+            term = e[j - 1] * p[i - j - 1]
+            acc += term if j % 2 == 1 else -term
+        if i <= k:
+            tail = i * e[i - 1]
+            acc += tail if i % 2 == 1 else -tail
+        p.append(acc)
+    return tuple(p)
+
+
+def _mixed_denominator_roots(rng):
+    n = rng.randint(1, 10)
+    roots = [F(rng.randint(-50, 50), rng.choice([1, 2, 3, 4, 6, 9, 25, 64, 1024]))
+             for _ in range(n)]
+    return profile_of_roots(n, roots, rng.randint(0, n))
+
+
+def _unrelated_denominators(rng):
+    k = rng.randint(1, 8)
+    e = [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(k)]
+    return SymmetricProfile(k + rng.randint(0, 3), tuple(e))
+
+
+def _zero_and_negative(rng):
+    k = rng.randint(1, 8)
+    e = [F(rng.choice([0, 0, -1, 1]) * rng.randint(1, 30), rng.choice([1, 2, 8, 27]))
+         for _ in range(k)]
+    return SymmetricProfile(k, tuple(e))
+
+
+def _tiny(rng):
+    k = rng.randint(0, 1)
+    return SymmetricProfile(rng.randint(1, 5), tuple(
+        F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)))
+
+
+@pytest.mark.parametrize("make", [
+    _mixed_denominator_roots, _unrelated_denominators, _zero_and_negative, _tiny,
+], ids=["roots-mixed-denominators", "unrelated-denominators", "zero-and-negative", "k0-k1"])
+def test_integer_kernel_matches_fraction_recurrence(make):
+    rng = random.Random(make.__name__)
+    for _ in range(40):
+        prof = make(rng)
+        want = _fraction_power_sums(prof.e, prof.k)
+        assert power_sums_from_elementary(prof).p == want
+        scale, ints = integer_power_sums(prof.e, prof.k)
+        assert tuple(F(v, scale**i) for i, v in enumerate(ints, 1)) == want
+
+
+def test_extended_power_sums_match_fraction_recurrence():
+    rng = random.Random(41)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        e = tuple(F(rng.randint(-20, 20), rng.choice([1, 3, 4, 7])) for _ in range(n))
+        prof = SymmetricProfile(n, e)
+        upto = rng.randint(0, 3 * n)
+        assert extended_power_sums(prof, upto) == _fraction_power_sums(e, upto)
+
+
+def test_scale_is_least_and_divides_root_denominator():
+    # for roots over the common denominator q the scale D divides q; it is
+    # the least D with D^i e_i integral, found here by trying q's divisors
+    rng = random.Random(43)
+    for q in (1, 2, 6, 12, 36, 64, 360):
+        for _ in range(15):
+            n = rng.randint(1, 8)
+            roots = [F(rng.randint(-3 * q, 3 * q), q) for _ in range(n)]
+            prof = profile_of_roots(n, roots, rng.randint(0, n))
+            scale, _ = integer_power_sums(prof.e, 0)
+            assert q % scale == 0
+            least = min(d for d in range(1, q + 1) if q % d == 0 and all(
+                (d**i * v).denominator == 1 for i, v in enumerate(prof.e, 1)))
+            assert scale == least
+            if prof.k == n:  # a complete profile needs every root denominator
+                assert scale == math.lcm(*(r.denominator for r in roots))
