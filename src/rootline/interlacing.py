@@ -33,7 +33,6 @@ from rootline.ratutil import (
     format_rational,
     iroot_floor,
     ln_bounds,
-    parse_rational,
     sqrt_upper,
     to_fraction,
 )
@@ -231,12 +230,19 @@ class KSInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "KSInstance":
+        if not (isinstance(d, dict) and isinstance(d.get("n"), int)
+                and isinstance(d.get("supports"), list)
+                and all(isinstance(sup, list) and all(
+                    isinstance(ent, dict) and isinstance(ent.get("vector"), list)
+                    for ent in sup) for sup in d["supports"])):
+            raise ValueError('a KS family is a JSON object {"n": int, "supports": '
+                             '[[{"vector": ["p/q", ...], "prob": "p/q"}, ...], ...]}')
         sups = tuple(
-            tuple((tuple(parse_rational(x) for x in ent["vector"]),
-                   parse_rational(ent["prob"])) for ent in sup)
+            tuple((tuple(to_fraction(x) for x in ent["vector"]),
+                   to_fraction(ent["prob"])) for ent in sup)
             for sup in d["supports"]
         )
-        return cls(int(d["n"]), sups)
+        return cls(d["n"], sups)
 
 
 class KSOracle(FamilyOracle):
@@ -311,6 +317,29 @@ def ks_oracle(inst: KSInstance) -> KSOracle:
     return KSOracle(inst)
 
 
+def _rank_one_char_poly(vectors: Sequence[Sequence[Fraction]], d: int) -> ExactPolynomial:
+    """Characteristic polynomial of the d x d matrix sum v v^T, each v read
+    as zero-padded to length d."""
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for v in vectors:
+        for a, va in enumerate(v):
+            if va:
+                for b, vb in enumerate(v):
+                    if vb:
+                        rows[a][b] += va * vb
+    return char_poly(SquareMatrixQ(rows))
+
+
+def _pad(p: ExactPolynomial, d: int, n: int) -> ExactPolynomial:
+    """x^(n-d) p: a degree-d characteristic polynomial in ambient dimension n.
+
+    x^(D-d) times the characteristic polynomial of a d x d matrix is that
+    of the D x D matrix bordered by zeros, so sums of characteristic
+    polynomials can be taken at any common D <= n and padded once.
+    """
+    return ExactPolynomial([Fraction(0)] * (n - d) + list(p.coeffs))
+
+
 def ks_brute_force_poly(inst: KSInstance, prefix: Tuple[int, ...] = ()) -> ExactPolynomial:
     """Expected characteristic polynomial by full outcome enumeration.
 
@@ -318,6 +347,7 @@ def ks_brute_force_poly(inst: KSInstance, prefix: Tuple[int, ...] = ()) -> Exact
     the number of unfixed coordinates.
     """
     m = inst.m
+    d = max([len(v) for sup in inst.supports for v, _ in sup] + [1])
     free = list(range(len(prefix), m))
     total = ExactPolynomial.zero()
     for outcome in product(*[range(len(inst.supports[i])) for i in free]):
@@ -327,31 +357,25 @@ def ks_brute_force_poly(inst: KSInstance, prefix: Tuple[int, ...] = ()) -> Exact
             weight *= inst.supports[i][c][1]
         if weight == 0:
             continue
-        total = total + ks_leaf_poly(inst, tuple(choices)).scale(weight)
-    return total
+        vectors = [inst.supports[i][c][0] for i, c in enumerate(choices)]
+        total = total + _rank_one_char_poly(vectors, d).scale(weight)
+    return _pad(total, d, inst.n)
 
 
 def ks_leaf_poly(inst: KSInstance, choices: Tuple[int, ...]) -> ExactPolynomial:
     """Unweighted char poly of the chosen rank-one sum, padded to degree n."""
     vectors = [inst.supports[i][c][0] for i, c in enumerate(choices)]
-    d = max((len(v) for v in vectors), default=1)
-    d = max(d, 1)
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for v in vectors:
-        for a in range(len(v)):
-            if v[a] == 0:
-                continue
-            for b in range(len(v)):
-                if v[b]:
-                    rows[a][b] += v[a] * v[b]
-    chi = char_poly(SquareMatrixQ(rows))
-    pad = inst.n - d
-    return ExactPolynomial([Fraction(0)] * pad + list(chi.coeffs))
+    d = max([len(v) for v in vectors] + [1])
+    return _pad(_rank_one_char_poly(vectors, d), d, inst.n)
 
 
 # ---------------------------------------------------------------------------
 # strongly-Rayleigh style oracle: dense subset-probability table
 # ---------------------------------------------------------------------------
+
+
+#: largest m whose dense 2^m subset table an SRInstance accepts
+SR_MAX_M = 20
 
 
 @dataclass(frozen=True)
@@ -370,8 +394,8 @@ class SRInstance:
     table: Tuple[Fraction, ...]  # index = subset bitmask, length 2^m
 
     def __post_init__(self):
-        if self.m > 20:
-            raise ValueError("dense table capped at m <= 20")
+        if self.m > SR_MAX_M:
+            raise ValueError(f"dense table capped at m <= {SR_MAX_M}")
         if len(self.vectors) != self.m:
             raise ValueError("need one vector per coordinate")
         if len(self.table) != 1 << self.m:
@@ -401,12 +425,22 @@ class SRInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SRInstance":
-        m = int(d["m"])
+        if not (isinstance(d, dict) and isinstance(d.get("n"), int)
+                and isinstance(d.get("m"), int) and isinstance(d.get("table"), dict)
+                and isinstance(d.get("vectors"), list)
+                and all(isinstance(v, list) for v in d["vectors"])):
+            raise ValueError('an SR family is a JSON object {"n": int, "m": int, '
+                             '"table": {"<bitmask>": "p/q"}, "vectors": [["p/q", ...], ...]}')
+        m = d["m"]
+        if not 0 <= m <= SR_MAX_M:  # before the 2^m table is allocated
+            raise ValueError(f"dense table needs 0 <= m <= {SR_MAX_M}, got m={m}")
         table = [Fraction(0)] * (1 << m)
         for mask, p in d["table"].items():
-            table[int(mask)] = parse_rational(p)
-        vectors = tuple(tuple(parse_rational(x) for x in v) for v in d["vectors"])
-        return cls(int(d["n"]), m, vectors, tuple(table))
+            if not mask.isdigit() or int(mask) >= 1 << m:
+                raise ValueError(f"table key {mask!r} is not a bitmask below 2^{m}")
+            table[int(mask)] = to_fraction(p)
+        vectors = tuple(tuple(to_fraction(x) for x in v) for v in d["vectors"])
+        return cls(d["n"], m, vectors, tuple(table))
 
 
 class SROracle(FamilyOracle):
@@ -459,6 +493,7 @@ def sr_oracle(inst: SRInstance) -> SROracle:
 
 def sr_brute_force_poly(inst: SRInstance, prefix: Tuple[int, ...] = ()) -> ExactPolynomial:
     """Probability-weighted sum of exact characteristic polynomials."""
+    d = max([len(v) for v in inst.vectors] + [1])
     total = ExactPolynomial.zero()
     ell = len(prefix)
     for mask, p in enumerate(inst.table):
@@ -467,18 +502,8 @@ def sr_brute_force_poly(inst: SRInstance, prefix: Tuple[int, ...] = ()) -> Exact
         if any(((mask >> i) & 1) != prefix[i] for i in range(ell)):
             continue
         vecs = [inst.vectors[i] for i in range(inst.m) if (mask >> i) & 1]
-        d = max([len(v) for v in vecs] + [1])
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        for v in vecs:
-            for a in range(len(v)):
-                if v[a]:
-                    for b in range(len(v)):
-                        if v[b]:
-                            rows[a][b] += v[a] * v[b]
-        chi = char_poly(SquareMatrixQ(rows))
-        pad = inst.n - d
-        total = total + ExactPolynomial([Fraction(0)] * pad + list(chi.coeffs)).scale(p)
-    return total
+        total = total + _rank_one_char_poly(vecs, d).scale(p)
+    return _pad(total, d, inst.n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ integer arithmetic:
 
 * a root interval is either an exact rational point or an open dyadic
   interval on which the defining square-free factor changes sign;
-* multiplicities come from the square-free decomposition;
+* multiplicities come from the square-free decomposition, which first
+  deflates the zero root (p = x^j f with f(0) != 0), runs Yun's loop on
+  f alone and gives x back to the factor of multiplicity j;
 * refinement is plain sign bisection, so certified width bounds are a
   loop, not an estimate.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple
 
 from rootline.poly import ExactPolynomial
@@ -76,18 +79,6 @@ def _deriv(c: IntPoly) -> IntPoly:
     return tuple(i * c[i] for i in range(1, len(c)))
 
 
-def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def _pseudo_rem(f: List[int], g: List[int]) -> List[int]:
     """Pseudo-remainder of f by g (g nonzero), all-integer."""
     f = list(f)
@@ -118,22 +109,26 @@ def int_poly_gcd(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     return _primitive(f)
 
 
-def _divide_exact(f: Sequence[int], g: Sequence[int]) -> IntPoly:
-    """f // g when g divides f over Q; result re-primitivized."""
-    work = [Fraction(c) for c in f]
+def _divide_exact(f: Sequence[int], g: Sequence[int]) -> List[int]:
+    """Quotient f / g for a primitive g that divides f over Q.
+
+    By Gauss's lemma the quotient has integer coefficients, so every step
+    of the long division is an exact integer division.
+    """
+    work = list(f)
     dg = len(g) - 1
-    lg = Fraction(g[-1])
+    lg = g[-1]
     if len(work) < len(g):
-        return ()
-    out: List[Fraction] = []
+        return []
+    out: List[int] = []
     for shift in range(len(work) - 1 - dg, -1, -1):
-        c = work[shift + dg] / lg
+        c = work[shift + dg] // lg
         out.append(c)
         if c:
             for i, gc in enumerate(g):
                 work[shift + i] -= c * gc
     out.reverse()
-    return int_poly_from_fractions(out)
+    return out
 
 
 def sign_at(c: Sequence[int], x: Fraction) -> int:
@@ -195,8 +190,9 @@ def _variations01(c: Sequence[int]) -> int:
 
 
 def _deflate_root(c: Sequence[int], num: int, den: int) -> IntPoly:
-    """Divide by (den*x - num) given that num/den is a root; exact."""
-    return _divide_exact(list(c), [-num, den])
+    """Divide by (den*x - num) given that num/den is a root (coprime num,
+    den); the quotient is returned primitive."""
+    return _primitive(_divide_exact(c, (-num, den)))
 
 
 def cauchy_bound_pow2(c: Sequence[int]) -> int:
@@ -212,72 +208,41 @@ def cauchy_bound_pow2(c: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ftrim(c: List[Fraction]) -> List[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fderiv(c: Sequence[Fraction]) -> List[Fraction]:
-    return [i * c[i] for i in range(1, len(c))]
-
-
-def _fsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    return _ftrim(out)
-
-
-def _fdiv_exact(f: Sequence[Fraction], g: Sequence[Fraction]) -> List[Fraction]:
-    """Exact rational division (g | f); no renormalization of the quotient."""
-    work = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    if len(work) < len(g):
-        return []
-    out: List[Fraction] = []
-    for shift in range(len(work) - 1 - dg, -1, -1):
-        c = work[shift + dg] / lg
-        out.append(c)
-        if c:
-            for i, gc in enumerate(g):
-                work[shift + i] -= c * gc
-    out.reverse()
-    return _ftrim(out)
-
-
 def squarefree_decomposition(p: ExactPolynomial) -> List[Tuple[IntPoly, int]]:
-    """Yun decomposition: [(factor, multiplicity)], factors square-free
-    and pairwise coprime; the product of factor^mult is p up to a constant.
+    """Yun decomposition: [(factor, multiplicity)] by increasing
+    multiplicity, factors primitive, square-free and pairwise coprime; the
+    product of factor^mult is p up to a constant.
 
-    Divisions run over Q with a single consistent scale; only the emitted
-    factors are normalized to primitive integer polynomials.
+    With p = x^j f and f(0) != 0, Yun's loop runs on f only and x joins
+    the factor of multiplicity j, so padding by x^j costs no iterations.
+    Every divisor in the loop is primitive (a gcd's primitive part), so
+    each quotient is an exact integer polynomial.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no square-free decomposition")
     if p.degree < 1:
         return []
-    f = [Fraction(c) for c in int_poly_from_exact(p)]
-    fp = _fderiv(f)
-    g = [Fraction(c) for c in int_poly_gcd(int_poly_from_fractions(f),
-                                           int_poly_from_fractions(fp))]
-    if len(g) == 1:
-        return [(int_poly_from_fractions(f), 1)]
-    c = _fdiv_exact(f, g)
-    d = _fsub(_fdiv_exact(fp, g), _fderiv(c))
+    full = int_poly_from_exact(p)
+    j = next(i for i, v in enumerate(full) if v)
     out: List[Tuple[IntPoly, int]] = []
-    i = 1
+    # Yun's invariant for i >= 1: c = a_i a_(i+1) ... and gcd(c, d) = a_i,
+    # the product of f's irreducible factors of multiplicity i; the pass at
+    # i = 0 divides f and f' by gcd(f, f')
+    c, d, i = full[j:], _deriv(full[j:]), 0
     while len(c) > 1:
-        a = [Fraction(v) for v in int_poly_gcd(int_poly_from_fractions(c),
-                                               int_poly_from_fractions(d))]
-        if len(a) > 1:
-            out.append((int_poly_from_fractions(a), i))
-        c = _fdiv_exact(c, a)
-        d = _fsub(_fdiv_exact(d, a), _fderiv(c))
+        a = int_poly_gcd(c, d)
+        if i and len(a) > 1:
+            out.append((a, i))
+        c = _divide_exact(c, a)
+        d = _trim([u - v for u, v in
+                   zip_longest(_divide_exact(d, a), _deriv(c), fillvalue=0)])
         i += 1
+    if j:
+        at = next((t for t, (_, mult) in enumerate(out) if mult >= j), len(out))
+        if at < len(out) and out[at][1] == j:
+            out[at] = ((0,) + out[at][0], j)
+        else:
+            out.insert(at, ((0, 1), j))
     return out
 
 
@@ -622,7 +587,7 @@ def _has_root_in_closed(g: IntPoly, a: Fraction, b: Fraction) -> bool:
 def _squarefree_part(g: IntPoly) -> IntPoly:
     if len(g) <= 2:
         return g
-    return _divide_exact(list(g), int_poly_gcd(g, _deriv(g)))
+    return _primitive(_divide_exact(g, int_poly_gcd(g, _deriv(g))))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from rootline.isolation import (
     max_root_leq,
 )
 from rootline.poly import ExactPolynomial, char_poly
-from rootline.ratutil import cos_pi_bounds, format_rational, parse_rational, to_fraction
+from rootline.ratutil import cos_pi_bounds, format_rational, to_fraction
 from rootline.symfuncs import SymmetricProfile, profile_from_polynomial, profiles_equal_up_to_k
 
 _RATIO_WIDTH = Fraction(1, 2**48)
@@ -93,11 +93,16 @@ class LowerBoundPair:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LowerBoundPair":
+        if not (isinstance(d, dict) and isinstance(d.get("k"), int)
+                and isinstance(d.get("provenance"), str)
+                and isinstance(d.get("certificate", {}), dict)):
+            raise ValueError('a pair is a JSON object {"p": ..., "q": ..., "k": int, '
+                             '"ratio_lower": "p/q", "provenance": ..., "certificate": {...}}')
         return cls(
             p=ExactPolynomial.from_json_dict(d["p"]),
             q=ExactPolynomial.from_json_dict(d["q"]),
-            k=int(d["k"]),
-            ratio_lower=parse_rational(d["ratio_lower"]),
+            k=d["k"],
+            ratio_lower=to_fraction(d["ratio_lower"]),
             provenance=d["provenance"],
             certificate=dict(d.get("certificate", {})),
         )
@@ -422,7 +427,7 @@ def verify_pair(pair: LowerBoundPair) -> PairReport:
         if single:
             j = nz[0]
             ratio = p.coeff(j) / q.coeff(j)
-            bound = parse_rational(pair.certificate["coeff_ratio_bound"])
+            bound = to_fraction(pair.certificate["coeff_ratio_bound"])
             add("noisy_coefficient_ratio_bound",
                 min(ratio, 1 / ratio) >= 1 / bound and max(ratio, 1 / ratio) <= bound,
                 f"ratio {float(ratio):.9g} <= bound {float(bound):.9g}")

@@ -236,6 +236,8 @@ class ExactPolynomial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExactPolynomial":
+        if not isinstance(d, dict) or not isinstance(d.get("coeffs"), list):
+            raise ValueError('a polynomial is a JSON object {"coeffs": [...]}')
         return cls.from_coeffs(d["coeffs"])
 
     @classmethod

@@ -126,6 +126,34 @@ def test_malformed_profile_exits_2(profile, tmp_path):
     assert "error" in json.loads(res.stderr)
 
 
+@pytest.mark.parametrize("pair", [
+    {"p": ["1", "x"], "q": [1, 2]},
+    [1, 2],
+    {"p": ["1/0", "1"], "q": ["1", "1"]},
+    {"p": ["1", "1"], "q": {"coeffs": ["1", "1"]}, "k": 1, "ratio_lower": "1/1",
+     "provenance": "weak"},
+], ids=["polynomial-arrays", "array", "zero-denominator", "coeffs-not-an-object"])
+def test_malformed_pair_exits_2(pair, tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps(pair))
+    res = run_cli(["verify-pair", "--in", "bad.json"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "error" in json.loads(res.stderr)
+
+
+@pytest.mark.parametrize("family", [
+    {"kind": "ks", "n": 2, "supports": 5},
+    {"n": 2, "m": 40, "table": {"0": "1/1"}, "vectors": []},
+    {"n": 2, "m": 1, "table": {"2": "1/1"}, "vectors": [["1/1"]]},
+], ids=["ks-supports-not-a-list", "sr-m-too-large", "sr-mask-out-of-range"])
+def test_malformed_family_exits_2(family, tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps(family))
+    res = run_cli(["round", "--family", "bad.json", "--epsilon", "1/2"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "error" in json.loads(res.stderr)
+
+
 def test_unknown_subcommand_exits_2(tmp_path):
     res = run_cli(["no-such-command"], tmp_path)
     assert res.returncode == 2

@@ -4,12 +4,16 @@ from fractions import Fraction as F
 import pytest
 
 from rootline.chebyshev import cheb_poly
+from rootline.interlacing import KSInstance, ks_leaf_poly
 from rootline.isolation import (
     RootInterval,
     all_roots_real,
     compare_roots,
     count_distinct_roots_in,
     eval_on_interval,
+    int_poly_from_exact,
+    int_poly_from_fractions,
+    int_poly_gcd,
     isolate_real_roots,
     max_root,
     max_root_geq,
@@ -17,6 +21,7 @@ from rootline.isolation import (
     squarefree_decomposition,
 )
 from rootline.poly import ExactPolynomial as P
+from rootline.selftest import two_block_ks_instance
 
 
 def test_sqrt2_isolation_width():
@@ -116,6 +121,102 @@ def test_squarefree_decomposition_structure():
     p = P.from_roots([F(1, 3)]) ** 2 * P.from_coeffs([-2, 0, 1])
     decomp = squarefree_decomposition(p)
     assert sorted((len(f) - 1, m) for f, m in decomp) == [(1, 2), (2, 1)]
+
+
+def _fraction_yun(p):
+    """Yun's loop over Fraction on the whole polynomial, x^j included: the
+    reference for the integer decomposition with the zero root split off."""
+
+    def deriv(c):
+        return [i * c[i] for i in range(1, len(c))]
+
+    def sub(a, b):
+        out = [F(0)] * max(len(a), len(b))
+        for i, v in enumerate(a):
+            out[i] += v
+        for i, v in enumerate(b):
+            out[i] -= v
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def div(f, g):
+        work, dg, out = list(f), len(g) - 1, []
+        if len(work) < len(g):
+            return []
+        for shift in range(len(work) - 1 - dg, -1, -1):
+            c = work[shift + dg] / g[-1]
+            out.append(c)
+            for i, gc in enumerate(g):
+                work[shift + i] -= c * gc
+        out.reverse()
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def gcd(a, b):
+        return [F(v) for v in int_poly_gcd(int_poly_from_fractions(a),
+                                           int_poly_from_fractions(b))]
+
+    if p.degree < 1:
+        return []
+    f = [F(c) for c in int_poly_from_exact(p)]
+    fp = deriv(f)
+    g = gcd(f, fp)
+    if len(g) == 1:
+        return [(int_poly_from_fractions(f), 1)]
+    c = div(f, g)
+    d = sub(div(fp, g), deriv(c))
+    out, i = [], 1
+    while len(c) > 1:
+        a = gcd(c, d)
+        if len(a) > 1:
+            out.append((int_poly_from_fractions(a), i))
+        c = div(c, a)
+        d = sub(div(d, a), deriv(c))
+        i += 1
+    return out
+
+
+def _random_factor(rng):
+    # degree 1 or 2, nonzero constant term, non-integer leading coefficient
+    coeffs = [F(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))]
+    coeffs += [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(0, 1))]
+    coeffs.append(F(rng.randint(1, 5), rng.randint(1, 5)))
+    return P(coeffs)
+
+
+@pytest.mark.parametrize("case", ["j-collides", "j-largest", "c-x^j", "j-zero", "j-random"])
+def test_squarefree_decomposition_matches_fraction_yun(case):
+    rng = random.Random(f"yun:{case}")
+    for _ in range(25):
+        mults = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        j = {"j-collides": rng.choice(mults), "j-largest": max(mults) + rng.randint(1, 5),
+             "c-x^j": rng.randint(1, 9), "j-zero": 0, "j-random": rng.randint(0, 6)}[case]
+        p = P([F(rng.randint(1, 9), rng.randint(2, 9))])
+        if case != "c-x^j":
+            for mult in mults:
+                p = p * _random_factor(rng) ** mult
+        p = p * P.x() ** j
+        got = squarefree_decomposition(p)
+        assert got == _fraction_yun(p)
+        assert [m for _, m in got] == sorted(m for _, m in got)
+        if j:
+            assert sum(1 for f, m in got if f[0] == 0) == 1
+
+
+def test_padded_leaf_max_root_matches_unpadded():
+    rng = random.Random(17)
+    for d in (2, 3):
+        inst = two_block_ks_instance(rng, 8, d, 256)
+        rank = KSInstance(2 * d, inst.supports)
+        for bits in (0, 37, 200, 255):
+            choices = tuple((bits >> i) & 1 for i in range(inst.m))
+            padded, unpadded = ks_leaf_poly(inst, choices), ks_leaf_poly(rank, choices)
+            assert padded.coeffs[256 - 2 * d:] == unpadded.coeffs
+            a = max_root(padded, F(1, 2**20))
+            b = max_root(unpadded, F(1, 2**20))
+            assert (a.lo, a.hi) == (b.lo, b.hi)
 
 
 def test_random_rational_root_recovery():
