@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from rootline.poly import ExactPolynomial
-from rootline.ratutil import RationalLike, cos_pi_bounds, sqrt_upper, to_fraction
+from rootline.ratutil import RationalLike, to_fraction
 
 
 @lru_cache(maxsize=None)
@@ -54,34 +54,3 @@ def cheb_eval(k: int, x: RationalLike) -> Fraction:
     for _ in range(k - 1):
         t_prev, t_cur = t_cur, 2 * x * t_cur - t_prev
     return t_cur
-
-
-def cheb_shifted_roots(n: int, theta: RationalLike,
-                       prec: int = 96) -> List[Tuple[Fraction, Fraction]]:
-    """Certified enclosures of the n roots of T_n(x) - cos(theta*pi).
-
-    ``theta`` is the angle as an exact rational multiple of pi.  The
-    roots are cos((theta*pi + 2*pi*i)/n) for i = 0..n-1, each returned
-    as a rational interval from interval arithmetic.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    theta = to_fraction(theta)
-    return [cos_pi_bounds(Fraction(theta + 2 * i, n), prec) for i in range(n)]
-
-
-def cheb_growth_lower_bound(k: int, x: RationalLike) -> Fraction:
-    """A certified rational v with (1 + sqrt(2x))^k / 2 <= v <= T_k(1+x).
-
-    Used by the analysis tests of the max-root algorithm: witnesses the
-    exponential growth of T_k just right of 1 without leaving Q.
-    """
-    if k < 0:
-        raise ValueError("Chebyshev index must be >= 0")
-    x = to_fraction(x)
-    if x < 0:
-        raise ValueError("growth bound needs x >= 0")
-    u = sqrt_upper(2 * x)  # rational upper bound on sqrt(2x)
-    candidate = (1 + u) ** k / 2
-    exact = cheb_eval(k, 1 + x)
-    return candidate if candidate <= exact else exact

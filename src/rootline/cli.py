@@ -6,7 +6,7 @@ RunManifest dispatch, so identical manifests produce identical output
 bytes; `rootline manifest FILE` replays a saved manifest directly.
 
 Exit codes: 0 success, 1 certificate or verification failure,
-2 usage / malformed input.  ROOTLINE_THREADS caps internal parallelism.
+2 usage / malformed input.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from rootline.interlacing import (
     SRInstance,
     ks_brute_force_poly,
     ks_oracle,
+    padded_coeffs,
     round_family,
     sr_brute_force_poly,
     sr_oracle,
@@ -44,7 +45,7 @@ from rootline.lowerbounds import (
 )
 from rootline.maxroot import approx_max_root
 from rootline.poly import ExactPolynomial
-from rootline.ratutil import decimal_render, format_rational, parse_rational
+from rootline.ratutil import decimal_render, format_rational, parse_rational, to_fraction
 from rootline.selftest import DEFAULT_SEED, run_criteria
 from rootline.symfuncs import SymmetricProfile, profile_from_polynomial
 
@@ -66,6 +67,12 @@ class RunManifest:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunManifest":
+        if not (isinstance(d, dict) and isinstance(d.get("subcommand"), str)
+                and isinstance(d.get("parameters", {}), dict)
+                and isinstance(d.get("seed"), (int, type(None)))
+                and isinstance(d.get("output"), (str, type(None)))):
+            raise ValueError('a manifest is a JSON object {"subcommand": str, '
+                             '"parameters": {...}, "seed": int or null, "output": str or null}')
         return cls(
             subcommand=d["subcommand"],
             parameters=dict(d.get("parameters", {})),
@@ -176,7 +183,10 @@ def _cmd_verify_invariance(params: Dict, seed: Optional[int]) -> dict:
     k = int(params["k"])
     diag = None
     if params.get("diag"):
-        diag = [parse_rational(v) for v in _load_json(params["diag"])["diag"]]
+        data = _load_json(params["diag"])
+        if not (isinstance(data, dict) and isinstance(data.get("diag"), list)):
+            raise CliError('a diagonal is a JSON object {"diag": ["p/q", ...]}')
+        diag = [to_fraction(v) for v in data["diag"]]
     rep = sign_invariance_report(g, diag, k, cap=int(params.get("cap", 24)))
     return {
         "k": k,
@@ -202,12 +212,8 @@ def _cmd_round(params: Dict, seed: Optional[int]) -> dict:
     res = round_family(inst.spec(), oracle, eps)
     out = res.to_json_dict()
     if params.get("exhaustive_check"):
-        want = brute(inst)
         got = oracle.coeffs((), inst.n)
-        expanded = [Fraction(0)] * (inst.n + 1)
-        for i, c in enumerate(reversed(want.coeffs)):
-            expanded[i] = c
-        out["exhaustive_root_match"] = tuple(expanded) == tuple(got)
+        out["exhaustive_root_match"] = padded_coeffs(brute(inst), inst.n) == got
         if not out["exhaustive_root_match"]:
             raise CertificateFailure(json.dumps(out, sort_keys=True))
     if not res.certified:
@@ -218,6 +224,8 @@ def _cmd_round(params: Dict, seed: Optional[int]) -> dict:
 def _cmd_selftest(params: Dict, seed: Optional[int]) -> dict:
     numbers = params.get("criteria")
     if numbers is not None:
+        if not (isinstance(numbers, list) and all(isinstance(x, (int, str)) for x in numbers)):
+            raise CliError("criteria must be a list of criterion numbers")
         numbers = [int(x) for x in numbers]
     results = run_criteria(numbers, seed if seed is not None else DEFAULT_SEED)
     for res in results:
@@ -258,8 +266,11 @@ def dispatch(manifest: RunManifest) -> Tuple[int, dict]:
 def _emit(manifest: RunManifest, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if manifest.output:
-        with open(manifest.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(manifest.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {manifest.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -268,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootline",
         description="Certified max-root approximation from top coefficients, "
-                    "lower-bound pair generators, and interlacing-family rounding.",
-        epilog="ROOTLINE_THREADS caps internal parallelism.")
+                    "lower-bound pair generators, and interlacing-family rounding.")
     sub = parser.add_subparsers(dest="subcommand")
 
     p = sub.add_parser("approx-root", help="estimate the largest root from a profile")
@@ -288,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=2)
 
     p = sub.add_parser("verify-pair", help="re-check a pair's certificate")
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", required=True)
 
     p = sub.add_parser("girth", help="shortest cycle length")
     p.add_argument("--graph", required=True, help="catalog name or graph JSON file")
@@ -309,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-check", action="store_true")
 
     p = sub.add_parser("selftest", help="run acceptance criteria")
-    p.add_argument("--criteria", help="comma-separated list, default all")
+    p.add_argument("--criteria", type=lambda s: s.split(","),
+                   help="comma-separated list, default all")
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("manifest", help="run a saved manifest")
@@ -322,30 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    sc = args.subcommand
-    params: Dict = {}
-    if sc == "approx-root":
-        params = {"profile": args.profile, "coeffs": args.coeffs,
-                  "n": args.n, "k": args.k}
-    elif sc == "gen-pair":
-        params = {"kind": args.kind, "n": args.n, "k": args.k, "graph": args.graph,
-                  "power": args.power, "base": args.base, "t": args.t}
-    elif sc == "verify-pair":
-        params = {"in": args.infile}
-    elif sc == "girth":
-        params = {"graph": args.graph}
-    elif sc == "sign-search":
-        params = {"graph": args.graph, "cap": args.cap}
-    elif sc == "verify-invariance":
-        params = {"graph": args.graph, "k": args.k, "diag": args.diag, "cap": args.cap}
-    elif sc == "round":
-        params = {"family": args.family, "epsilon": args.epsilon,
-                  "exhaustive_check": args.exhaustive_check}
-    elif sc == "selftest":
-        params = {"criteria": args.criteria.split(",") if args.criteria else None}
-        return RunManifest(sc, params, seed=args.seed, output=args.out)
-    params = {k: v for k, v in params.items() if v is not None}
-    return RunManifest(sc, params, output=getattr(args, "out", None))
+    """The subcommand's options, by dest name, as manifest parameters."""
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("subcommand", "seed", "out") and v is not None}
+    return RunManifest(args.subcommand, params, seed=getattr(args, "seed", None),
+                       output=args.out)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -362,7 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         status, payload = dispatch(manifest)
         _emit(manifest, payload)
         return status
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
 

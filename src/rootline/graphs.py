@@ -10,7 +10,7 @@ Signings assign +-1 to each edge; the signed adjacency matrix replaces
   +1 on a fixed spanning forest, so the 2^|E| signings fall into
   2^(|E|-n+components) explicitly enumerable classes.
 
-The exhaustive trace scan (`verify_sign_invariance`) still walks all
+The exhaustive trace scan (`sign_invariance_report`) still walks all
 2^|E| signings literally, batched through numpy int64 after clearing
 denominators; the search for the best signing exploits the class
 structure but returns exactly the signing a full lexicographic brute
@@ -20,7 +20,6 @@ force would return (cross-checked in the tests).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -28,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from rootline.isolation import RootInterval, compare_roots, isolate_real_roots, max_root
+from rootline.isolation import RootInterval, compare_roots, max_root
 from rootline.poly import ExactPolynomial, SquareMatrixQ, char_poly_int_rows
 from rootline.ratutil import RationalLike, to_fraction
 
@@ -84,25 +83,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(self.degrees())
 
-    def components(self) -> List[List[int]]:
-        adj = self.adjacency_lists()
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(sorted(comp))
-        return comps
-
     def bipartition(self) -> Optional[Tuple[List[int], List[int]]]:
         """2-coloring if bipartite, else None."""
         adj = self.adjacency_lists()
@@ -131,7 +111,12 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Graph":
-        return cls(int(d["n"]), tuple((int(u), int(v)) for u, v in d["edges"]))
+        if not (isinstance(d, dict) and isinstance(d.get("n"), int)
+                and isinstance(d.get("edges"), list)
+                and all(isinstance(e, list) and len(e) == 2
+                        and all(isinstance(v, int) for v in e) for e in d["edges"])):
+            raise ValueError('a graph is a JSON object {"n": int, "edges": [[u, v], ...]}')
+        return cls(d["n"], tuple((u, v) for u, v in d["edges"]))
 
 
 @dataclass(frozen=True)
@@ -152,9 +137,6 @@ class Signing:
     def from_bits(cls, g: Graph, bits: int) -> "Signing":
         """Bit i set means edge i carries -1 (so bits order lex-minimal +1 first)."""
         return cls(tuple(-1 if (bits >> i) & 1 else 1 for i in range(g.num_edges)))
-
-    def bits(self) -> int:
-        return sum(1 << i for i, s in enumerate(self.signs) if s == -1)
 
 
 def girth(g: Graph):
@@ -237,17 +219,12 @@ class InvarianceReport:
     witness: Optional[Tuple[int, int, int]] = None
 
 
-def _thread_count() -> int:
-    env = os.environ.get("ROOTLINE_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def _scaled_diag(g: Graph, D: Optional[Sequence[RationalLike]]) -> Tuple[List[int], int]:
     """Clear denominators: returns (L*D as ints, L)."""
     if D is None:
         return [0] * g.n, 1
+    if len(D) != g.n:
+        raise ValueError("diagonal has wrong length")
     fracs = [to_fraction(d) for d in D]
     L = 1
     for f in fracs:
@@ -264,6 +241,8 @@ def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]], k: int
     signings run through numpy int64 when the trace bound allows,
     otherwise exact big-int arithmetic takes over.
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1 trace powers, got k={k}")
     m = g.num_edges
     if m > cap:
         raise ExhaustionCapError(
@@ -272,16 +251,10 @@ def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]], k: int
     diag, _ = _scaled_diag(g, D)
     maxabs = max([1] + [abs(d) for d in diag])
     # worst-case |trace(M^i)| <= n * (n*maxabs)^i
-    bound = g.n * (g.n * maxabs) ** max(k, 1)
+    bound = g.n * (g.n * maxabs) ** k
     if bound < 2**62:
         return _scan_numpy(g, diag, k)
     return _scan_exact(g, diag, k)
-
-
-def verify_sign_invariance(g: Graph, D: Optional[Sequence[RationalLike]], k: int,
-                           cap: int = EXHAUSTION_CAP) -> bool:
-    """True iff trace powers 1..k agree across all signings, exactly."""
-    return sign_invariance_report(g, D, k, cap).agree
 
 
 def sample_sign_invariance(g: Graph, D: Optional[Sequence[RationalLike]], k: int,
@@ -293,8 +266,7 @@ def sample_sign_invariance(g: Graph, D: Optional[Sequence[RationalLike]], k: int
     diag, _ = _scaled_diag(g, D)
     ref = _traces_exact(_int_rows(g, (1,) * g.num_edges, diag), k)
     for _ in range(samples):
-        bits = rng.getrandbits(g.num_edges)
-        signs = [-1 if (bits >> i) & 1 else 1 for i in range(g.num_edges)]
+        signs = Signing.from_bits(g, rng.getrandbits(g.num_edges)).signs
         if _traces_exact(_int_rows(g, signs, diag), k) != ref:
             return False
     return True
@@ -315,8 +287,7 @@ def _traces_exact(rows: List[List[int]], k: int) -> List[int]:
 def _scan_exact(g: Graph, diag: List[int], k: int) -> InvarianceReport:
     ref = None
     for bits in range(1 << g.num_edges):
-        signs = [-1 if (bits >> i) & 1 else 1 for i in range(g.num_edges)]
-        tr = _traces_exact(_int_rows(g, signs, diag), k)
+        tr = _traces_exact(_int_rows(g, Signing.from_bits(g, bits).signs, diag), k)
         if ref is None:
             ref = tr
         elif tr != ref:
@@ -336,26 +307,17 @@ def _scan_numpy(g: Graph, diag: List[int], k: int) -> InvarianceReport:
     us = np.array([e[0] for e in g.edges])
     vs = np.array([e[1] for e in g.edges])
 
-    def batch_traces(start: int) -> Tuple[int, np.ndarray]:
+    def batch_traces(start: int) -> np.ndarray:
         idx = np.arange(start, min(start + batch, total), dtype=np.int64)
         signs = 1 - 2 * ((idx[:, None] >> np.arange(m)[None, :]) & 1)
         mats = np.broadcast_to(base, (len(idx), n, n)).copy()
         mats[:, us, vs] = signs
         mats[:, vs, us] = signs
-        return start, _batch_traces(mats, k)
-
-    starts = list(range(0, total, batch))
-    threads = _thread_count()
-    if threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(batch_traces, starts))
-    else:
-        results = map(batch_traces, starts)
+        return _batch_traces(mats, k)
 
     ref: Optional[np.ndarray] = None
-    for start, traces in results:
+    for start in range(0, total, batch):
+        traces = batch_traces(start)
         if ref is None:
             ref = traces[:, 0].copy()  # signing 0 = all +1
         diff = traces != ref[:, None]
@@ -477,8 +439,27 @@ def _lex_key(bits: int, m: int) -> Tuple[int, ...]:
     return tuple((bits >> i) & 1 for i in range(m))
 
 
-def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP,
-                        width: Fraction = Fraction(1, 2**30)) -> BestSigning:
+def switching_class_char_polys(g: Graph) -> List[Tuple[Tuple[int, ...], int]]:
+    """(descending char poly coefficients, representative bits) per class.
+
+    The characteristic polynomial of A_s is constant on switching
+    classes, so these cover every one of the 2^|E| signings exactly.
+    """
+    tree = set(_spanning_forest(g))
+    free = [i for i in range(g.num_edges) if i not in tree]
+    zero_diag = [0] * g.n
+    out = []
+    for assign in range(1 << len(free)):
+        bits = 0
+        for j, ei in enumerate(free):
+            if (assign >> j) & 1:
+                bits |= 1 << ei
+        signs = Signing.from_bits(g, bits).signs
+        out.append((tuple(char_poly_int_rows(_int_rows(g, signs, zero_diag))), bits))
+    return out
+
+
+def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP) -> BestSigning:
     """The signing minimizing lambda_max(A_s), ties broken lexicographically.
 
     Enumerates one representative per switching class (signs free off a
@@ -491,18 +472,8 @@ def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP,
     m = g.num_edges
     if m > cap:
         raise ExhaustionCapError(f"{m} edges exceeds the exhaustion cap {cap}")
-    tree = set(_spanning_forest(g))
-    free = [i for i in range(m) if i not in tree]
-    zero_diag = [0] * g.n
-
     by_char: Dict[Tuple[int, ...], int] = {}
-    for assign in range(1 << len(free)):
-        bits = 0
-        for j, ei in enumerate(free):
-            if (assign >> j) & 1:
-                bits |= 1 << ei
-        signs = [-1 if (bits >> i) & 1 else 1 for i in range(m)]
-        coeffs = tuple(char_poly_int_rows(_int_rows(g, signs, zero_diag)))
+    for coeffs, bits in switching_class_char_polys(g):
         by_char.setdefault(coeffs, bits)
 
     best: List[Tuple[Tuple[int, ...], RootInterval, int]] = []
@@ -528,32 +499,8 @@ def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP,
             min_coeffs = coeffs
     signing = Signing.from_bits(g, min_bits)
     poly = ExactPolynomial.from_coeffs(list(reversed([Fraction(c) for c in min_coeffs])))
-    lam = max_root(poly, width)
+    lam = max_root(poly, Fraction(1, 2**30))
     return BestSigning(signing, poly, lam, len(by_char))
-
-
-def best_signing_bruteforce(g: Graph, width: Fraction = Fraction(1, 2**30)) -> BestSigning:
-    """Reference implementation: all 2^|E| signings, for cross-checking.
-
-    Walks sign vectors in lexicographic edge order (+1 before -1) so the
-    tie-break matches the class-based search by construction.
-    """
-    m = g.num_edges
-    zero_diag = [0] * g.n
-    best_bits = None
-    best_lam = None
-    best_coeffs = None
-    for key in range(1 << m):
-        # key's high bit is edge 0: counting up walks sign vectors in lex order
-        bits = sum(1 << i for i in range(m) if (key >> (m - 1 - i)) & 1)
-        signs = [-1 if (bits >> i) & 1 else 1 for i in range(m)]
-        coeffs = tuple(char_poly_int_rows(_int_rows(g, signs, zero_diag)))
-        poly = ExactPolynomial.from_coeffs(list(reversed([Fraction(c) for c in coeffs])))
-        lam = max_root(poly, width)
-        if best_lam is None or compare_roots(lam, best_lam) < 0:
-            best_bits, best_lam, best_coeffs = bits, lam, coeffs
-    poly = ExactPolynomial.from_coeffs(list(reversed([Fraction(c) for c in best_coeffs])))
-    return BestSigning(Signing.from_bits(g, best_bits), poly, best_lam, 1 << m)
 
 
 def ramanujan_bound_holds(g: Graph, s: Signing) -> bool:
@@ -583,10 +530,6 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cube_graph() -> Graph:
@@ -683,60 +626,3 @@ def catalog_entries() -> List[CatalogEntry]:
     entries.append(CatalogEntry("heawood", heawood_graph(), 6, 3, Fraction(3)))
     entries.append(CatalogEntry("tutte-coxeter", tutte_coxeter_graph(), 8, 3, Fraction(3)))
     return entries
-
-
-def signed_char_poly(g: Graph, s: Signing,
-                     D: Optional[Sequence[RationalLike]] = None) -> ExactPolynomial:
-    from rootline.poly import char_poly
-
-    return char_poly(signed_adjacency(g, s, D))
-
-
-def eigenvalue_intervals(g: Graph, s: Signing,
-                         D: Optional[Sequence[RationalLike]] = None,
-                         width: Fraction = Fraction(1, 2**30)) -> List[RootInterval]:
-    """Certified eigenvalue enclosures of D + A_s (all real, symmetric)."""
-    return isolate_real_roots(signed_char_poly(g, s, D), width)
-
-
-@dataclass
-class SignedSpectrum:
-    """Exact characteristic polynomial of D + A_s with certified roots."""
-
-    char: ExactPolynomial
-    roots: List[RootInterval]
-
-    @property
-    def lambda_max(self) -> RootInterval:
-        return self.roots[-1]
-
-
-def signed_spectrum(g: Graph, s: Signing,
-                    D: Optional[Sequence[RationalLike]] = None,
-                    width: Fraction = Fraction(1, 2**30)) -> SignedSpectrum:
-    """Spectrum of D + A_s; the root count always certifies realness."""
-    chi = signed_char_poly(g, s, D)
-    roots = isolate_real_roots(chi, width)
-    if sum(r.multiplicity for r in roots) != g.n:
-        raise AssertionError("symmetric matrix produced non-real roots")
-    return SignedSpectrum(chi, roots)
-
-
-def switching_class_char_polys(g: Graph) -> List[Tuple[Tuple[int, ...], int]]:
-    """(descending char poly coefficients, representative bits) per class.
-
-    The characteristic polynomial of A_s is constant on switching
-    classes, so these cover every one of the 2^|E| signings exactly.
-    """
-    tree = set(_spanning_forest(g))
-    free = [i for i in range(g.num_edges) if i not in tree]
-    zero_diag = [0] * g.n
-    out = []
-    for assign in range(1 << len(free)):
-        bits = 0
-        for j, ei in enumerate(free):
-            if (assign >> j) & 1:
-                bits |= 1 << ei
-        signs = [-1 if (bits >> i) & 1 else 1 for i in range(g.num_edges)]
-        out.append((tuple(char_poly_int_rows(_int_rows(g, signs, zero_diag))), bits))
-    return out

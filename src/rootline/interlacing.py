@@ -18,7 +18,6 @@ polynomial is literally the sum of its children's, exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -120,16 +119,6 @@ class FamilyOracle:
 
     def coeffs(self, prefix: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
         raise NotImplementedError
-
-    def is_zero(self, prefix: Tuple[int, ...]) -> bool:
-        return all(c == 0 for c in self.coeffs(prefix, 0))
-
-
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for a, b in zip(u, v):
-        total += a * b
-    return total
 
 
 def _bareiss_det(mat: List[List[int]]) -> int:
@@ -362,6 +351,12 @@ def ks_brute_force_poly(inst: KSInstance, prefix: Tuple[int, ...] = ()) -> Exact
     return _pad(total, d, inst.n)
 
 
+def padded_coeffs(p: ExactPolynomial, n: int) -> Tuple[Fraction, ...]:
+    """The coefficients of x^n down to x^0 of p (degree at most n), laid
+    out as ``FamilyOracle.coeffs(prefix, n)`` returns them."""
+    return tuple(p.coeff(n - i) for i in range(n + 1))
+
+
 def ks_leaf_poly(inst: KSInstance, choices: Tuple[int, ...]) -> ExactPolynomial:
     """Unweighted char poly of the chosen rank-one sum, padded to degree n."""
     vectors = [inst.supports[i][c][0] for i, c in enumerate(choices)]
@@ -406,10 +401,6 @@ class SRInstance:
             raise ValueError("table probabilities must sum to 1")
         if any(len(v) > self.n for v in self.vectors):
             raise ValueError("vector longer than the ambient dimension")
-
-    def is_homogeneous(self) -> bool:
-        sizes = {bin(mask).count("1") for mask, p in enumerate(self.table) if p}
-        return len(sizes) <= 1
 
     def spec(self) -> FamilySpec:
         return FamilySpec(self.m, (2,) * self.m, self.n)
@@ -586,8 +577,8 @@ def _poly_from_raw(n: int, raw: Sequence[Fraction]) -> ExactPolynomial:
     return ExactPolynomial(coeffs)
 
 
-def round_family(spec: FamilySpec, oracle: FamilyOracle, epsilon: RationalLike,
-                 check_consistency: bool = True) -> RoundingResult:
+def round_family(spec: FamilySpec, oracle: FamilyOracle,
+                 epsilon: RationalLike) -> RoundingResult:
     """Round an interlacing family to one leaf with a certified bound.
 
     Walks ceil(m/M) groups of M coordinates; in each group all
@@ -611,13 +602,12 @@ def round_family(spec: FamilySpec, oracle: FamilyOracle, epsilon: RationalLike,
         group = tuple(range(len(prefix), min(len(prefix) + M, m)))
         children = [(cand, oracle.coeffs(prefix + cand, k))
                     for cand in product(*[range(spec.sizes[i]) for i in group])]
-        if check_consistency:
-            parent = oracle.coeffs(prefix, k)
-            sums = [sum(raw[i] for _, raw in children) for i in range(k + 1)]
-            if tuple(sums) != tuple(parent):
-                raise OracleInconsistencyError(
-                    f"children of prefix {prefix} sum to {sums}, "
-                    f"oracle reports {parent}")
+        parent = oracle.coeffs(prefix, k)
+        sums = [sum(raw[i] for _, raw in children) for i in range(k + 1)]
+        if tuple(sums) != tuple(parent):
+            raise OracleInconsistencyError(
+                f"children of prefix {prefix} sum to {sums}, "
+                f"oracle reports {parent}")
         best_est: Optional[Fraction] = None
         best_cand: Optional[Tuple[int, ...]] = None
         count = 0

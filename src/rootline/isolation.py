@@ -32,6 +32,9 @@ IntPoly = Tuple[int, ...]  # ascending degree, trimmed, nonzero unless empty
 
 DEFAULT_PRECISION = Fraction(1, 2**53)
 
+#: overlap width below which compare_roots decides equality by a gcd
+_GCD_WIDTH = Fraction(1, 1 << 256)
+
 
 # ---------------------------------------------------------------------------
 # integer polynomial kernel
@@ -183,6 +186,21 @@ def _scale_pow2(c: Sequence[int], h: int) -> List[int]:
     return [v << (h * (d - i)) for i, v in enumerate(c)]
 
 
+def _to_unit_interval(c: Sequence[int], a: Fraction, b: Fraction) -> List[int]:
+    """Integer polynomial whose roots in (0, 1) are those of c in (a, b),
+    mapped by x -> (x - a) / (b - a).
+
+    With a = A/L and b - a = W/L over a common denominator L this is
+    L^d c((A + W x) / L): scale the argument by L, shift by A, scale by W.
+    """
+    L = math.lcm(a.denominator, b.denominator)
+    A = a.numerator * (L // a.denominator)
+    W = b.numerator * (L // b.denominator) - A
+    d = len(c) - 1
+    shifted = _shift_int([v * L ** (d - i) for i, v in enumerate(c)], A)
+    return _trim([v * W**i for i, v in enumerate(shifted)])
+
+
 def _variations01(c: Sequence[int]) -> int:
     """Sign variations bounding the number of roots in the open (0,1)."""
     rev = list(reversed(c))
@@ -300,12 +318,8 @@ def _isolate_squarefree(q: IntPoly) -> List[Tuple[IntPoly, Fraction, Fraction]]:
             r = Fraction(-work[0], work[1])
             roots.append((work, r, r))
             break
-        h = cauchy_bound_pow2(work)
-        bound = 1 << h
-        # map (-2^h, 2^h) onto (0, 1): shift to q(x - 2^h), scale x by 2^(h+1)
-        shifted = _shift_int(work, -bound)
-        mapped = _trim([v << ((h + 1) * i) for i, v in enumerate(shifted)])
-        intervals, exact = _isolate01(mapped)
+        bound = 1 << cauchy_bound_pow2(work)
+        intervals, exact = _isolate01(_to_unit_interval(work, Fraction(-bound), Fraction(bound)))
         width = Fraction(2 * bound)
         if not exact:
             for c, k in intervals:
@@ -447,16 +461,6 @@ def isolate_real_roots(p: ExactPolynomial,
     return out
 
 
-def all_roots_real(p: ExactPolynomial) -> bool:
-    """True iff p (nonzero) splits over the reals, certified by isolation."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree <= 0:
-        return True
-    total = sum(r.multiplicity for r in isolate_real_roots(p, Fraction(1, 4)))
-    return total == p.degree
-
-
 def max_root(p: ExactPolynomial,
              precision: Fraction = DEFAULT_PRECISION) -> Optional[RootInterval]:
     """Largest real root of p, or None if p has no real roots."""
@@ -473,41 +477,13 @@ def _count_open_squarefree(q: IntPoly, a: Fraction, b: Fraction) -> int:
     """Number of roots of square-free q in the open interval (a, b)."""
     if a >= b or len(q) <= 1:
         return 0
-    # map (a, b) to (0, 1) via s(x) = q(a + (b-a) x): shift by a, then
-    # scale the argument by (b-a); Fractions cleared back to integers
-    w = b - a
-    d = len(q) - 1
-    shifted = [Fraction(c) for c in q]
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            shifted[j] += a * shifted[j + 1]
-    mapped = int_poly_from_fractions([shifted[i] * w**i for i in range(d + 1)])
-    if not mapped:
-        return 0
-    count = 0
-    work = list(mapped)
+    work = _to_unit_interval(q, a, b)
     if work[0] == 0:  # root at a itself: outside the open interval
         work = list(_primitive(work[1:]))
     if sign_at(work, Fraction(1)) == 0:
         work = list(_deflate_root(work, 1, 1))
     intervals, exact = _isolate01(_trim(work))
-    count += len(intervals) + len(exact)
-    return count
-
-
-def count_distinct_roots_in(p: ExactPolynomial, a: Fraction, b: Fraction,
-                            closed: bool = True) -> int:
-    """Exact number of distinct real roots of p in [a, b] (or (a, b))."""
-    a, b = to_fraction(a), to_fraction(b)
-    total = 0
-    for factor, _ in squarefree_decomposition(p):
-        total += _count_open_squarefree(factor, a, b)
-        if closed:
-            if sign_at(factor, a) == 0:
-                total += 1
-            if b != a and sign_at(factor, b) == 0:
-                total += 1
-    return total
+    return len(intervals) + len(exact)
 
 
 def max_root_leq(p: ExactPolynomial, a: Fraction) -> bool:
@@ -526,16 +502,10 @@ def max_root_leq(p: ExactPolynomial, a: Fraction) -> bool:
     return True
 
 
-def has_root_at(p: ExactPolynomial, a: Fraction) -> bool:
-    return p(to_fraction(a)) == 0
-
-
 def max_root_geq(p: ExactPolynomial, a: Fraction) -> bool:
     """Certified decision: some real root of p is >= a."""
     a = to_fraction(a)
-    if has_root_at(p, a):
-        return True
-    return not max_root_leq(p, a)
+    return p(a) == 0 or not max_root_leq(p, a)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +513,7 @@ def max_root_geq(p: ExactPolynomial, a: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def compare_roots(r1: RootInterval, r2: RootInterval,
-                  bits_cap: int = 256) -> int:
+def compare_roots(r1: RootInterval, r2: RootInterval) -> int:
     """Total-order comparison of two isolated roots: -1, 0 or +1.
 
     Refines both intervals; if they refuse to separate, decides equality
@@ -565,7 +534,7 @@ def compare_roots(r1: RootInterval, r2: RootInterval,
                 return 0
         if not r1.exact and not r2.exact and r1.poly is not None and r2.poly is not None:
             lo, hi = max(r1.lo, r2.lo), min(r1.hi, r2.hi)
-            if _overlap_width_small(r1, r2, bits_cap):
+            if _overlap_width_small(r1, r2):
                 g = int_poly_gcd(r1.poly, r2.poly)
                 if len(g) > 1 and _has_root_in_closed(g, lo, hi):
                     return 0
@@ -573,9 +542,9 @@ def compare_roots(r1: RootInterval, r2: RootInterval,
         r2.refine_step()
 
 
-def _overlap_width_small(r1: RootInterval, r2: RootInterval, bits_cap: int) -> bool:
+def _overlap_width_small(r1: RootInterval, r2: RootInterval) -> bool:
     w = min(r1.width, r2.width)
-    return w > 0 and w < Fraction(1, 1 << bits_cap)
+    return w > 0 and w < _GCD_WIDTH
 
 
 def _has_root_in_closed(g: IntPoly, a: Fraction, b: Fraction) -> bool:
@@ -588,17 +557,3 @@ def _squarefree_part(g: IntPoly) -> IntPoly:
     if len(g) <= 2:
         return g
     return _primitive(_divide_exact(g, int_poly_gcd(g, _deriv(g))))
-
-
-# ---------------------------------------------------------------------------
-# interval evaluation (used by certificate cross-checks)
-# ---------------------------------------------------------------------------
-
-
-def eval_on_interval(p: ExactPolynomial, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
-    """Interval Horner: encloses {p(x) : x in [lo, hi]} (not tight)."""
-    alo, ahi = Fraction(0), Fraction(0)
-    for c in reversed(p.coeffs):
-        candidates = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(candidates) + c, max(candidates) + c
-    return alo, ahi

@@ -21,7 +21,6 @@ Four constructions:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -88,9 +87,6 @@ class LowerBoundPair:
             "certificate": self.certificate,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "LowerBoundPair":
         if not (isinstance(d, dict) and isinstance(d.get("k"), int)
@@ -106,10 +102,6 @@ class LowerBoundPair:
             provenance=d["provenance"],
             certificate=dict(d.get("certificate", {})),
         )
-
-    @classmethod
-    def from_json(cls, s: str) -> "LowerBoundPair":
-        return cls.from_json_dict(json.loads(s))
 
 
 def _max_root_bounds(p: ExactPolynomial,
@@ -387,14 +379,10 @@ def verify_pair(pair: LowerBoundPair) -> PairReport:
         return PairReport(False, checks)
 
     n = p.degree
-    mismatch = None
-    for j in range(1, pair.k + 1):
-        if p.coeff(n - j) != q.coeff(n - j):
-            mismatch = j
-            break
+    matched = matched_coefficient_count(p, q)
     add("coefficients_match_up_to_k",
-        mismatch is None,
-        "all equal" if mismatch is None else f"first mismatch at position {mismatch}")
+        matched >= pair.k,
+        "all equal" if matched >= pair.k else f"first mismatch at position {matched + 1}")
 
     roots_p = isolate_real_roots(p, _RATIO_WIDTH)
     roots_q = isolate_real_roots(q, _RATIO_WIDTH)

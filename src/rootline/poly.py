@@ -13,7 +13,6 @@ arithmetic (a large constant-factor win for the signing searches).
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
@@ -59,10 +58,6 @@ class ExactPolynomial:
         return cls([0, 1])
 
     @classmethod
-    def monomial(cls, degree: int, coeff: RationalLike = 1) -> "ExactPolynomial":
-        return cls([0] * degree + [to_fraction(coeff)])
-
-    @classmethod
     def from_roots(cls, roots: Iterable[RationalLike]) -> "ExactPolynomial":
         """Monic polynomial with the given rational roots."""
         p = cls.one()
@@ -91,9 +86,6 @@ class ExactPolynomial:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return Fraction(0)
-
-    def descending(self) -> Tuple[Fraction, ...]:
-        return tuple(reversed(self.coeffs))
 
     def is_monic(self) -> bool:
         return not self.is_zero and self.leading == 1
@@ -162,9 +154,6 @@ class ExactPolynomial:
             acc = acc * inner + ExactPolynomial([c])
         return acc
 
-    def derivative(self) -> "ExactPolynomial":
-        return ExactPolynomial([i * c for i, c in enumerate(self.coeffs) if i >= 1])
-
     def shift_scale(self, a: RationalLike, b: RationalLike) -> "ExactPolynomial":
         """Map the root multiset mu -> a*mu + b, a != 0.
 
@@ -231,18 +220,11 @@ class ExactPolynomial:
     def to_json_dict(self) -> dict:
         return {"coeffs": [format_rational(c) for c in self.coeffs]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExactPolynomial":
         if not isinstance(d, dict) or not isinstance(d.get("coeffs"), list):
             raise ValueError('a polynomial is a JSON object {"coeffs": [...]}')
         return cls.from_coeffs(d["coeffs"])
-
-    @classmethod
-    def from_json(cls, s: str) -> "ExactPolynomial":
-        return cls.from_json_dict(json.loads(s))
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +248,12 @@ class SquareMatrixQ:
         self.entries: Tuple[Tuple[Fraction, ...], ...] = tuple(entries)
 
     @classmethod
-    def zeros(cls, n: int) -> "SquareMatrixQ":
-        return cls([[0] * n for _ in range(n)])
-
-    @classmethod
     def identity(cls, n: int) -> "SquareMatrixQ":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
         i, j = ij
         return self.entries[i][j]
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
 
     def trace(self) -> Fraction:
         return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
@@ -392,35 +363,3 @@ def sigma_k(A: SquareMatrixQ, k: int) -> Fraction:
         raise ValueError(f"sigma_k needs 0 <= k <= n, got k={k}, n={A.n}")
     chi = char_poly(A)
     return (-1) ** k * chi.coeff(A.n - k)
-
-
-# ---------------------------------------------------------------------------
-# operation wrappers (stable names for the public surface)
-# ---------------------------------------------------------------------------
-
-
-def poly_add(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
-    return a + b
-
-
-def poly_mul(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
-    return a * b
-
-
-def poly_compose(outer: ExactPolynomial, inner: ExactPolynomial) -> ExactPolynomial:
-    return outer.compose(inner)
-
-
-def poly_shift_scale(p: ExactPolynomial, a: RationalLike, b: RationalLike) -> ExactPolynomial:
-    return p.shift_scale(a, b)
-
-
-def real_roots(p: ExactPolynomial, precision: RationalLike = Fraction(1, 2**53)):
-    """Isolating intervals (with multiplicity) for all real roots of p.
-
-    Convenience re-export; the implementation lives in
-    :mod:`rootline.isolation`.
-    """
-    from rootline.isolation import isolate_real_roots
-
-    return isolate_real_roots(p, to_fraction(precision))

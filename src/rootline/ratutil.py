@@ -130,10 +130,6 @@ def nth_root_upper(x: Fraction, k: int, bits: int = 64) -> Fraction:
     return Fraction(m, q * scale)
 
 
-def sqrt_lower(x: Fraction, bits: int = 64) -> Fraction:
-    return nth_root_lower(x, 2, bits)
-
-
 def sqrt_upper(x: Fraction, bits: int = 64) -> Fraction:
     return nth_root_upper(x, 2, bits)
 
@@ -227,10 +223,6 @@ def cos_pi_bounds(r: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:
     with _with_prec(prec) as ctx:
         lo, hi = _iv_endpoints(ctx.cos(ctx.pi * _iv_from_fraction(ctx, r)))
     return max(lo, Fraction(-1)), min(hi, Fraction(1))
-
-
-def sqrt_bounds(x: Fraction, bits: int = 64) -> Tuple[Fraction, Fraction]:
-    return sqrt_lower(x, bits), sqrt_upper(x, bits)
 
 
 def le_ln(k: Fraction, n: int, prec: int = 96) -> bool:

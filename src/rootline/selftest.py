@@ -34,6 +34,7 @@ from rootline.interlacing import (
     ks_brute_force_poly,
     ks_leaf_poly,
     ks_oracle,
+    padded_coeffs,
     round_family,
 )
 from rootline.isolation import compare_roots, max_root
@@ -384,21 +385,14 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     for trial in range(50):
         inst = random_ks_instance(rng)
         oracle = ks_oracle(inst)
-        brute = ks_brute_force_poly(inst)
         got = oracle.coeffs((), inst.n)
-        want = tuple(reversed(brute.coeffs)) if not brute.is_zero else (Fraction(0),) * (inst.n + 1)
-        want = want + (Fraction(0),) * (inst.n + 1 - len(want))
-        if got != want:
+        if got != padded_coeffs(ks_brute_force_poly(inst), inst.n):
             failures.append(f"trial {trial}: oracle != brute-force expectation")
         # one random prefix as well
         ell = rng.randint(1, inst.m)
         prefix = tuple(rng.randrange(len(inst.supports[i])) for i in range(ell))
-        brute_p = ks_brute_force_poly(inst, prefix)
         got_p = oracle.coeffs(prefix, inst.n)
-        want_p = [Fraction(0)] * (inst.n + 1)
-        for i, c in enumerate(reversed(brute_p.coeffs)):
-            want_p[i] = c
-        if got_p != tuple(want_p):
+        if got_p != padded_coeffs(ks_brute_force_poly(inst, prefix), inst.n):
             failures.append(f"trial {trial}: prefix {prefix} mismatch")
     return CriterionResult(
         9, "KS oracle equals brute-force expected characteristic polynomials",
@@ -438,11 +432,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         spec = inst.spec()
         # exhaustive cross-checks, independent of the rounding path
         brute_root = ks_brute_force_poly(inst)
-        got_root = oracle.coeffs((), inst.n)
-        want = [Fraction(0)] * (inst.n + 1)
-        for i, c in enumerate(reversed(brute_root.coeffs)):
-            want[i] = c
-        if got_root != tuple(want):
+        if oracle.coeffs((), inst.n) != padded_coeffs(brute_root, inst.n):
             failures.append(f"trial {trial}: root polynomial mismatch vs enumeration")
             continue
         root_monic = brute_root.monic()

@@ -10,7 +10,6 @@ inverse direction divides by i and stays over rationals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -50,18 +49,12 @@ class SymmetricProfile:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "e": [format_rational(v) for v in self.e]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "SymmetricProfile":
-        if not isinstance(d, dict) or not isinstance(d.get("e"), list):
-            raise ValueError('a profile is a JSON object {"n": ..., "e": [...]}')
-        return cls(int(d["n"]), tuple(to_fraction(v) for v in d["e"]))
-
-    @classmethod
-    def from_json(cls, s: str) -> "SymmetricProfile":
-        return cls.from_json_dict(json.loads(s))
+        if not (isinstance(d, dict) and isinstance(d.get("n"), int)
+                and isinstance(d.get("e"), list)):
+            raise ValueError('a profile is a JSON object {"n": int, "e": ["p/q", ...]}')
+        return cls(d["n"], tuple(to_fraction(v) for v in d["e"]))
 
 
 @dataclass(frozen=True)
@@ -272,25 +265,6 @@ def profile_from_polynomial(p: ExactPolynomial, k: int = None) -> SymmetricProfi
     if k is None:
         k = n
     return profile_from_coefficients(n, p.truncate_top(k))
-
-
-def eval_poly_sum(prof: SymmetricProfile, q: ExactPolynomial) -> Fraction:
-    """Exact sum of q over the unknown roots: sum_i q(mu_i).
-
-    Requires deg q <= prof.k; beyond that the profile does not determine
-    the value.
-    """
-    if q.degree > prof.k:
-        raise ValueError(f"deg q = {q.degree} exceeds known statistics k = {prof.k}")
-    if q.is_zero:
-        return Fraction(0)
-    p = power_sums_from_elementary(prof).p
-    total = q.coeff(0) * prof.n
-    for j in range(1, q.degree + 1):
-        cj = q.coeff(j)
-        if cj:
-            total += cj * p[j - 1]
-    return total
 
 
 def extended_power_sums(prof: SymmetricProfile, upto: int) -> Tuple[Fraction, ...]:

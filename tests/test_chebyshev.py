@@ -3,15 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from rootline.chebyshev import (
-    cheb_eval,
-    cheb_growth_lower_bound,
-    cheb_poly,
-    cheb_shifted_roots,
-)
+from rootline.chebyshev import cheb_eval, cheb_poly
 from rootline.graphs import Signing, cycle_graph, signed_adjacency
-from rootline.isolation import eval_on_interval
-from rootline.poly import ExactPolynomial as P, char_poly, poly_compose
+from rootline.poly import ExactPolynomial as P, char_poly
 
 
 def test_first_polynomials():
@@ -65,53 +59,13 @@ def test_composition_law():
         for b in range(1, 9):
             if a * b > 24:
                 continue
-            assert poly_compose(cheb_poly(a), cheb_poly(b)) == cheb_poly(a * b)
+            assert cheb_poly(a).compose(cheb_poly(b)) == cheb_poly(a * b)
 
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_double_angle_identity(k):
     two_tk2 = cheb_poly(k) * cheb_poly(k) * 2
     assert two_tk2 - P.one() == cheb_poly(2 * k)
-
-
-def test_shifted_roots_examples():
-    # n=1, theta=0: root of T_1 - 1 is 1
-    (lo, hi), = cheb_shifted_roots(1, 0)
-    assert lo <= 1 <= hi
-    # n=2, theta=pi: 2x^2 - 1 + 1 = 2x^2, double root at 0
-    roots = cheb_shifted_roots(2, 1)
-    for lo, hi in roots:
-        assert lo <= 0 <= hi
-    # n=3, theta=0: {1, -1/2, -1/2}
-    roots = cheb_shifted_roots(3, 0)
-    vals = sorted((lo + hi) / 2 for lo, hi in roots)
-    assert abs(float(vals[0]) + 0.5) < 1e-20
-    assert abs(float(vals[2]) - 1.0) < 1e-20
-
-
-def test_shifted_roots_annihilate_polynomial():
-    # substituting the certified enclosures into T_n - cos(theta pi) gives
-    # an interval containing 0
-    from rootline.ratutil import cos_pi_bounds
-
-    for n, theta in ((4, F(1, 3)), (5, F(1, 2)), (7, F(2, 7))):
-        poly = cheb_poly(n)
-        cos_lo, cos_hi = cos_pi_bounds(theta)
-        for lo, hi in cheb_shifted_roots(n, theta):
-            v_lo, v_hi = eval_on_interval(poly, lo, hi)
-            assert v_lo - cos_hi <= 0 <= v_hi - cos_lo
-
-
-def test_growth_lower_bound_sandwich():
-    assert cheb_growth_lower_bound(5, 0) == F(1, 2)
-    assert cheb_growth_lower_bound(1, 2) == F(3, 2)
-    assert cheb_growth_lower_bound(3, F(1, 2)) == 4
-    rng = random.Random(12)
-    for _ in range(25):
-        k = rng.randint(0, 24)
-        x = F(rng.randint(0, 32), rng.choice([1, 2, 4]))
-        v = cheb_growth_lower_bound(k, x)
-        assert v <= cheb_eval(k, 1 + x)
 
 
 def test_cycle_determinant_identity():

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import rootline
 from rootline.cli import RunManifest, dispatch, main
 from rootline.interlacing import KSInstance
+from rootline.lowerbounds import weak_pair
 from rootline.symfuncs import profile_of_roots
 
 # Absolute directory of the imported package: the child runs in `cwd`,
@@ -27,7 +29,7 @@ def run_cli(args, cwd):
 @pytest.fixture()
 def profile_file(tmp_path):
     path = tmp_path / "prof.json"
-    path.write_text(profile_of_roots(4, [1, 2, 3, 4], 2).to_json())
+    path.write_text(json.dumps(profile_of_roots(4, [1, 2, 3, 4], 2).to_json_dict()))
     return path
 
 
@@ -47,7 +49,7 @@ def test_approx_root_from_coefficients(tmp_path):
 
     poly = ExactPolynomial.from_roots([1, 2, 3, 4])
     path = tmp_path / "poly.json"
-    path.write_text(poly.to_json())
+    path.write_text(json.dumps(poly.to_json_dict()))
     res = run_cli(["approx-root", "--coeffs", str(path), "--k", "2"], tmp_path)
     assert res.returncode == 0
     assert json.loads(res.stdout)["k"] == 2
@@ -154,6 +156,33 @@ def test_malformed_family_exits_2(family, tmp_path):
     assert "error" in json.loads(res.stderr)
 
 
+@pytest.mark.parametrize("args, data", [
+    (["girth", "--graph", "bad.json"], {"n": 3, "edges": 5}),
+    (["girth", "--graph", "bad.json"], [1, 2]),
+    (["verify-invariance", "--graph", "C_4", "--k", "3", "--diag", "bad.json"], {"diag": 5}),
+    (["verify-invariance", "--graph", "C_4", "--k", "3", "--diag", "bad.json"], [1, 2]),
+    (["approx-root", "--profile", "bad.json"], {"n": [4], "e": ["1"]}),
+    (["approx-root", "--profile", "bad.json"], {"n": None, "e": ["1"]}),
+    (["manifest", "bad.json"], [1]),
+    (["manifest", "bad.json"], {"subcommand": "selftest", "parameters": {"criteria": 5}}),
+], ids=["graph-edges-not-a-list", "graph-array", "diag-not-a-list", "diag-array",
+        "profile-n-list", "profile-n-null", "manifest-array", "manifest-criteria-number"])
+def test_malformed_input_exits_2(args, data, tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    res = run_cli(args, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "error" in json.loads(res.stderr)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_verify_invariance_rejects_k_below_1(k, tmp_path):
+    res = run_cli(["verify-invariance", "--graph", "C_4", "--k", str(k)], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "k >= 1" in json.loads(res.stderr)["error"]
+
+
 def test_unknown_subcommand_exits_2(tmp_path):
     res = run_cli(["no-such-command"], tmp_path)
     assert res.returncode == 2
@@ -194,3 +223,63 @@ def test_dispatch_in_process(profile_file):
 
 def test_main_usage_error():
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# field mutation: every JSON input the CLI reads, one field changed at a time
+# ---------------------------------------------------------------------------
+
+#: values put in place of one field, or of the first element of a list field
+POOL = [None, True, -1, 0, 2, "x", "1/0", [], [1], {}]
+
+#: file kind -> (small valid file, command line that reads it as in.json)
+INPUTS = {
+    "profile": ({"n": 4, "e": ["10/1", "35/1"]}, ["approx-root", "--profile", "in.json"]),
+    "polynomial": ({"coeffs": ["24", "-50", "35", "-10", "1"]},
+                   ["approx-root", "--coeffs", "in.json", "--k", "2"]),
+    "graph": ({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+              ["girth", "--graph", "in.json"]),
+    "diag": ({"diag": ["1/2", "0", "-1", "2"]},
+             ["verify-invariance", "--graph", "C_4", "--k", "3", "--diag", "in.json"]),
+    "pair": (weak_pair(3).to_json_dict(), ["verify-pair", "--in", "in.json"]),
+    "ks": ({"n": 2, "supports": [[{"vector": ["2", "0"], "prob": "1/2"},
+                                  {"vector": ["0", "1"], "prob": "1/2"}]]},
+           ["round", "--family", "in.json", "--epsilon", "1/2", "--exhaustive-check"]),
+    "sr": ({"n": 2, "m": 2, "vectors": [["1", "0"], ["0", "1"]],
+            "table": {"1": "1/2", "2": "1/2"}},
+           ["round", "--family", "in.json", "--epsilon", "1/2", "--exhaustive-check"]),
+    "manifest": ({"subcommand": "girth", "parameters": {"graph": "C_4"},
+                  "seed": None, "output": None}, ["manifest", "in.json"]),
+}
+
+
+def _mutations():
+    for kind, (valid, _) in INPUTS.items():
+        for field, value in valid.items():
+            indices = [None, 0] if isinstance(value, list) and value else [None]
+            for index in indices:
+                where = field if index is None else f"{field}[0]"
+                for new in POOL:
+                    yield pytest.param(kind, field, index, new,
+                                       id=f"{kind}-{where}-{json.dumps(new)}")
+
+
+@pytest.mark.parametrize("kind, field, index, value", list(_mutations()))
+def test_field_mutation_exits_cleanly(kind, field, index, value, tmp_path, monkeypatch,
+                                      capsys):
+    valid, argv = INPUTS[kind]
+    data = copy.deepcopy(valid)
+    if index is None:
+        data[field] = value
+    else:
+        data[field][index] = value
+    (tmp_path / "in.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    status = main(argv)
+    out, err = capsys.readouterr()
+    assert status in (0, 1, 2)
+    if status == 1:  # reserved for a failed certificate, reported on stdout
+        payload = json.loads(out)
+        assert isinstance(payload, dict) and payload and "error" not in payload
+    if status == 2:
+        assert "error" in json.loads(err)

@@ -5,36 +5,58 @@ from fractions import Fraction as F
 import pytest
 
 from rootline.graphs import (
+    BestSigning,
     ExhaustionCapError,
     Graph,
     Signing,
+    _int_rows,
     avg_degree_bound,
-    best_signing_bruteforce,
     best_signing_search,
     catalog_entries,
     complete_bipartite,
     cube_graph,
     cycle_graph,
-    eigenvalue_intervals,
     girth,
     heawood_graph,
     high_girth_catalog,
-    path_graph,
     ramanujan_bound_holds,
     sample_sign_invariance,
     sign_invariance_report,
     signed_adjacency,
-    signed_char_poly,
+    switching_class_char_polys,
     tutte_coxeter_graph,
-    verify_sign_invariance,
 )
-from rootline.isolation import max_root_geq
-from rootline.poly import char_poly
+from rootline.isolation import compare_roots, isolate_real_roots, max_root, max_root_geq
+from rootline.poly import ExactPolynomial, char_poly, char_poly_int_rows
+
+
+def best_signing_bruteforce(g: Graph, width: F = F(1, 2**30)) -> BestSigning:
+    """Reference implementation: all 2^|E| signings, for cross-checking.
+
+    Walks sign vectors in lexicographic edge order (+1 before -1) so the
+    tie-break matches the class-based search by construction.
+    """
+    m = g.num_edges
+    zero_diag = [0] * g.n
+    best_bits = None
+    best_lam = None
+    best_coeffs = None
+    for key in range(1 << m):
+        # key's high bit is edge 0: counting up walks sign vectors in lex order
+        bits = sum(1 << i for i in range(m) if (key >> (m - 1 - i)) & 1)
+        signs = Signing.from_bits(g, bits).signs
+        coeffs = tuple(char_poly_int_rows(_int_rows(g, signs, zero_diag)))
+        poly = ExactPolynomial.from_coeffs(list(reversed([F(c) for c in coeffs])))
+        lam = max_root(poly, width)
+        if best_lam is None or compare_roots(lam, best_lam) < 0:
+            best_bits, best_lam, best_coeffs = bits, lam, coeffs
+    poly = ExactPolynomial.from_coeffs(list(reversed([F(c) for c in best_coeffs])))
+    return BestSigning(Signing.from_bits(g, best_bits), poly, best_lam, 1 << m)
 
 
 def test_girth_values():
     assert girth(cycle_graph(5)) == 5
-    assert girth(path_graph(7)) == math.inf
+    assert girth(Graph(7, tuple((i, i + 1) for i in range(6)))) == math.inf
     assert girth(heawood_graph()) == 6
     assert girth(tutte_coxeter_graph()) == 8
     assert girth(cube_graph()) == 4
@@ -87,20 +109,20 @@ def test_signing_domain_mismatch():
 
 def test_c4_spectrum():
     g = cycle_graph(4)
-    evs = eigenvalue_intervals(g, Signing.all_plus(g))
+    evs = isolate_real_roots(char_poly(signed_adjacency(g, Signing.all_plus(g))), F(1, 2**30))
     got = sorted((round(float(r), 9), r.multiplicity) for r in evs)
     assert got == [(-2.0, 1), (0.0, 2), (2.0, 1)]
 
 
 def test_invariance_c4():
     g = cycle_graph(4)
-    assert verify_sign_invariance(g, None, 3)
-    assert not verify_sign_invariance(g, None, 4)
+    assert sign_invariance_report(g, None, 3).agree
+    assert not sign_invariance_report(g, None, 4).agree
 
 
 def test_invariance_single_edge_any_diagonal():
     g = Graph(2, ((0, 1),))
-    assert verify_sign_invariance(g, [F(3, 2), F(-1, 3)], 1)
+    assert sign_invariance_report(g, [F(3, 2), F(-1, 3)], 1).agree
 
 
 def test_invariance_numpy_matches_exact_path():
@@ -120,7 +142,7 @@ def test_invariance_numpy_matches_exact_path():
 
 def test_invariance_cap():
     with pytest.raises(ExhaustionCapError):
-        verify_sign_invariance(tutte_coxeter_graph(), None, 3)
+        sign_invariance_report(tutte_coxeter_graph(), None, 3)
     assert sample_sign_invariance(tutte_coxeter_graph(), None, 3, samples=5, seed=1)
 
 
@@ -161,7 +183,7 @@ def test_avg_degree_examples():
 def test_avg_degree_lower_bounds_top_eigenvalue():
     for entry in catalog_entries():
         g = entry.graph
-        chi = signed_char_poly(g, Signing.all_plus(g))
+        chi = char_poly(signed_adjacency(g, Signing.all_plus(g)))
         assert max_root_geq(chi, avg_degree_bound(g)), entry.name
 
 
@@ -169,8 +191,6 @@ def test_bipartite_char_poly_parity_all_signings():
     # bipartite signed adjacency: only terms sharing the parity of n
     # survive.  char polys are switching-class functions, so checking
     # one representative per class covers all 2^|E| signings exactly.
-    from rootline.graphs import switching_class_char_polys
-
     for entry in catalog_entries():
         g = entry.graph
         if g.num_edges > 16:
@@ -191,17 +211,7 @@ def test_invariance_whole_catalog_below_girth():
             continue
         D = [F(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(g.n)]
         if g.num_edges <= 12:
-            assert verify_sign_invariance(g, D, girth(g) - 1), entry.name
-
-
-def test_signed_spectrum_type():
-    from rootline.graphs import signed_spectrum
-
-    g = cycle_graph(4)
-    spec = signed_spectrum(g, Signing.all_plus(g))
-    assert spec.char.degree == 4
-    assert float(spec.lambda_max) == 2.0
-    assert sum(r.multiplicity for r in spec.roots) == 4
+            assert sign_invariance_report(g, D, girth(g) - 1).agree, entry.name
 
 
 def test_graph_json_round_trip():

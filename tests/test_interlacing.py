@@ -188,7 +188,6 @@ def test_sr_uniform_singletons():
     orc = sr_oracle(inst)
     brute = sr_brute_force_poly(inst)
     assert orc.coeffs((), 2) == tuple(reversed(brute.coeffs))
-    assert inst.is_homogeneous()
 
 
 def test_sr_zero_probability_conditioning():
@@ -215,7 +214,6 @@ def test_sr_homogeneous_marginals_sum():
     for mask, w in zip(masks, weights):
         table[mask] = w / total
     inst = SRInstance(3, m, vectors, tuple(table))
-    assert inst.is_homogeneous()
     from itertools import combinations
 
     marg = F(0)

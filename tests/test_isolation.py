@@ -7,10 +7,8 @@ from rootline.chebyshev import cheb_poly
 from rootline.interlacing import KSInstance, ks_leaf_poly
 from rootline.isolation import (
     RootInterval,
-    all_roots_real,
+    _count_open_squarefree,
     compare_roots,
-    count_distinct_roots_in,
-    eval_on_interval,
     int_poly_from_exact,
     int_poly_from_fractions,
     int_poly_gcd,
@@ -74,8 +72,8 @@ def test_integer_root_grid():
 
 
 def test_count_equals_degree_iff_real_rooted():
-    assert all_roots_real(P.from_roots([0, 1, 1, 2]))
-    assert not all_roots_real(P.from_coeffs([1, 0, 1]))
+    real = P.from_roots([0, 1, 1, 2])
+    assert sum(r.multiplicity for r in isolate_real_roots(real)) == real.degree
     assert isolate_real_roots(P.from_coeffs([1, 0, 1])) == []
 
 
@@ -95,10 +93,15 @@ def test_max_root_and_thresholds():
 
 
 def test_count_distinct_in_interval():
-    w = P.from_roots(range(1, 13))
-    assert count_distinct_roots_in(w, F(5, 2), F(7)) == 5
-    assert count_distinct_roots_in(w, F(3), F(7)) == 5
-    assert count_distinct_roots_in(w, F(3), F(7), closed=False) == 3
+    w = int_poly_from_exact(P.from_roots(range(1, 13)))
+    assert _count_open_squarefree(w, F(5, 2), F(7)) == 4
+    assert _count_open_squarefree(w, F(3), F(7)) == 3  # open: 3 and 7 left out
+    assert _count_open_squarefree(w, F(-1, 3), F(25, 2)) == 12
+    assert _count_open_squarefree(w, F(7), F(3)) == 0
+    # T_64 has 64 simple roots in (-1, 1), 32 of them positive
+    t64 = int_poly_from_exact(cheb_poly(64))
+    assert _count_open_squarefree(t64, F(-1), F(1)) == 64
+    assert _count_open_squarefree(t64, F(0), F(1, 1)) == 32
 
 
 def test_compare_roots_equality_via_gcd():
@@ -240,13 +243,6 @@ def test_high_degree_chebyshev_pair_roots():
     assert sum(r.multiplicity for r in roots) == 64
     assert all(r.multiplicity == 2 for r in roots)
     assert abs(float(max_root(p)) - 1.9987954562) < 1e-9
-
-
-def test_eval_on_interval_contains_range():
-    p = P.from_coeffs([1, -3, 2])
-    lo, hi = eval_on_interval(p, F(0), F(1))
-    for x in (F(0), F(1, 4), F(1, 2), F(1)):
-        assert lo <= p(x) <= hi
 
 
 def test_zero_polynomial_rejected():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -184,7 +185,7 @@ def test_matched_count_and_ratio_helpers():
 
 def test_pair_json_round_trip():
     pair = noisy_pair(3, 7)
-    back = LowerBoundPair.from_json(pair.to_json())
+    back = LowerBoundPair.from_json_dict(json.loads(json.dumps(pair.to_json_dict())))
     assert back.p == pair.p and back.q == pair.q
     assert back.k == pair.k and back.ratio_lower == pair.ratio_lower
     assert back.provenance == "noisy"

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import permutations
@@ -8,77 +9,73 @@ from rootline.poly import (
     ExactPolynomial as P,
     SquareMatrixQ,
     char_poly,
-    poly_add,
-    poly_compose,
-    poly_mul,
-    poly_shift_scale,
     sigma_k,
 )
 
 
 def test_mul_difference_of_squares():
-    assert poly_mul(P.from_coeffs([1, 1]), P.from_coeffs([-1, 1])) == P.from_coeffs([-1, 0, 1])
+    assert P.from_coeffs([1, 1]) * P.from_coeffs([-1, 1]) == P.from_coeffs([-1, 0, 1])
 
 
 def test_mul_identity():
     p = P.from_coeffs([3, -2, F(1, 7)])
-    assert poly_mul(p, P.one()) == p
+    assert p * P.one() == p
 
 
 def test_mul_t3_squared():
     t3 = P.from_coeffs([0, -3, 0, 4])
-    assert poly_mul(t3, t3) == P.from_coeffs([0, 0, 9, 0, -24, 0, 16])
+    assert t3 * t3 == P.from_coeffs([0, 0, 9, 0, -24, 0, 16])
 
 
 def test_add_and_degree():
     a = P.from_coeffs([1, 2, 3])
     b = P.from_coeffs([0, 0, -3])
-    assert poly_add(a, b).degree == 1
-    assert poly_add(a, -a).is_zero
+    assert (a + b).degree == 1
+    assert (a + -a).is_zero
 
 
 def test_compose_square_of_linear():
-    assert poly_compose(P.from_coeffs([0, 0, 1]), P.from_coeffs([1, 1])) == \
+    assert P.from_coeffs([0, 0, 1]).compose(P.from_coeffs([1, 1])) == \
         P.from_coeffs([1, 2, 1])
 
 
 def test_compose_identity_both_ways():
     q = P.from_coeffs([-2, 0, 5, 1])
     x = P.x()
-    assert poly_compose(x, q) == q
-    assert poly_compose(q, x) == q
+    assert x.compose(q) == q
+    assert q.compose(x) == q
 
 
 def test_compose_cheb_example():
     # (x^2 - 2) o (2x^2 - 1) = 4x^4 - 4x^2 - 1
     outer = P.from_coeffs([-2, 0, 1])
     inner = P.from_coeffs([-1, 0, 2])
-    assert poly_compose(outer, inner) == P.from_coeffs([-1, 0, -4, 0, 4])
+    assert outer.compose(inner) == P.from_coeffs([-1, 0, -4, 0, 4])
 
 
 def test_shift_scale_single_root():
     p = P.from_coeffs([-1, 1])  # x - 1
-    assert poly_shift_scale(p, 2, 3) == P.from_coeffs([-5, 1])
+    assert p.shift_scale(2, 3) == P.from_coeffs([-5, 1])
 
 
 def test_shift_scale_identity():
     p = P.from_coeffs([-1, 0, 1])
-    assert poly_shift_scale(p, 1, 0) == p
+    assert p.shift_scale(1, 0) == p
 
 
 def test_shift_scale_roots_12_to_23():
     p = P.from_roots([1, 2])
-    assert poly_shift_scale(p, 1, 1) == P.from_roots([2, 3])
+    assert p.shift_scale(1, 1) == P.from_roots([2, 3])
 
 
 def test_shift_scale_rejects_zero_scale():
     with pytest.raises(ValueError):
-        poly_shift_scale(P.x(), 0, 1)
+        P.x().shift_scale(0, 1)
 
 
 def test_shift_scale_preserves_leading_coefficient():
     p = P.from_coeffs([1, 4, -3])
-    q = poly_shift_scale(p, F(2, 3), F(-1, 5))
+    q = p.shift_scale(F(2, 3), F(-1, 5))
     assert q.leading == p.leading
 
 
@@ -88,7 +85,7 @@ def test_shift_scale_maps_root_multiset():
     roots = [F(-1), F(1, 2), F(1, 2), F(3)]
     p = P.from_roots(roots)
     a, b = F(-2, 3), F(5, 7)
-    q = poly_shift_scale(p, a, b)
+    q = p.shift_scale(a, b)
     mapped = sorted(a * r + b for r in roots)
     found = isolate_real_roots(q, F(1, 2**40))
     expanded = []
@@ -100,7 +97,7 @@ def test_shift_scale_maps_root_multiset():
 
 
 def test_char_poly_zero_matrix():
-    assert char_poly(SquareMatrixQ.zeros(2)) == P.from_coeffs([0, 0, 1])
+    assert char_poly(SquareMatrixQ([[0, 0], [0, 0]])) == P.from_coeffs([0, 0, 1])
 
 
 def test_char_poly_swap_matrix():
@@ -169,7 +166,7 @@ def test_sigma_trace_det_random():
 
 def test_sigma_out_of_range():
     with pytest.raises(ValueError):
-        sigma_k(SquareMatrixQ.zeros(2), 3)
+        sigma_k(SquareMatrixQ([[0, 0], [0, 0]]), 3)
 
 
 def test_matrix_power_and_matmul():
@@ -180,7 +177,7 @@ def test_matrix_power_and_matmul():
 
 def test_poly_json_round_trip():
     p = P.from_coeffs([F(-1, 3), 0, F(7, 2)])
-    assert P.from_json(p.to_json()) == p
+    assert P.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
 
 
 def test_truncate_top():

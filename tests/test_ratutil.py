@@ -17,7 +17,6 @@ from rootline.ratutil import (
     nth_root_lower,
     nth_root_upper,
     parse_rational,
-    sqrt_lower,
     sqrt_upper,
     to_fraction,
 )
@@ -69,7 +68,7 @@ def test_nth_root_exact_on_perfect_powers():
     assert nth_root_lower(F(16), 2) == 4
     assert nth_root_upper(F(16), 2) == 4
     assert nth_root_upper(F(27, 8), 3) == F(3, 2)
-    assert sqrt_lower(F(1)) == sqrt_upper(F(1)) == 1
+    assert nth_root_lower(F(1), 2) == sqrt_upper(F(1)) == 1
 
 
 def test_dyadic_rounding():

@@ -1,0 +1,88 @@
+"""Dead-code guard: every definition in ``rootline`` has a caller.
+
+A top-level function or class, or a public method, passes when its name
+appears somewhere in ``src/rootline`` or ``bench/`` outside its own
+definition: as a ``Name``, an ``Attribute``, an import or an ``__all__``
+entry.  The only other way to pass is an entry in ``KEEP`` with its
+reason.  Tests do not count as callers: a helper only the tests use
+belongs in the tests.
+"""
+
+import ast
+from pathlib import Path
+
+import rootline
+
+SRC = Path(rootline.__file__).resolve().parent
+BENCH = SRC.parent.parent / "bench"
+
+#: qualified name -> why it stays without a caller in src/ or bench/
+KEEP = {
+    "poly.ExactPolynomial.from_roots": "constructor from rational roots; tests build inputs with it",
+    "graphs.sample_sign_invariance": "uncertified fallback named by the exhaustion-cap error",
+    "ratutil.exp_bounds": "certified exp enclosure beside ln_bounds, pinned by the mpmath tests",
+}
+
+
+def _references(tree):
+    """[(name, enclosing definitions)] for every name the module mentions."""
+    out = []
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing + (node,)
+        if isinstance(node, ast.Name):
+            out.append((node.id, enclosing))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, enclosing))
+        elif isinstance(node, ast.alias):
+            out.append((node.name.rsplit(".", 1)[-1], enclosing))
+            if node.asname:
+                out.append((node.asname, enclosing))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            for elt in getattr(node.value, "elts", []):
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+                    out.append((elt.value, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, ())
+    return out
+
+
+def _definitions(module, tree):
+    """[(qualified name, simple name, node)] of top-level defs and public methods."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((f"{module}.{node.name}", node.name, node))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    out.append((f"{module}.{node.name}.{item.name}", item.name, item))
+    return out
+
+
+def unreferenced():
+    files = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    refs = [ref for tree in trees.values() for ref in _references(tree)]
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, name, node in _definitions(path.stem, trees[path]):
+            if qualname in KEEP:
+                continue
+            if not any(ref == name and node not in enclosing for ref, enclosing in refs):
+                missing.append(qualname)
+    return missing
+
+
+def test_every_definition_has_a_caller():
+    assert unreferenced() == []
+
+
+def test_keep_entries_still_exist():
+    names = {qualname for path in SRC.glob("*.py")
+             for qualname, _, _ in _definitions(path.stem, ast.parse(path.read_text()))}
+    assert set(KEEP) <= names
