@@ -140,12 +140,9 @@ def _cmd_gen_pair(params: Dict, seed: Optional[int]) -> dict:
         pair = girth_pair(_load_graph(params["graph"]), int(params.get("power", 2)))
     elif kind == "noisy":
         pair = noisy_pair(int(params["k"]), int(params["n"]))
-    elif kind == "boosted":
+    else:  # boosted: dispatch has checked kind against the choices
         base = LowerBoundPair.from_json_dict(_load_json(params["base"]))
         pair = boosted_pair(base, int(params.get("t", 2)))
-    else:
-        raise CliError(f"unknown pair kind {kind!r} "
-                       "(expected weak|girth|boosted|noisy)")
     return pair.to_json_dict()
 
 
@@ -224,8 +221,6 @@ def _cmd_round(params: Dict, seed: Optional[int]) -> dict:
 def _cmd_selftest(params: Dict, seed: Optional[int]) -> dict:
     numbers = params.get("criteria")
     if numbers is not None:
-        if not (isinstance(numbers, list) and all(isinstance(x, (int, str)) for x in numbers)):
-            raise CliError("criteria must be a list of criterion numbers")
         numbers = [int(x) for x in numbers]
     results = run_criteria(numbers, seed if seed is not None else DEFAULT_SEED)
     for res in results:
@@ -250,13 +245,55 @@ _HANDLERS = {
 }
 
 
+#: the command line's own names that are not manifest parameters
+_NOT_PARAMETERS = ("help", "subcommand", "seed", "out")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed_parameters(subcommand: str, params: Dict) -> Dict:
+    """The parameters, null ones dropped as not given, after checking each
+    against the subcommand's option of that name: an int for ``type=int``,
+    a bool for a flag, a string otherwise, one of the choices where there
+    are choices, and a list of criterion numbers for ``--criteria``."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in sub.choices[subcommand]._actions
+               if a.dest not in _NOT_PARAMETERS}
+    params = {k: v for k, v in params.items() if v is not None}
+    for dest, action in actions.items():
+        if dest not in params:
+            if action.required:
+                raise CliError(f"{subcommand} needs the parameter {dest!r}")
+            continue
+        value = params[dest]
+        if action.nargs == 0:
+            ok, kind = isinstance(value, bool), "true or false"
+        elif action.type is int:
+            ok, kind = _is_int(value), "an integer"
+        elif action.type is None:
+            ok, kind = isinstance(value, str), "a string"
+        else:  # --criteria, split into a list by its type
+            ok = isinstance(value, list) and all(_is_int(x) or isinstance(x, str) for x in value)
+            kind = "a list of criterion numbers"
+        if ok and action.choices is not None and value not in action.choices:
+            ok, kind = False, "one of " + ", ".join(action.choices)
+        if not ok:
+            raise CliError(f"parameter {dest!r} of {subcommand} must be {kind}, "
+                           f"not {json.dumps(value)}")
+    return params
+
+
 def dispatch(manifest: RunManifest) -> Tuple[int, dict]:
     """Route a manifest to its handler; (exit status, JSON-able output)."""
     handler = _HANDLERS.get(manifest.subcommand)
     if handler is None:
         raise CliError(f"unknown subcommand {manifest.subcommand!r}")
+    params = _typed_parameters(manifest.subcommand, manifest.parameters)
     try:
-        return 0, handler(manifest.parameters, manifest.seed)
+        return 0, handler(params, manifest.seed)
     except CertificateFailure as exc:
         return 1, json.loads(str(exc)) if str(exc).startswith("{") else {"error": str(exc)}
     except (ValueError, KeyError) as exc:

@@ -9,8 +9,12 @@ integer arithmetic:
 * multiplicities come from the square-free decomposition, which first
   deflates the zero root (p = x^j f with f(0) != 0), runs Yun's loop on
   f alone and gives x back to the factor of multiplicity j;
-* refinement is plain sign bisection, so certified width bounds are a
-  loop, not an estimate.
+* refinement is sign bisection, so certified width bounds are a loop,
+  not an estimate; it walks the bisection grid on integers, deciding
+  each midpoint by an integer sign, and lands on the same cell as
+  step-by-step bisection;
+* ``max_root`` isolates and separates every root but refines only the
+  top one.
 
 On top of the isolator sit exact decision procedures used by the
 certificate machinery: root counting on intervals, "no roots above a
@@ -136,9 +140,12 @@ def _divide_exact(f: Sequence[int], g: Sequence[int]) -> List[int]:
 
 def sign_at(c: Sequence[int], x: Fraction) -> int:
     """Exact sign of the integer polynomial at a rational point."""
-    if not c:
-        return 0
-    num, den = x.numerator, x.denominator
+    return _sign_at_ratio(c, x.numerator, x.denominator)
+
+
+def _sign_at_ratio(c: Sequence[int], num: int, den: int) -> int:
+    """Sign of c at num/den for den > 0 (num/den need not be in lowest
+    terms): the sign of the integer den^d c(num/den), by Horner."""
     acc = 0
     denpow = 1
     for coeff in reversed(c):
@@ -390,8 +397,37 @@ class RootInterval:
             self.hi = mid
 
     def refine_below(self, width: Fraction) -> "RootInterval":
-        while not self.exact and self.width > width:
-            self.refine_step()
+        """Bisect until the enclosure is at most ``width`` wide.
+
+        The result is what repeated ``refine_step`` gives, found on the
+        integer bisection grid: with lo = A/L and hi - lo = W/L, s halvings
+        (the least s with W/(L 2^s) <= width) end in the level-s cell
+        (A 2^s + a W, A 2^s + (a+1) W)/(L 2^s) that holds the root, unless
+        a midpoint on the way is the root itself. Each midpoint is decided
+        by an integer sign; the Fraction endpoints are built once.
+        """
+        if self.exact or self.width <= width:
+            return self
+        if width <= 0:
+            raise ValueError("refinement width must be positive")
+        L = math.lcm(self.lo.denominator, self.hi.denominator)
+        A = self.lo.numerator * (L // self.lo.denominator)
+        W = self.hi.numerator * (L // self.hi.denominator) - A
+        big, unit = W * width.denominator, width.numerator * L
+        s = max(0, big.bit_length() - unit.bit_length())
+        while (unit << s) < big:
+            s += 1
+        a = 0
+        for t in range(1, s + 1):
+            num = (A << t) + (2 * a + 1) * W
+            sign = _sign_at_ratio(self.poly, num, L << t)
+            if sign == 0:
+                self.lo = self.hi = Fraction(num, L << t)
+                self._sign_lo = 0
+                return self
+            a = 2 * a + (sign == self._sign_lo)
+        self.lo = Fraction((A << s) + a * W, L << s)
+        self.hi = Fraction((A << s) + (a + 1) * W, L << s)
         return self
 
     def contains(self, x: Fraction) -> bool:
@@ -440,6 +476,16 @@ def _separate(roots: List[RootInterval]) -> List[RootInterval]:
             return roots
 
 
+def _separated_roots(p: ExactPolynomial) -> List[RootInterval]:
+    """All real roots of p with multiplicity, in pairwise disjoint
+    enclosures sorted ascending, not yet refined to any width."""
+    if p.is_zero:
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    return _separate([RootInterval(defining, lo, hi, mult)
+                      for factor, mult in squarefree_decomposition(p)
+                      for defining, lo, hi in _isolate_squarefree(factor)])
+
+
 def isolate_real_roots(p: ExactPolynomial,
                        precision: Fraction = DEFAULT_PRECISION) -> List[RootInterval]:
     """All real roots of p with multiplicity, isolated and refined.
@@ -447,25 +493,22 @@ def isolate_real_roots(p: ExactPolynomial,
     Result is sorted ascending; intervals are pairwise disjoint and each
     has width <= precision (exact rational roots have width 0).
     """
-    if p.is_zero:
-        raise ValueError("cannot isolate roots of the zero polynomial")
+    roots = _separated_roots(p)
     precision = to_fraction(precision)
-    out: List[RootInterval] = []
-    for factor, mult in squarefree_decomposition(p):
-        for defining, lo, hi in _isolate_squarefree(factor):
-            out.append(RootInterval(defining, lo, hi, mult))
-    out = _separate(out)
-    for r in out:
+    for r in roots:
         r.refine_below(precision)
-    out.sort(key=lambda r: (r.lo, r.hi))
-    return out
+    return roots
 
 
 def max_root(p: ExactPolynomial,
              precision: Fraction = DEFAULT_PRECISION) -> Optional[RootInterval]:
-    """Largest real root of p, or None if p has no real roots."""
-    roots = isolate_real_roots(p, precision)
-    return roots[-1] if roots else None
+    """Largest real root of p, or None if p has no real roots.
+
+    Only the top enclosure is refined; it is the same interval that
+    ``isolate_real_roots(p, precision)[-1]`` gives.
+    """
+    roots = _separated_roots(p)
+    return roots[-1].refine_below(to_fraction(precision)) if roots else None
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ from rootline.graphs import (
     signed_adjacency,
 )
 from rootline.isolation import (
+    RootInterval,
+    compare_roots,
     isolate_real_roots,
     max_root,
     max_root_geq,
@@ -397,11 +399,13 @@ def verify_pair(pair: LowerBoundPair) -> PairReport:
             f"min root bounds {float(roots_p[0].lo):.6g}, {float(roots_q[0].lo):.6g}")
         if roots_p[-1].hi > 0:
             # exact decision lambda_max(q) >= ratio_lower * lambda_max(p):
-            # compare the top roots of q and of p with its roots scaled
-            from rootline.isolation import compare_roots
-
+            # compare the top roots of q and of p with its roots scaled;
+            # compare_roots refines its arguments, so q's top enclosure is
+            # compared through a copy and roots_q[-1] stays as reported
+            top = roots_q[-1]
             scaled = p.shift_scale(pair.ratio_lower, 0)
-            cmp = compare_roots(max_root(q, _RATIO_WIDTH), max_root(scaled, _RATIO_WIDTH))
+            cmp = compare_roots(RootInterval(top.poly, top.lo, top.hi, top.multiplicity),
+                                max_root(scaled, _RATIO_WIDTH))
             add("ratio_lower_certified", cmp >= 0,
                 f"claimed {float(pair.ratio_lower):.9g}, certified interval "
                 f">= {float(roots_q[-1].lo / roots_p[-1].hi):.9g}")

@@ -7,7 +7,7 @@ needs on top of the stdlib type:
 * parsing/formatting of the wire format ``"numerator/denominator"``,
 * integer and rational k-th roots with a controlled rounding direction,
 * dyadic rounding (used to keep iterated rationals from blowing up),
-* certified rational bounds on ln, exp, sqrt and cos(pi*r), built on
+* certified rational bounds on ln and cos(pi*r), built on
   mpmath's interval arithmetic with outward rounding.
 
 Every function here is deterministic: fixed inputs give fixed outputs,
@@ -203,12 +203,6 @@ def ln_bounds(x: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:
         raise ValueError("ln_bounds needs x > 0")
     with _with_prec(prec) as ctx:
         return _iv_endpoints(ctx.log(_iv_from_fraction(ctx, x)))
-
-
-def exp_bounds(x: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:
-    """Certified rational (lo, hi) with lo <= exp(x) <= hi."""
-    with _with_prec(prec) as ctx:
-        return _iv_endpoints(ctx.exp(_iv_from_fraction(ctx, x)))
 
 
 def cos_pi_bounds(r: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:

@@ -175,6 +175,30 @@ def test_malformed_input_exits_2(args, data, tmp_path):
     assert "error" in json.loads(res.stderr)
 
 
+@pytest.mark.parametrize("subcommand, parameters", [
+    ("girth", {"graph": 5}),
+    ("approx-root", {"profile": ["a"]}),
+    ("round", {"family": None, "epsilon": "1/2"}),
+    ("verify-invariance", {"graph": "C_4", "k": [3]}),
+    ("verify-invariance", {"graph": "C_4", "k": True}),
+    ("gen-pair", {"kind": "cubic", "n": 5}),
+    ("gen-pair", {"kind": "weak", "n": "5"}),
+    ("round", {"family": "ks.json", "epsilon": "1/2", "exhaustive_check": "yes"}),
+    ("selftest", {"criteria": "4"}),
+    ("selftest", {"criteria": [4, None]}),
+], ids=["graph-int", "profile-list", "family-null", "k-list", "k-bool", "kind-not-a-choice",
+        "n-string", "flag-string", "criteria-string", "criteria-null-item"])
+def test_manifest_parameter_types_exit_2(subcommand, parameters, tmp_path, monkeypatch, capsys):
+    (tmp_path / "ks.json").write_text(json.dumps(INPUTS["ks"][0]))
+    (tmp_path / "m.json").write_text(json.dumps({"subcommand": subcommand,
+                                                 "parameters": parameters}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["manifest", "m.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 @pytest.mark.parametrize("k", [0, -2])
 def test_verify_invariance_rejects_k_below_1(k, tmp_path):
     res = run_cli(["verify-invariance", "--graph", "C_4", "--k", str(k)], tmp_path)

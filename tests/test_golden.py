@@ -1,0 +1,46 @@
+"""Byte-for-byte CLI outputs that carry refined root cells.
+
+Each file under ``tests/golden/`` is the stdout of one command. The
+outputs hold certified root enclosures (``lambda_p_interval``,
+``ratio_lower``, ``lambda_leaf``/``lambda_root``, the ``verify_pair``
+float details), so any change to how roots are isolated or refined that
+moves a cell shows up here. A golden file changes only together with a
+deliberate change of output.
+"""
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from rootline.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: golden stdout file -> (command line, {input name in cwd: golden file it copies})
+CASES = {
+    "gen_pair_weak_17.json": (["gen-pair", "--kind", "weak", "--n", "17"], {}),
+    "gen_pair_noisy_5_13.json": (["gen-pair", "--kind", "noisy", "--k", "5", "--n", "13"], {}),
+    "gen_pair_girth_heawood.json": (["gen-pair", "--kind", "girth", "--graph", "heawood"], {}),
+    "gen_pair_boosted_weak_17.json": (
+        ["gen-pair", "--kind", "boosted", "--t", "2", "--base", "base.json"],
+        {"base.json": "gen_pair_weak_17.json"}),
+    "verify_pair_noisy_5_13.json": (
+        ["verify-pair", "--in", "pair.json"], {"pair.json": "gen_pair_noisy_5_13.json"}),
+    "sign_search_q3.json": (["sign-search", "--graph", "Q_3"], {}),
+    "round_ks3.json": (
+        ["round", "--family", "family.json", "--epsilon", "1/8", "--exhaustive-check"],
+        {"family.json": "ks3_family.json"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path, monkeypatch, capsys):
+    argv, inputs = CASES[name]
+    for target, source in inputs.items():
+        shutil.copy(GOLDEN / source, tmp_path / target)
+    monkeypatch.chdir(tmp_path)
+    status = main(argv)
+    out, err = capsys.readouterr()
+    assert status == 0, err
+    assert out == (GOLDEN / name).read_text()

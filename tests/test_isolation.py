@@ -8,6 +8,7 @@ from rootline.interlacing import KSInstance, ks_leaf_poly
 from rootline.isolation import (
     RootInterval,
     _count_open_squarefree,
+    _separated_roots,
     compare_roots,
     int_poly_from_exact,
     int_poly_from_fractions,
@@ -16,8 +17,10 @@ from rootline.isolation import (
     max_root,
     max_root_geq,
     max_root_leq,
+    sign_at,
     squarefree_decomposition,
 )
+from rootline.lowerbounds import noisy_pair, weak_pair
 from rootline.poly import ExactPolynomial as P
 from rootline.selftest import two_block_ks_instance
 
@@ -255,3 +258,128 @@ def test_root_interval_without_polynomial_raises():
     with pytest.raises(ValueError):
         RootInterval(None, F(0), F(1))
     assert RootInterval(None, F(1, 2), F(1, 2)).exact
+
+
+# ---------------------------------------------------------------------------
+# refine_below against step-by-step bisection
+# ---------------------------------------------------------------------------
+
+
+def _bisect(poly, lo, hi, width):
+    """Reference: halve (lo, hi) until it is at most ``width`` wide, keeping
+    the half whose ends differ in sign, or stop on a midpoint root."""
+    sign_lo = sign_at(poly, lo)
+    while lo != hi and hi - lo > width:
+        mid = (lo + hi) / 2
+        s = sign_at(poly, mid)
+        if s == 0:
+            lo = hi = mid
+        elif s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _assert_refines_like_bisection(poly, lo, hi, width):
+    got = RootInterval(poly, lo, hi).refine_below(width)
+    want = _bisect(poly, lo, hi, width)
+    assert (got.lo, got.hi) == want
+    assert got.exact == (want[0] == want[1])
+    assert type(got.lo) is F and type(got.hi) is F
+    return got
+
+
+def _random_squarefree_intervals(rng, count):
+    out = []
+    while len(out) < count:
+        p = P([F(rng.randint(-30, 30)) for _ in range(rng.randint(3, 9))])
+        if p.is_zero or p.degree < 1:
+            continue
+        out += [(r.poly, r.lo, r.hi) for r in _separated_roots(p) if not r.exact]
+    return out[:count]
+
+
+def test_refine_below_matches_bisection_on_seeded_polynomials():
+    rng = random.Random("refine-grid")
+    widths = [F(1, 2**j) for j in range(1, 61)] + [F(3, 10**7), F(5, 3), F(1, 999)]
+    for poly, lo, hi in _random_squarefree_intervals(rng, 12):
+        for width in widths:
+            _assert_refines_like_bisection(poly, lo, hi, width)
+
+
+def test_refine_below_is_incremental():
+    # refining to w1 and then to w2 < w1 lands where refining to w2 does
+    rng = random.Random("refine-incremental")
+    for poly, lo, hi in _random_squarefree_intervals(rng, 5):
+        r = RootInterval(poly, lo, hi)
+        for j in (3, 17, 40, 41, 60):
+            r.refine_below(F(1, 2**j))
+            assert (r.lo, r.hi) == _bisect(poly, lo, hi, F(1, 2**j))
+
+
+@pytest.mark.parametrize("lo, hi", [(F(0), F(1)), (F(-3), F(5)), (F(5, 4), F(11, 8))])
+def test_refine_below_on_dyadic_grid_roots(lo, hi):
+    # a root at a level-j grid point of (lo, hi), for j below, at and above
+    # the level s that the width asks for: exact iff j <= s
+    w = hi - lo
+    for s in (1, 4, 9):
+        for j in (s - 1, s, s + 1):
+            if j < 1:
+                continue
+            root = lo + w * F(2 * (j * 7 % 2**(j - 1)) + 1, 2**j)  # odd numerator: level exactly j
+            n, d = root.numerator, root.denominator
+            poly = (-n, d, -n, d)  # (d x - n)(x^2 + 1)
+            got = _assert_refines_like_bisection(poly, lo, hi, w / 2**s)
+            assert got.exact == (j <= s)
+            assert got.contains(root)
+
+
+def test_refine_below_non_dyadic_endpoints():
+    lo, hi = F(1, 3), F(5, 7)
+    for width in (F(1, 2**10), F(1, 2**48), F(2, 21), F(3, 10**7)):
+        got = _assert_refines_like_bisection((-1, 0, 2), lo, hi, width)  # 2x^2 - 1
+        assert got.lo ** 2 * 2 < 1 < got.hi ** 2 * 2
+    # the first midpoint 1/3 + 4/21 = 11/21 is the root of 21x - 11
+    got = _assert_refines_like_bisection((-11, 21), lo, hi, F(1, 2**20))
+    assert got.exact and got.lo == F(11, 21)
+
+
+def test_refine_below_leaves_wide_enough_and_exact_intervals():
+    r = RootInterval((-2, 0, 1), F(1), F(3, 2))
+    for width in (F(1, 2), F(1), F(7)):
+        r.refine_below(width)
+        assert (r.lo, r.hi) == (F(1), F(3, 2))
+    exact = RootInterval((-1, 2), F(1, 2), F(1, 2))
+    exact.refine_below(F(1, 2**60))
+    assert exact.exact and exact.lo == F(1, 2)
+    with pytest.raises(ValueError):
+        r.refine_below(F(0))
+
+
+def _top_matches(p, precision=F(1, 2**48)):
+    top = max_root(p, precision)
+    roots = isolate_real_roots(p, precision)
+    if not roots:
+        assert top is None
+        return
+    last = roots[-1]
+    assert (top.lo, top.hi, top.multiplicity) == (last.lo, last.hi, last.multiplicity)
+
+
+def test_max_root_is_last_isolated_root():
+    rng = random.Random(23)
+    for d in (2, 3):
+        inst = two_block_ks_instance(rng, 8, d, 256)
+        for bits in (0, 91, 255):
+            _top_matches(ks_leaf_poly(inst, tuple((bits >> i) & 1 for i in range(inst.m))),
+                         F(1, 2**40))
+    for pair in (weak_pair(9), weak_pair(17), noisy_pair(3, 7), noisy_pair(5, 13)):
+        _top_matches(pair.p)
+        _top_matches(pair.q)
+    _top_matches(P.from_roots([1, 1, 2, 2, 2, F(1, 3)]))
+    _top_matches(P.from_roots([F(-1, 2)] * 3) * P.from_coeffs([-2, 0, 1]) ** 2)
+    _top_matches(P([0, 0, 0, F(3, 2)]))  # c x^j
+    _top_matches(P([F(-7)]) * P.x() ** 5)
+    _top_matches(P.from_coeffs([1, 0, 1]))  # x^2 + 1: no real root
+    assert max_root(P.from_coeffs([1, 0, 1])) is None

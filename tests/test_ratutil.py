@@ -8,7 +8,6 @@ from rootline.ratutil import (
     decimal_render,
     dyadic_ceil,
     dyadic_floor,
-    exp_bounds,
     format_rational,
     iroot_floor,
     le_ln,
@@ -81,16 +80,12 @@ def test_dyadic_rounding():
         assert dyadic_floor(-x, 64) == -dyadic_ceil(x, 64)
 
 
-def test_ln_and_exp_bounds():
+def test_ln_bounds():
     # ln 16 = 2.7725887222397812376... (straddled at 16 digits)
     lo, hi = ln_bounds(F(16))
     assert F(27725887222397812, 10**16) < hi
     assert lo < F(27725887222397813, 10**16)
     assert hi - lo < F(1, 2**60)
-    # e = 2.718281828459045235...
-    elo, ehi = exp_bounds(F(1))
-    assert F(2718281828459045, 10**15) < ehi
-    assert elo < F(2718281828459046, 10**15)
 
 
 def test_cos_pi_bounds_algebraic_points():
@@ -125,10 +120,9 @@ def test_math_agreement_smoke():
 
 @pytest.mark.parametrize("bound", [
     lambda: ln_bounds(F(3)),
-    lambda: exp_bounds(F(1, 2)),
     lambda: cos_pi_bounds(F(1, 3)),
     lambda: ln_upper_dyadic(256),
-], ids=["ln_bounds", "exp_bounds", "cos_pi_bounds", "ln_upper_dyadic"])
+], ids=["ln_bounds", "cos_pi_bounds", "ln_upper_dyadic"])
 def test_bounds_leave_mpmath_precision_unchanged(bound):
     import mpmath
 

@@ -20,7 +20,6 @@ BENCH = SRC.parent.parent / "bench"
 KEEP = {
     "poly.ExactPolynomial.from_roots": "constructor from rational roots; tests build inputs with it",
     "graphs.sample_sign_invariance": "uncertified fallback named by the exhaustion-cap error",
-    "ratutil.exp_bounds": "certified exp enclosure beside ln_bounds, pinned by the mpmath tests",
 }
 
 
