@@ -11,10 +11,12 @@ Signings assign +-1 to each edge; the signed adjacency matrix replaces
   2^(|E|-n+components) explicitly enumerable classes.
 
 The exhaustive trace scan (`sign_invariance_report`) still walks all
-2^|E| signings literally, batched through numpy int64 after clearing
-denominators; the search for the best signing exploits the class
-structure but returns exactly the signing a full lexicographic brute
-force would return (cross-checked in the tests).
+2^|E| signings literally.  It clears denominators, bounds every partial
+sum by n * rho^k (rho the largest absolute row sum) and runs the
+batches on float64 BLAS below 2^53, on int64 below 2^62, and on Python
+integers beyond; each choice is exact.  The search for the best signing
+exploits the class structure but returns exactly the signing a full
+lexicographic brute force would return (cross-checked in the tests).
 """
 
 from __future__ import annotations
@@ -191,13 +193,15 @@ def signed_adjacency(g: Graph, s: Signing,
     return SquareMatrixQ(rows)
 
 
-def _int_rows(g: Graph, signs: Sequence[int], diag: Sequence[int]) -> List[List[int]]:
+def _int_rows(g: Graph, signs: Sequence[int], diag: Sequence[int],
+              scale: int = 1) -> List[List[int]]:
+    """Rows of diag + scale * A_s as Python ints."""
     rows = [[0] * g.n for _ in range(g.n)]
     for i, d in enumerate(diag):
         rows[i][i] = d
     for (u, v), sign in zip(g.edges, signs):
-        rows[u][v] = sign
-        rows[v][u] = sign
+        rows[u][v] = sign * scale
+        rows[v][u] = sign * scale
     return rows
 
 
@@ -213,9 +217,10 @@ class InvarianceReport:
     graph: Graph
     k: int
     agree: bool
-    #: first power at which some pair of signings disagrees, if any
+    #: first power at which the witness signing's trace differs from all-plus
     first_disagreement: Optional[int] = None
-    #: witness (bits_a, bits_b, power) for the disagreement
+    #: (0, bits, power): the first signing in bits order whose traces differ
+    #: from the all-plus signing's, and that first differing power
     witness: Optional[Tuple[int, int, int]] = None
 
 
@@ -229,17 +234,30 @@ def _scaled_diag(g: Graph, D: Optional[Sequence[RationalLike]]) -> Tuple[List[in
     L = 1
     for f in fracs:
         L = L * f.denominator // math.gcd(L, f.denominator)
-    return [int(f * L) for f in fracs], L
+    return [f.numerator * (L // f.denominator) for f in fracs], L
 
 
 def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]], k: int,
                            cap: int = EXHAUSTION_CAP) -> InvarianceReport:
     """Scan trace((D+A_s)^i) for i = 1..k over ALL 2^|E| signings.
 
-    Scaling D by a common denominator L turns every matrix integral;
-    trace agreement is unaffected (traces scale by L^i).  Batches of
-    signings run through numpy int64 when the trace bound allows,
-    otherwise exact big-int arithmetic takes over.
+    The scan runs on the integer matrices M = L*(D + A_s), L the common
+    denominator of D; trace(M^i) = L^i trace((D+A_s)^i), so agreement
+    and the witness are those of D + A_s.
+
+    Every number the batch kernel forms is exact.  Let rho be the
+    largest absolute row sum of M, max_i |L*d_i| + L*deg_i, so every row
+    of |M|^j sums to at most rho^j.  Entrywise |M^j| <= |M|^j, hence the
+    terms (M^{j-1})_at M_tb of (M^j)_ab have absolute values summing to
+    at most (|M|^j)_ab <= rho^j, and the terms (M^a)_xy (M^b)_xy of
+    trace(M^a M^b) to at most trace(|M|^(a+b)) <= n * rho^(a+b).  With
+    B = n * rho^k every product and partial sum the kernel forms, in any
+    order, is an integer of absolute value at most B:
+
+    * B < 2^53: float64 represents each one exactly, whatever order or
+      fused multiply-adds BLAS uses;
+    * B < 2^62: int64 never overflows;
+    * otherwise the scan runs on Python integers.
     """
     if k < 1:
         raise ValueError(f"need k >= 1 trace powers, got k={k}")
@@ -248,13 +266,14 @@ def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]], k: int
         raise ExhaustionCapError(
             f"{m} edges exceeds the exhaustion cap {cap}; "
             "use sample_sign_invariance for an uncertified check")
-    diag, _ = _scaled_diag(g, D)
-    maxabs = max([1] + [abs(d) for d in diag])
-    # worst-case |trace(M^i)| <= n * (n*maxabs)^i
-    bound = g.n * (g.n * maxabs) ** k
+    diag, L = _scaled_diag(g, D)
+    rho = max(abs(d) + L * deg for d, deg in zip(diag, g.degrees()))
+    bound = g.n * rho ** k
+    if bound < 2**53:
+        return _scan_numpy(g, diag, L, k, np.float64)
     if bound < 2**62:
-        return _scan_numpy(g, diag, k)
-    return _scan_exact(g, diag, k)
+        return _scan_numpy(g, diag, L, k, np.int64)
+    return _scan_exact(g, diag, L, k)
 
 
 def sample_sign_invariance(g: Graph, D: Optional[Sequence[RationalLike]], k: int,
@@ -263,11 +282,11 @@ def sample_sign_invariance(g: Graph, D: Optional[Sequence[RationalLike]], k: int
     import random
 
     rng = random.Random(seed)
-    diag, _ = _scaled_diag(g, D)
-    ref = _traces_exact(_int_rows(g, (1,) * g.num_edges, diag), k)
+    diag, L = _scaled_diag(g, D)
+    ref = _traces_exact(_int_rows(g, (1,) * g.num_edges, diag, L), k)
     for _ in range(samples):
         signs = Signing.from_bits(g, rng.getrandbits(g.num_edges)).signs
-        if _traces_exact(_int_rows(g, signs, diag), k) != ref:
+        if _traces_exact(_int_rows(g, signs, diag, L), k) != ref:
             return False
     return True
 
@@ -284,10 +303,10 @@ def _traces_exact(rows: List[List[int]], k: int) -> List[int]:
     return out
 
 
-def _scan_exact(g: Graph, diag: List[int], k: int) -> InvarianceReport:
+def _scan_exact(g: Graph, diag: List[int], L: int, k: int) -> InvarianceReport:
     ref = None
     for bits in range(1 << g.num_edges):
-        tr = _traces_exact(_int_rows(g, Signing.from_bits(g, bits).signs, diag), k)
+        tr = _traces_exact(_int_rows(g, Signing.from_bits(g, bits).signs, diag, L), k)
         if ref is None:
             ref = tr
         elif tr != ref:
@@ -296,55 +315,55 @@ def _scan_exact(g: Graph, diag: List[int], k: int) -> InvarianceReport:
     return InvarianceReport(g, k, True)
 
 
-def _scan_numpy(g: Graph, diag: List[int], k: int) -> InvarianceReport:
-    m = g.num_edges
-    n = g.n
-    total = 1 << m
-    batch = 1 << min(m, 13)
-    base = np.zeros((n, n), dtype=np.int64)
-    for i, d in enumerate(diag):
-        base[i, i] = d
-    us = np.array([e[0] for e in g.edges])
-    vs = np.array([e[1] for e in g.edges])
+def _scan_numpy(g: Graph, diag: List[int], L: int, k: int, dtype) -> InvarianceReport:
+    """The scan in batches of `dtype` matrices; the witness rule of `_scan_exact`.
 
-    def batch_traces(start: int) -> np.ndarray:
-        idx = np.arange(start, min(start + batch, total), dtype=np.int64)
-        signs = 1 - 2 * ((idx[:, None] >> np.arange(m)[None, :]) & 1)
-        mats = np.broadcast_to(base, (len(idx), n, n)).copy()
-        mats[:, us, vs] = signs
-        mats[:, vs, us] = signs
-        return _batch_traces(mats, k)
-
+    Batch `high` holds signings bits = (high << low) + j, j < 2^low: the
+    low (at most 13) edges take every sign pattern, set once in a
+    template, and only the high edges' entries are rewritten per batch.
+    """
+    m, n = g.num_edges, g.n
+    low = min(m, 13)
+    us = np.array([u for u, _ in g.edges], dtype=np.intp)
+    vs = np.array([v for _, v in g.edges], dtype=np.intp)
+    mats = np.zeros((1 << low, n, n), dtype=dtype)
+    mats[:, np.arange(n), np.arange(n)] = diag
+    pattern = np.arange(1 << low)[:, None] >> np.arange(low)
+    signs = L * (1 - 2 * (pattern & 1))
+    mats[:, us[:low], vs[:low]] = signs
+    mats[:, vs[:low], us[:low]] = signs
     ref: Optional[np.ndarray] = None
-    for start in range(0, total, batch):
-        traces = batch_traces(start)
+    for high in range(1 << (m - low)):
+        signs = L * (1 - 2 * ((high >> np.arange(m - low)) & 1))
+        mats[:, us[low:], vs[low:]] = signs
+        mats[:, vs[low:], us[low:]] = signs
+        traces = _batch_traces(mats, k)
         if ref is None:
-            ref = traces[:, 0].copy()  # signing 0 = all +1
-        diff = traces != ref[:, None]
-        if diff.any():
-            power_idx, sig_idx = np.argwhere(diff)[0]
-            power = int(power_idx) + 1
-            return InvarianceReport(g, k, False, power,
-                                    (0, int(start + sig_idx), power))
+            ref = traces[:, :1].copy()  # signing 0 = all +1
+        diff = traces != ref
+        differs = diff.any(axis=0)
+        if differs.any():
+            j = int(differs.argmax())
+            power = int(diff[:, j].argmax()) + 1
+            return InvarianceReport(g, k, False, power, (0, (high << low) + j, power))
     return InvarianceReport(g, k, True)
 
 
 def _batch_traces(mats: np.ndarray, k: int) -> np.ndarray:
-    """traces[i-1, b] = trace(mats[b]^i) for i = 1..k; all symmetric int64."""
-    out = np.empty((k, mats.shape[0]), dtype=np.int64)
+    """traces[i-1, b] = trace(mats[b]^i) for i = 1..k, as int64.
+
+    `mats` holds symmetric integer matrices in float64 or int64, within
+    the bound of `sign_invariance_report` for that type.
+    """
+    out = np.empty((k, mats.shape[0]), dtype=mats.dtype)
+    out[0] = np.einsum("bii->b", mats)
     powers = {1: mats}
-    out[0] = np.trace(mats, axis1=1, axis2=2)
-    half = (k + 1) // 2
-    p = mats
-    for j in range(2, half + 1):
-        p = np.matmul(p, mats)
-        powers[j] = p
+    for j in range(2, (k + 1) // 2 + 1):
+        powers[j] = np.matmul(powers[j - 1], mats)
     for i in range(2, k + 1):
-        a = powers[(i + 1) // 2]
-        b = powers[i - (i + 1) // 2]
         # symmetric factors: trace(AB) = sum(A * B)
-        out[i - 1] = np.einsum("bij,bij->b", a, b)
-    return out
+        out[i - 1] = np.einsum("bij,bij->b", powers[(i + 1) // 2], powers[i // 2])
+    return out.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def int_poly_from_fractions(coeffs: Sequence[Fraction]) -> IntPoly:
     lcm = 1
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return _primitive([int(c * lcm) for c in coeffs])
+    return _primitive([c.numerator * (lcm // c.denominator) for c in coeffs])
 
 
 def int_poly_from_exact(p: ExactPolynomial) -> IntPoly:

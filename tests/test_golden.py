@@ -4,8 +4,11 @@ Each file under ``tests/golden/`` is the stdout of one command. The
 outputs hold certified root enclosures (``lambda_p_interval``,
 ``ratio_lower``, ``lambda_leaf``/``lambda_root``, the ``verify_pair``
 float details), so any change to how roots are isolated or refined that
-moves a cell shows up here. A golden file changes only together with a
-deliberate change of output.
+moves a cell shows up here. The ``verify_invariance_*`` files pin the
+signing scan's report on a seeded criterion-5 diagonal (C_8 below the
+girth, where the entries are largest), on Q_3, and at the Heawood girth,
+where the scan stops at its witness. A golden file changes only together
+with a deliberate change of output.
 """
 
 import shutil
@@ -31,6 +34,14 @@ CASES = {
     "round_ks3.json": (
         ["round", "--family", "family.json", "--epsilon", "1/8", "--exhaustive-check"],
         {"family.json": "ks3_family.json"}),
+    "verify_invariance_c8_k7.json": (
+        ["verify-invariance", "--graph", "C_8", "--k", "7", "--diag", "diag.json"],
+        {"diag.json": "diag_c8.json"}),
+    "verify_invariance_q3_k3.json": (
+        ["verify-invariance", "--graph", "Q_3", "--k", "3", "--diag", "diag.json"],
+        {"diag.json": "diag_q3.json"}),
+    "verify_invariance_heawood_k6.json": (
+        ["verify-invariance", "--graph", "heawood", "--k", "6"], {}),
 }
 
 

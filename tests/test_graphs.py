@@ -2,14 +2,21 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+import rootline.graphs as graphs_module
 from rootline.graphs import (
     BestSigning,
     ExhaustionCapError,
     Graph,
     Signing,
+    _batch_traces,
     _int_rows,
+    _scaled_diag,
+    _scan_exact,
+    _scan_numpy,
+    _traces_exact,
     avg_degree_bound,
     best_signing_search,
     catalog_entries,
@@ -125,19 +132,140 @@ def test_invariance_single_edge_any_diagonal():
     assert sign_invariance_report(g, [F(3, 2), F(-1, 3)], 1).agree
 
 
+def _report_fields(rep):
+    return rep.agree, rep.first_disagreement, rep.witness
+
+
 def test_invariance_numpy_matches_exact_path():
     rng = random.Random(4)
     for g in (cycle_graph(4), cycle_graph(6), cube_graph()):
         D = [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(g.n)]
         k = girth(g)
-        from rootline.graphs import _scaled_diag, _scan_exact, _scan_numpy
+        diag, L = _scaled_diag(g, D)
+        exact = _report_fields(_scan_exact(g, diag, L, k))
+        for dtype in (np.float64, np.int64):
+            assert _report_fields(_scan_numpy(g, diag, L, k, dtype)) == exact, (g, dtype)
 
-        diag, _ = _scaled_diag(g, D)
-        a = _scan_numpy(g, diag, k)
-        b = _scan_exact(g, diag, k)
-        assert a.agree == b.agree
-        if not a.agree:
-            assert a.first_disagreement == b.first_disagreement
+
+#: C_4 plus a disjoint triangle: the first signing that differs (bits 1,
+#: edge (0,1) on the 4-cycle) differs first at power 4, while the triangle
+#: edge (4,5) of bits 16 differs already at power 3
+C4_AND_TRIANGLE = Graph(7, ((0, 1), (0, 3), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6)))
+
+
+def test_invariance_witness_rule_same_on_every_path():
+    g = C4_AND_TRIANGLE
+    expected = (False, 4, (0, 1, 4))
+    diag, L = _scaled_diag(g, None)
+    assert _report_fields(_scan_exact(g, diag, L, 4)) == expected
+    for dtype in (np.float64, np.int64):
+        assert _report_fields(_scan_numpy(g, diag, L, 4, dtype)) == expected
+    # zero diagonal scans on float64; entries 10^6 are beyond 2^62 and scan exactly
+    assert _report_fields(sign_invariance_report(g, None, 4)) == expected
+    assert _report_fields(sign_invariance_report(g, [10**6] * 7, 4)) == expected
+
+
+def test_invariance_scans_literal_scaled_matrix():
+    # the scan's integer rows are L * (D + A_s), not L*D + A_s
+    g = cycle_graph(5)
+    D = [F(1, 2), F(-2, 3), F(0), F(5, 4), F(3)]
+    diag, L = _scaled_diag(g, D)
+    assert L == 12
+    for bits in (0, 5, 31):
+        s = Signing.from_bits(g, bits)
+        expected = [[L * x for x in row] for row in signed_adjacency(g, s, D).entries]
+        assert _int_rows(g, s.signs, diag, L) == expected
+
+
+def invariance_bruteforce(g: Graph, D, k: int):
+    """Reference report over Fraction matrices D + A_s, for cross-checking.
+
+    The witness is the first signing in bits order whose traces differ
+    from the all-plus signing's, with the first power at which they do.
+    """
+    def traces(bits):
+        A = signed_adjacency(g, Signing.from_bits(g, bits), D)
+        out, P = [], A
+        for i in range(k):
+            if i:
+                P = P @ A
+            out.append(P.trace())
+        return out
+
+    ref = traces(0)
+    for bits in range(1, 1 << g.num_edges):
+        tr = traces(bits)
+        if tr != ref:
+            power = next(i + 1 for i in range(k) if tr[i] != ref[i])
+            return False, power, (0, bits, power)
+    return True, None, None
+
+
+def test_invariance_matches_fraction_bruteforce():
+    rng = random.Random(7)
+    for g in (cycle_graph(5), C4_AND_TRIANGLE, cube_graph()):
+        for k in range(girth(g), girth(g) + 3):
+            D = [F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5])) for _ in range(g.n)]
+            assert _report_fields(sign_invariance_report(g, D, k)) == \
+                invariance_bruteforce(g, D, k), (g, D, k)
+
+
+def test_batch_traces_float64_exact_just_below_2_53():
+    # C_8 with diagonal 139: rho = 139 + 2 = 141 and 8 * 141^7 < 2^53 <= 8 * 142^7,
+    # and every signing's trace of M^7 is about 8 * 139^7, above 2^52
+    g = cycle_graph(8)
+    diag = [139] * 8
+    assert 8 * 141**7 < 2**53 <= 8 * 142**7
+    rows = [_int_rows(g, Signing.from_bits(g, bits).signs, diag) for bits in range(1 << 8)]
+    got = _batch_traces(np.array(rows, dtype=np.float64), 7)
+    assert got.dtype == np.int64
+    assert got.T.tolist() == [_traces_exact(r, 7) for r in rows]
+    assert abs(got).max() > 2**52
+
+
+def test_scan_batches_hold_every_signing(monkeypatch):
+    # C_15 has 15 edges: four batches that differ in the signs of edges 13 and 14
+    g = cycle_graph(15)
+    diag, L = _scaled_diag(g, [F(i - 7, 3) for i in range(g.n)])
+    batch_traces = graphs_module._batch_traces
+    batches = []
+
+    def check(mats, k):
+        high = len(batches)
+        for j in (0, 1, 4097, 8191):
+            bits = (high << 13) + j
+            assert mats[j].tolist() == _int_rows(g, Signing.from_bits(g, bits).signs, diag, L)
+        batches.append(high)
+        return batch_traces(mats, k)
+
+    monkeypatch.setattr(graphs_module, "_batch_traces", check)
+    assert _scan_numpy(g, diag, L, 4, np.float64).agree
+    assert batches == [0, 1, 2, 3]
+
+
+def test_invariance_path_switches_at_2_53_and_2_62(monkeypatch):
+    # C_8 at k = 7 with diagonal d: rho = d + 2, and the bound is 8 * rho^7
+    taken = []
+    scan_numpy, scan_exact = graphs_module._scan_numpy, graphs_module._scan_exact
+    monkeypatch.setattr(graphs_module, "_scan_numpy",
+                        lambda *a: taken.append(a[-1].__name__) or scan_numpy(*a))
+    monkeypatch.setattr(graphs_module, "_scan_exact",
+                        lambda *a: taken.append("exact") or scan_exact(*a))
+    assert 8 * 344**7 < 2**62 <= 8 * 345**7
+    for d in (139, 140, 342, 343):
+        assert sign_invariance_report(cycle_graph(8), [d] * 8, 7).agree
+    assert taken == ["float64", "int64", "int64", "exact"]
+
+
+def test_invariance_seeded_c8_below_girth_skips_exact_path(monkeypatch):
+    # the largest diagonal criterion 5 draws (entries -8..8 over 1..4,
+    # common denominator 12): rho = 12*8 + 12*2 = 120, 8 * 120^7 < 2^53
+    def refuse(*args):
+        raise AssertionError("exact path taken")
+
+    monkeypatch.setattr(graphs_module, "_scan_exact", refuse)
+    D = [F(8), F(-8), F(8), F(-8), F(8, 3), F(-8), F(7, 4), F(8)]
+    assert sign_invariance_report(cycle_graph(8), D, 7).agree
 
 
 def test_invariance_cap():
