@@ -120,6 +120,18 @@ class FamilyOracle:
     def coeffs(self, prefix: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
         raise NotImplementedError
 
+    def _check(self, prefix: Tuple[int, ...], k: int) -> None:
+        """Raise ValueError unless 0 <= k <= n and prefix is a valid choice
+        for its first len(prefix) coordinates."""
+        spec = self.spec
+        if not 0 <= k <= spec.n:
+            raise ValueError(f"need 0 <= k <= n, got k={k}")
+        if len(prefix) > spec.m:
+            raise ValueError("prefix longer than the family depth")
+        for i, c in enumerate(prefix):
+            if not 0 <= c < spec.sizes[i]:
+                raise ValueError(f"choice {c} at coordinate {i} is not in 0..{spec.sizes[i] - 1}")
+
 
 def _bareiss_det(mat: List[List[int]]) -> int:
     """Fraction-free exact integer determinant (Bareiss)."""
@@ -147,28 +159,62 @@ def _bareiss_det(mat: List[List[int]]) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def _gram_sigma(vectors: List[Tuple[Fraction, ...]]) -> Fraction:
-    """sigma_k of sum of the k rank-one matrices v v^T = det of their Gram.
+class _GramKernel:
+    """The exact integer kernel both oracles run on.
 
-    Each vector is scaled integral first so the determinant runs over
-    plain ints; the result is divided by the squared scales.
+    Coordinate i offers the vectors ``choices[i]`` and carries an integer
+    scale P_i for its probabilities (1 where the oracle keeps them
+    elsewhere).  Each distinct vector v is scaled once to the integer
+    vector L_v v, L_v the lcm of its entry denominators, and ``gram``
+    holds every integer inner product of the scaled vectors (shorter
+    vectors read as zero-padded).  With Q_i the lcm of L_v^2 over
+    coordinate i's vectors, Q_i / L_v^2 is the integer ``lift[i][c]``, so
+    for one choice c_i per coordinate of T
+
+        det Gram(v_{i,c_i} : i in T) * prod_{i in T} Q_i
+            = det(rows) * prod_{i in T} lift[i][c_i],
+
+    an integer.  ``cofactor(T)`` is S / S_T, with S_T the product of
+    P_i Q_i over T and S = S_[m]: it brings per-subset integers to the
+    one denominator S.
     """
-    k = len(vectors)
-    if k == 0:
-        return Fraction(1)
-    if k > max(len(v) for v in vectors):
-        return Fraction(0)  # rank bound: sigma_k vanishes
-    scaled = []
-    denom = 1
-    for v in vectors:
-        L = 1
-        for x in v:
-            L = L * x.denominator // math.gcd(L, x.denominator)
-        scaled.append([int(x * L) for x in v])
-        denom *= L * L
-    gram = [[sum(a * b for a, b in zip(scaled[i], scaled[j])) for j in range(k)]
-            for i in range(k)]
-    return Fraction(_bareiss_det(gram), denom)
+
+    def __init__(self, choices: Sequence[Sequence[Tuple[Fraction, ...]]],
+                 prob_scales: Sequence[int]):
+        index: Dict[Tuple[Fraction, ...], int] = {}
+        ints: List[List[int]] = []
+        square: List[int] = []
+        self.rows: List[List[int]] = []  # rows[i][c]: table row of choice c of coordinate i
+        self.lift: List[List[int]] = []
+        self.scales: List[int] = []  # P_i Q_i
+        for vectors, P in zip(choices, prob_scales):
+            rows = []
+            for v in vectors:
+                a = index.get(v)
+                if a is None:
+                    a = index[v] = len(ints)
+                    L = math.lcm(*(x.denominator for x in v))
+                    ints.append([x.numerator * (L // x.denominator) for x in v])
+                    square.append(L * L)
+                rows.append(a)
+            Q = math.lcm(*(square[a] for a in rows))
+            self.rows.append(rows)
+            self.lift.append([Q // square[a] for a in rows])
+            self.scales.append(P * Q)
+        self.total = math.prod(self.scales)
+        self.dim = max(map(len, ints), default=0)  # rank bound on every Gram matrix
+        self.gram = [[sum(x * y for x, y in zip(u, w)) for w in ints] for u in ints]
+
+    def det(self, rows: Sequence[int]) -> int:
+        """Determinant of the integer Gram sub-table on ``rows``."""
+        g = self.gram
+        return _bareiss_det([[g[a][b] for b in rows] for a in rows])
+
+    def cofactor(self, subset: Sequence[int]) -> int:
+        s_t = 1
+        for i in subset:
+            s_t *= self.scales[i]
+        return self.total // s_t
 
 
 # ---------------------------------------------------------------------------
@@ -238,54 +284,62 @@ class KSOracle(FamilyOracle):
     """Top-k coefficients via expected principal minors.
 
     The x^(n-j) coefficient of the conditional expectation is
-    (-1)^j sum over j-subsets T of E[sigma_j(sum_{i in T} r_i r_i^T)],
+    (-1)^j sum over j-subsets T of E_T = E[sigma_j(sum_{i in T} r_i r_i^T)],
     and sigma_j of a rank-j sum is the Gram determinant of its vectors.
-    Per-subset expectations are memoized across calls: they depend only
-    on T and the fixed choices inside T.
+
+    Everything runs on one integer table built in the constructor
+    (``_GramKernel``): each distinct support vector v is scaled once by
+    L_v, the lcm of its entry denominators, and all integer inner products
+    are stored, so a Gram determinant is Bareiss on a sub-table.  With
+    P_i the lcm of coordinate i's probability denominators and Q_i the lcm
+    of L_v^2 over its support, N_T = E_T * prod_{i in T} P_i Q_i is an
+    integer; it is memoized per subset and the choices fixed inside it.
+    Each coefficient is then the one Fraction
+    (-1)^j weight * (sum_T N_T * S / S_T) / S, with S_T = prod_{i in T} P_i Q_i
+    and S = S_[m].
     """
 
     def __init__(self, inst: KSInstance):
         self.inst = inst
         self.spec = inst.spec()
-        self._sigma_memo: Dict = {}
-        self._dim_cap = max(
-            (len(v) for sup in inst.supports for v, _ in sup), default=0)
+        self._memo: Dict = {}
+        prob_scales = [math.lcm(*(p.denominator for _, p in sup)) for sup in inst.supports]
+        kernel = self._kernel = _GramKernel(
+            [[v for v, _ in sup] for sup in inst.supports], prob_scales)
+        # per coordinate, (table row, integer weight) of each outcome: a free
+        # coordinate weighs p P_i Q_i / L_v^2 (zero-probability outcomes left
+        # out), a fixed one P_i Q_i / L_v^2, its probability being in the prefix
+        self._free = []
+        self._fixed = []
+        for sup, P, rows, lift in zip(inst.supports, prob_scales, kernel.rows, kernel.lift):
+            self._free.append([(a, p.numerator * (P // p.denominator) * q)
+                               for (_, p), a, q in zip(sup, rows, lift) if p])
+            self._fixed.append([((a, P * q),) for a, q in zip(rows, lift)])
 
     def _expected_sigma(self, subset: Tuple[int, ...],
-                        fixed: Tuple[Tuple[int, int], ...]) -> Fraction:
-        if len(subset) > self._dim_cap:
-            return Fraction(0)  # rank bound, skip the outcome enumeration
+                        fixed: Tuple[Tuple[int, int], ...]) -> int:
+        """N_T for T = subset, with the choices ``fixed`` inside T."""
         key = (subset, fixed)
-        hit = self._sigma_memo.get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         fixed_map = dict(fixed)
-        free = [i for i in subset if i not in fixed_map]
-        total = Fraction(0)
-        for outcome in product(*[range(len(self.inst.supports[i])) for i in free]):
-            weight = Fraction(1)
-            choice = dict(zip(free, outcome))
-            vectors = []
-            for i in subset:
-                ci = fixed_map.get(i, choice.get(i))
-                v, prob = self.inst.supports[i][ci]
-                if i in choice:
-                    weight *= prob
-                vectors.append(v)
-            if weight:
-                sig = _gram_sigma(vectors)
-                if sig:
-                    total += weight * sig
-        self._sigma_memo[key] = total
+        options = [self._fixed[i][fixed_map[i]] if i in fixed_map else self._free[i]
+                   for i in subset]
+        det = self._kernel.det
+        total = 0
+        for outcome in product(*options):
+            weight = 1
+            for _, w in outcome:
+                weight *= w
+            total += weight * det([a for a, _ in outcome])
+        self._memo[key] = total
         return total
 
     def coeffs(self, prefix: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
+        self._check(prefix, k)
         inst = self.inst
-        n, m = inst.n, inst.m
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got k={k}")
-        if len(prefix) > m:
-            raise ValueError("prefix longer than the family depth")
+        m = inst.m
         weight = Fraction(1)
         for i, c in enumerate(prefix):
             weight *= inst.supports[i][c][1]
@@ -293,12 +347,14 @@ class KSOracle(FamilyOracle):
         if weight == 0:
             return tuple(out)
         ell = len(prefix)
-        for j in range(1, min(k, m, self._dim_cap) + 1):
-            acc = Fraction(0)
+        kernel = self._kernel
+        for j in range(1, min(k, m, kernel.dim) + 1):
+            acc = 0
             for subset in combinations(range(m), j):
                 fixed = tuple((i, prefix[i]) for i in subset if i < ell)
-                acc += self._expected_sigma(subset, fixed)
-            out[j] = (-1) ** j * weight * acc
+                acc += self._expected_sigma(subset, fixed) * kernel.cofactor(subset)
+            out[j] = Fraction((-1) ** j * weight.numerator * acc,
+                              weight.denominator * kernel.total)
         return tuple(out)
 
 
@@ -435,47 +491,50 @@ class SRInstance:
 
 
 class SROracle(FamilyOracle):
-    """Coefficients from subset marginals of the restricted table."""
+    """Coefficients from subset marginals of the restricted table.
+
+    Runs on the same integer kernel as ``KSOracle``, over the m fixed
+    vectors: N_T = det Gram(v_i : i in T) * prod_{i in T} L_i^2 is the
+    Bareiss determinant of the sub-table, memoized per subset, and the
+    table's probabilities are taken over their one common denominator, so
+    each coefficient is formed as one Fraction.
+    """
 
     def __init__(self, inst: SRInstance):
         self.inst = inst
         self.spec = inst.spec()
-        self._sigma_memo: Dict[Tuple[int, ...], Fraction] = {}
+        self._memo: Dict[Tuple[int, ...], int] = {}
+        self._kernel = _GramKernel([[v] for v in inst.vectors], [1] * inst.m)
+        self._denom = math.lcm(*(p.denominator for p in inst.table))
+        self._weights = [p.numerator * (self._denom // p.denominator) for p in inst.table]
 
-    def _sigma(self, subset: Tuple[int, ...]) -> Fraction:
-        hit = self._sigma_memo.get(subset)
+    def _sigma(self, subset: Tuple[int, ...]) -> int:
+        hit = self._memo.get(subset)
         if hit is None:
-            hit = _gram_sigma([self.inst.vectors[i] for i in subset])
-            self._sigma_memo[subset] = hit
+            kernel = self._kernel
+            hit = self._memo[subset] = kernel.det([kernel.rows[i][0] for i in subset])
         return hit
 
     def coeffs(self, prefix: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
-        inst = self.inst
-        n, m = inst.n, inst.m
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got k={k}")
-        ell = len(prefix)
-        out = [Fraction(0)] * (k + 1)
-        kk = min(k, m)
-        for mask, p in enumerate(inst.table):
-            if p == 0:
-                continue
-            consistent = True
-            for i in range(ell):
-                if ((mask >> i) & 1) != prefix[i]:
-                    consistent = False
-                    break
-            if not consistent:
+        self._check(prefix, k)
+        m = self.inst.m
+        kernel = self._kernel
+        low = (1 << len(prefix)) - 1
+        bits = sum(c << i for i, c in enumerate(prefix))
+        top = min(k, m, kernel.dim)
+        sums = [0] * (k + 1)
+        for mask, w in enumerate(self._weights):
+            if w == 0 or mask & low != bits:
                 continue
             members = [i for i in range(m) if (mask >> i) & 1]
-            out[0] += p
-            for j in range(1, min(kk, len(members)) + 1):
-                acc = Fraction(0)
+            sums[0] += w
+            for j in range(1, min(top, len(members)) + 1):
+                acc = 0
                 for subset in combinations(members, j):
-                    acc += self._sigma(subset)
-                if acc:
-                    out[j] += (-1) ** j * p * acc
-        return tuple(out)
+                    acc += self._sigma(subset) * kernel.cofactor(subset)
+                sums[j] += w * acc
+        return (Fraction(sums[0], self._denom),) + tuple(
+            Fraction((-1) ** j * sums[j], self._denom * kernel.total) for j in range(1, k + 1))
 
 
 def sr_oracle(inst: SRInstance) -> SROracle:

@@ -7,8 +7,13 @@ float details), so any change to how roots are isolated or refined that
 moves a cell shows up here. The ``verify_invariance_*`` files pin the
 signing scan's report on a seeded criterion-5 diagonal (C_8 below the
 girth, where the entries are largest), on Q_3, and at the Heawood girth,
-where the scan stops at its witness. A golden file changes only together
-with a deliberate change of output.
+where the scan stops at its witness. The ``round_*`` files pin rounding
+with the exhaustive root check on a KS family with integer vectors
+(``ks3_family.json``), on one with non-dyadic data (vector denominators
+3, 5 and 7, a zero-probability outcome, a zero vector and vectors of
+unequal lengths: ``ks_mixed_family.json``) and on an SR family
+(``sr4_family.json``). A golden file changes only together with a
+deliberate change of output.
 """
 
 import shutil
@@ -34,6 +39,12 @@ CASES = {
     "round_ks3.json": (
         ["round", "--family", "family.json", "--epsilon", "1/8", "--exhaustive-check"],
         {"family.json": "ks3_family.json"}),
+    "round_ks_mixed.json": (
+        ["round", "--family", "family.json", "--epsilon", "1/8", "--exhaustive-check"],
+        {"family.json": "ks_mixed_family.json"}),
+    "round_sr4.json": (
+        ["round", "--family", "family.json", "--epsilon", "1/8", "--exhaustive-check"],
+        {"family.json": "sr4_family.json"}),
     "verify_invariance_c8_k7.json": (
         ["verify-invariance", "--graph", "C_8", "--k", "7", "--diag", "diag.json"],
         {"diag.json": "diag_c8.json"}),

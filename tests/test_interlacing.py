@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from rootline.interlacing import (
     ks_brute_force_poly,
     ks_leaf_poly,
     ks_oracle,
+    padded_coeffs,
     round_family,
     rounding_coefficient_budget,
     sr_brute_force_poly,
@@ -247,3 +249,85 @@ def test_ks_json_round_trip():
     inst = KSInstance(2, (_coin(E1, E2),))
     back = KSInstance.from_json_dict(inst.to_json_dict())
     assert back == inst
+
+
+@pytest.mark.parametrize("prefix", [(-1,), (2,), (0, 0)])
+def test_ks_oracle_rejects_invalid_prefix(prefix):
+    # one two-outcome coordinate: -1 would index from the end, 2 past it
+    inst = KSInstance(2, (_coin(E1, E2),))
+    with pytest.raises(ValueError):
+        ks_oracle(inst).coeffs(prefix, 2)
+
+
+@pytest.mark.parametrize("prefix", [(0, 0, 0), (2,), (-1,)])
+def test_sr_oracle_rejects_invalid_prefix(prefix):
+    inst = SRInstance(2, 1, (E1,), (F(1, 2), F(1, 2)))
+    with pytest.raises(ValueError):
+        sr_oracle(inst).coeffs(prefix, 2)
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_oracles_reject_k_outside_0_to_n(k):
+    with pytest.raises(ValueError):
+        ks_oracle(KSInstance(2, (_coin(E1, E2),))).coeffs((), k)
+    with pytest.raises(ValueError):
+        sr_oracle(SRInstance(2, 1, (E1,), (F(1, 2), F(1, 2)))).coeffs((), k)
+
+
+def _mixed_vector(rng, pool, d):
+    """A vector of length 1..d over denominators 1, 2, 3, 5, 7, or one
+    already drawn (so vectors repeat within and across coordinates)."""
+    if pool and rng.random() < 0.3:
+        return rng.choice(pool)
+    v = tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 3, 5, 7]))
+              for _ in range(rng.randint(1, d)))
+    pool.append(v)
+    return v
+
+
+def _mixed_ks_instance(rng, m, d):
+    pool = []
+    sups = []
+    for _ in range(m):
+        width = rng.choice([1, 2, 3])
+        weights = [rng.randint(0, 3) for _ in range(width)]
+        if not any(weights):
+            weights[0] = 1
+        total = sum(weights)
+        sups.append(tuple((_mixed_vector(rng, pool, d), F(w, total)) for w in weights))
+    return KSInstance(d + 1, tuple(sups))
+
+
+def _all_prefixes(sizes):
+    for ell in range(len(sizes) + 1):
+        yield from product(*[range(s) for s in sizes[:ell]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ks_oracle_matches_brute_force_at_every_prefix(seed):
+    # m > d, so subsets above the rank bound and singular Gram matrices occur
+    rng = random.Random(seed)
+    inst = _mixed_ks_instance(rng, rng.randint(3, 5), 2)
+    orc = ks_oracle(inst)
+    for prefix in _all_prefixes(inst.spec().sizes):
+        want = padded_coeffs(ks_brute_force_poly(inst, prefix), inst.n)
+        assert orc.coeffs(prefix, inst.n) == want, prefix
+        assert orc.coeffs(prefix, 1) == want[:2], prefix
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sr_oracle_matches_brute_force_at_every_prefix(seed):
+    rng = random.Random(100 + seed)
+    m, d = 4, 2
+    pool = []
+    vectors = tuple(_mixed_vector(rng, pool, d) for _ in range(m))
+    weights = [rng.choice([0, 0, 1, 2, 3]) for _ in range(1 << m)]
+    if not any(weights):
+        weights[-1] = 1
+    total = sum(weights)
+    inst = SRInstance(d + 1, m, vectors, tuple(F(w, total) for w in weights))
+    orc = sr_oracle(inst)
+    for prefix in _all_prefixes(inst.spec().sizes):
+        want = padded_coeffs(sr_brute_force_poly(inst, prefix), inst.n)
+        assert orc.coeffs(prefix, inst.n) == want, prefix
+        assert orc.coeffs(prefix, 1) == want[:2], prefix
