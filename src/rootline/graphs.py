@@ -6,17 +6,25 @@ Signings assign +-1 to each edge; the signed adjacency matrix replaces
 * switching a signing at a vertex set (flipping every crossing edge)
   conjugates D + A_s by a +-1 diagonal matrix, so every spectral or
   trace quantity is a function of the switching class only;
-* every signing is switching-equivalent to exactly one signing that is
-  +1 on a fixed spanning forest, so the 2^|E| signings fall into
-  2^(|E|-n+components) explicitly enumerable classes.
+* a switching class is a coset of the GF(2) cut space, and with the
+  cut space in echelon form (pivots at the highest bits) each coset has
+  exactly one member that is +1 on every pivot edge, its least member in
+  bits order; so the 2^|E| signings fall into 2^(|E|-n+components)
+  classes, enumerated by their least members in increasing order.
 
-The exhaustive trace scan (`sign_invariance_report`) still walks all
-2^|E| signings literally.  It clears denominators, bounds every partial
-sum by n * rho^k (rho the largest absolute row sum) and runs the
-batches on float64 BLAS below 2^53, on int64 below 2^62, and on Python
-integers beyond; each choice is exact.  The search for the best signing
-exploits the class structure but returns exactly the signing a full
-lexicographic brute force would return (cross-checked in the tests).
+Both exhaustive computations form one matrix per class, and each
+verdict holds for every signing of the class, so all 2^|E| signings are
+certified.  The trace scan (`sign_invariance_report`) reports the
+witness a literal scan in bits order would: the first differing signing
+and its class's least member differ at the same power, and that member
+comes no later, so it is the first differing representative.  It
+clears denominators, bounds every partial sum by n * rho^k (rho the
+largest absolute row sum) and runs the batches on float64 BLAS below
+2^53, on int64 below 2^62, and on Python integers beyond; each choice
+is exact.  The class characteristic polynomials come from the same
+trace batches by Newton's identities.  The search for the best signing
+returns exactly the signing a full lexicographic brute force would
+return (cross-checked in the tests).
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -206,6 +214,146 @@ def _int_rows(g: Graph, signs: Sequence[int], diag: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
+# switching classes
+# ---------------------------------------------------------------------------
+
+
+def _cut_space_rows(g: Graph) -> List[int]:
+    """Vertex-star rows of the GF(2) cut space, as edge-indexed bitmasks."""
+    rows = []
+    for v in range(g.n):
+        mask = 0
+        for i, (a, b) in enumerate(g.edges):
+            if a == v or b == v:
+                mask |= 1 << i
+        rows.append(mask)
+    return rows
+
+
+def _gf2_echelon(rows: List[int]) -> List[int]:
+    """Reduced echelon basis of the rows' GF(2) span.
+
+    Each basis row's pivot is its highest set bit, and no pivot is set
+    in any other basis row.
+    """
+    basis: Dict[int, int] = {}
+    for row in rows:
+        cur = row
+        while cur:
+            piv = cur.bit_length() - 1
+            if piv in basis:
+                cur ^= basis[piv]
+            else:
+                basis[piv] = cur
+                break
+    # ascending pivots: every lower pivot is cleared by an already-reduced row
+    reduced: Dict[int, int] = {}
+    for piv in sorted(basis):
+        row = basis[piv]
+        for p2, r2 in reduced.items():
+            if (row >> p2) & 1:
+                row ^= r2
+        reduced[piv] = row
+    return list(reduced.values())
+
+
+def _coset_min(bits: int, echelon: List[int]) -> int:
+    """The least member of bits + span(echelon), as an integer.
+
+    Clearing every pivot bit leaves the one member without pivot bits;
+    any other member differs from it by a nonzero span element, whose
+    highest bit is a pivot, so that member is larger.
+    """
+    for row in echelon:
+        if (bits >> (row.bit_length() - 1)) & 1:
+            bits ^= row
+    return bits
+
+
+def _reverse(bits: int, m: int) -> int:
+    """Move bit i to bit m-1-i: integer order becomes sign-vector lex order."""
+    return int(format(bits, f"0{m}b")[::-1], 2)
+
+
+def _free_edges(g: Graph) -> List[int]:
+    """The edges that are not pivots of the cut space's echelon form.
+
+    Switching at a vertex set adds that set's cut to the bits, so a
+    switching class is a coset of the cut space.  The signings that are
+    -1 only on free edges hold each class's least member in bits order
+    (`_coset_min`), once each: 2^(|E| - n + components) representatives.
+    """
+    pivots = {row.bit_length() - 1 for row in _gf2_echelon(_cut_space_rows(g))}
+    return [i for i in range(g.num_edges) if i not in pivots]
+
+
+def _class_bits(assign: int, free: List[int]) -> int:
+    """The representative whose free edge free[j] is -1 iff bit j of assign is set.
+
+    Increasing in assign, so counting assign upward visits the classes
+    in the bits order of their least members.
+    """
+    return sum(1 << e for j, e in enumerate(free) if (assign >> j) & 1)
+
+
+def _class_traces(g: Graph, free: List[int], diag: Sequence[int], scale: int, k: int,
+                  dtype) -> Iterator[Tuple[int, np.ndarray]]:
+    """(first assign, traces) per batch of class representatives M = diag + scale*A_s.
+
+    traces[i-1, j] = trace(M^i) of representative assign = first + j.
+    Batch `high` holds assign = (high << low) + j, j < 2^low: the low (at
+    most 13) free edges take every sign pattern, set once in a template,
+    the pivot edges stay +scale, and only the high free edges' entries
+    are rewritten per batch.
+    """
+    n = g.n
+    low = min(len(free), 13)
+    us = np.array([u for u, _ in g.edges], dtype=np.intp)
+    vs = np.array([v for _, v in g.edges], dtype=np.intp)
+    mats = np.zeros((1 << low, n, n), dtype=dtype)
+    mats[:, np.arange(n), np.arange(n)] = diag
+    mats[:, us, vs] = scale
+    mats[:, vs, us] = scale
+    fu, fv = us[free], vs[free]
+    pattern = np.arange(1 << low)[:, None] >> np.arange(low)
+    signs = scale * (1 - 2 * (pattern & 1))
+    mats[:, fu[:low], fv[:low]] = signs
+    mats[:, fv[:low], fu[:low]] = signs
+    for high in range(1 << (len(free) - low)):
+        signs = scale * (1 - 2 * ((high >> np.arange(len(free) - low)) & 1))
+        mats[:, fu[low:], fv[low:]] = signs
+        mats[:, fv[low:], fu[low:]] = signs
+        yield high << low, _batch_traces(mats, k)
+
+
+def _batch_traces(mats: np.ndarray, k: int) -> np.ndarray:
+    """traces[i-1, b] = trace(mats[b]^i) for i = 1..k, as int64.
+
+    `mats` holds symmetric integer matrices in float64 or int64, within
+    the bound of `sign_invariance_report` for that type.
+    """
+    out = np.empty((k, mats.shape[0]), dtype=mats.dtype)
+    out[0] = np.einsum("bii->b", mats)
+    powers = {1: mats}
+    for j in range(2, (k + 1) // 2 + 1):
+        powers[j] = np.matmul(powers[j - 1], mats)
+    for i in range(2, k + 1):
+        # symmetric factors: trace(AB) = sum(A * B)
+        out[i - 1] = np.einsum("bij,bij->b", powers[(i + 1) // 2], powers[i // 2])
+    return out.astype(np.int64)
+
+
+def _exact_dtype(bound: int):
+    """The batch type that holds every integer of absolute value <= bound
+    exactly, or None for Python integers."""
+    if bound < 2**53:
+        return np.float64
+    if bound < 2**62:
+        return np.int64
+    return None
+
+
+# ---------------------------------------------------------------------------
 # exhaustive trace scan over all signings
 # ---------------------------------------------------------------------------
 
@@ -239,7 +387,14 @@ def _scaled_diag(g: Graph, D: Optional[Sequence[RationalLike]]) -> Tuple[List[in
 
 def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]], k: int,
                            cap: int = EXHAUSTION_CAP) -> InvarianceReport:
-    """Scan trace((D+A_s)^i) for i = 1..k over ALL 2^|E| signings.
+    """Decide trace((D+A_s)^i) = trace((D+A)^i), i = 1..k, for ALL 2^|E| signings.
+
+    Traces are switching-class functions, so the scan forms one matrix
+    per class, the class's least member in bits order (`_free_edges`),
+    and each verdict holds for every signing of the class.  The witness
+    is the literal scan's: the first signing in bits order whose traces
+    differ has a class whose least member differs too and comes no later,
+    so it is the first representative that differs, at the same power.
 
     The scan runs on the integer matrices M = L*(D + A_s), L the common
     denominator of D; trace(M^i) = L^i trace((D+A_s)^i), so agreement
@@ -268,12 +423,10 @@ def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]], k: int
             "use sample_sign_invariance for an uncertified check")
     diag, L = _scaled_diag(g, D)
     rho = max(abs(d) + L * deg for d, deg in zip(diag, g.degrees()))
-    bound = g.n * rho ** k
-    if bound < 2**53:
-        return _scan_numpy(g, diag, L, k, np.float64)
-    if bound < 2**62:
-        return _scan_numpy(g, diag, L, k, np.int64)
-    return _scan_exact(g, diag, L, k)
+    dtype = _exact_dtype(g.n * rho ** k)
+    if dtype is None:
+        return _scan_exact(g, diag, L, k)
+    return _scan_numpy(g, diag, L, k, dtype)
 
 
 def sample_sign_invariance(g: Graph, D: Optional[Sequence[RationalLike]], k: int,
@@ -304,8 +457,11 @@ def _traces_exact(rows: List[List[int]], k: int) -> List[int]:
 
 
 def _scan_exact(g: Graph, diag: List[int], L: int, k: int) -> InvarianceReport:
+    """The class scan on Python integers, representatives in bits order."""
+    free = _free_edges(g)
     ref = None
-    for bits in range(1 << g.num_edges):
+    for assign in range(1 << len(free)):
+        bits = _class_bits(assign, free)
         tr = _traces_exact(_int_rows(g, Signing.from_bits(g, bits).signs, diag, L), k)
         if ref is None:
             ref = tr
@@ -316,54 +472,23 @@ def _scan_exact(g: Graph, diag: List[int], L: int, k: int) -> InvarianceReport:
 
 
 def _scan_numpy(g: Graph, diag: List[int], L: int, k: int, dtype) -> InvarianceReport:
-    """The scan in batches of `dtype` matrices; the witness rule of `_scan_exact`.
+    """The class scan in batches of `dtype` matrices; the witness rule of `_scan_exact`.
 
-    Batch `high` holds signings bits = (high << low) + j, j < 2^low: the
-    low (at most 13) edges take every sign pattern, set once in a
-    template, and only the high edges' entries are rewritten per batch.
+    Representative 0 of the first batch is the all-plus signing; within
+    a batch the first differing column is the least differing assign.
     """
-    m, n = g.num_edges, g.n
-    low = min(m, 13)
-    us = np.array([u for u, _ in g.edges], dtype=np.intp)
-    vs = np.array([v for _, v in g.edges], dtype=np.intp)
-    mats = np.zeros((1 << low, n, n), dtype=dtype)
-    mats[:, np.arange(n), np.arange(n)] = diag
-    pattern = np.arange(1 << low)[:, None] >> np.arange(low)
-    signs = L * (1 - 2 * (pattern & 1))
-    mats[:, us[:low], vs[:low]] = signs
-    mats[:, vs[:low], us[:low]] = signs
+    free = _free_edges(g)
     ref: Optional[np.ndarray] = None
-    for high in range(1 << (m - low)):
-        signs = L * (1 - 2 * ((high >> np.arange(m - low)) & 1))
-        mats[:, us[low:], vs[low:]] = signs
-        mats[:, vs[low:], us[low:]] = signs
-        traces = _batch_traces(mats, k)
+    for first, traces in _class_traces(g, free, diag, L, k, dtype):
         if ref is None:
-            ref = traces[:, :1].copy()  # signing 0 = all +1
+            ref = traces[:, :1].copy()
         diff = traces != ref
         differs = diff.any(axis=0)
         if differs.any():
             j = int(differs.argmax())
             power = int(diff[:, j].argmax()) + 1
-            return InvarianceReport(g, k, False, power, (0, (high << low) + j, power))
+            return InvarianceReport(g, k, False, power, (0, _class_bits(first + j, free), power))
     return InvarianceReport(g, k, True)
-
-
-def _batch_traces(mats: np.ndarray, k: int) -> np.ndarray:
-    """traces[i-1, b] = trace(mats[b]^i) for i = 1..k, as int64.
-
-    `mats` holds symmetric integer matrices in float64 or int64, within
-    the bound of `sign_invariance_report` for that type.
-    """
-    out = np.empty((k, mats.shape[0]), dtype=mats.dtype)
-    out[0] = np.einsum("bii->b", mats)
-    powers = {1: mats}
-    for j in range(2, (k + 1) // 2 + 1):
-        powers[j] = np.matmul(powers[j - 1], mats)
-    for i in range(2, k + 1):
-        # symmetric factors: trace(AB) = sum(A * B)
-        out[i - 1] = np.einsum("bij,bij->b", powers[(i + 1) // 2], powers[i // 2])
-    return out.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -379,83 +504,19 @@ class BestSigning:
     classes_searched: int
 
 
-def _spanning_forest(g: Graph) -> List[int]:
-    """Indices of a BFS spanning forest's edges."""
-    index = {e: i for i, e in enumerate(g.edges)}
-    adj: List[List[Tuple[int, int]]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    seen = [False] * g.n
-    tree: List[int] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v, ei in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    tree.append(ei)
-                    queue.append(v)
-    return sorted(tree)
+def _char_poly_from_traces(p: Sequence[int]) -> Tuple[int, ...]:
+    """det(xI - A) descending, from p_i = trace(A^i), i = 1..n.
 
-
-def _cut_space_rows(g: Graph) -> List[int]:
-    """Vertex-star rows of the GF(2) cut space, as edge-indexed bitmasks."""
-    rows = []
-    for v in range(g.n):
-        mask = 0
-        for i, (a, b) in enumerate(g.edges):
-            if a == v or b == v:
-                mask |= 1 << i
-        rows.append(mask)
-    return rows
-
-
-def _gf2_echelon(rows: List[int]) -> List[Tuple[int, int]]:
-    """[(pivot_bit, row)] with strictly increasing pivot positions."""
-    basis: Dict[int, int] = {}
-    for row in rows:
-        cur = row
-        while cur:
-            piv = cur & -cur
-            if piv in basis:
-                cur ^= basis[piv]
-            else:
-                basis[piv] = cur
-                break
-    # re-reduce to echelon (each pivot appears in exactly one row)
-    pivots = sorted(basis.keys())
-    reduced: Dict[int, int] = {}
-    for piv in reversed(pivots):
-        row = basis[piv]
-        for p2, r2 in reduced.items():
-            if row & p2:
-                row ^= r2
-        reduced[piv] = row
-    return sorted(reduced.items())
-
-
-def _coset_lex_min(bits: int, echelon: List[Tuple[int, int]]) -> int:
-    """Lexicographically minimal member of bits + rowspace (bit 0 first).
-
-    Greedy over ascending pivots: clearing an early edge's -1 can only
-    flip later edges, which are less significant in the edge order.
+    Newton's identities for the coefficients c_0 = 1, c_1, ..., c_n:
+    k * c_k = -(c_(k-1) p_1 + c_(k-2) p_2 + ... + c_0 p_k).
     """
-    for piv, row in echelon:
-        if bits & piv:
-            bits ^= row
-    return bits
-
-
-def _lex_key(bits: int, m: int) -> Tuple[int, ...]:
-    """Sign-vector order key: edge 0 most significant, +1 (bit 0) < -1."""
-    return tuple((bits >> i) & 1 for i in range(m))
+    c = [1]
+    for k in range(1, len(p) + 1):
+        q, r = divmod(-sum(a * b for a, b in zip(reversed(c), p)), k)
+        if r:
+            raise AssertionError(f"power sums give a non-integral coefficient at x^{len(p) - k}")
+        c.append(q)
+    return tuple(c)
 
 
 def switching_class_char_polys(g: Graph) -> List[Tuple[Tuple[int, ...], int]]:
@@ -463,60 +524,62 @@ def switching_class_char_polys(g: Graph) -> List[Tuple[Tuple[int, ...], int]]:
 
     The characteristic polynomial of A_s is constant on switching
     classes, so these cover every one of the 2^|E| signings exactly.
+    The representatives are the scan's (`_free_edges`), stacked with a
+    zero diagonal; each polynomial comes from trace(A_s^i), i = 1..n,
+    by Newton's identities.  The traces are exact in the batch type
+    chosen from the scan's bound with rho = max degree and k = n; beyond
+    2^62 the polynomials come from Berkowitz on Python integers.
     """
-    tree = set(_spanning_forest(g))
-    free = [i for i in range(g.num_edges) if i not in tree]
-    zero_diag = [0] * g.n
+    free = _free_edges(g)
+    n = g.n
+    zero_diag = [0] * n
+    reps = [_class_bits(assign, free) for assign in range(1 << len(free))]
+    dtype = _exact_dtype(n * g.max_degree() ** n)
+    if dtype is None:
+        return [(tuple(char_poly_int_rows(_int_rows(g, Signing.from_bits(g, bits).signs,
+                                                    zero_diag))), bits)
+                for bits in reps]
     out = []
-    for assign in range(1 << len(free)):
-        bits = 0
-        for j, ei in enumerate(free):
-            if (assign >> j) & 1:
-                bits |= 1 << ei
-        signs = Signing.from_bits(g, bits).signs
-        out.append((tuple(char_poly_int_rows(_int_rows(g, signs, zero_diag))), bits))
+    for first, traces in _class_traces(g, free, zero_diag, 1, n, dtype):
+        for j, p in enumerate(traces.T.tolist()):
+            out.append((_char_poly_from_traces(p), reps[first + j]))
     return out
 
 
 def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP) -> BestSigning:
     """The signing minimizing lambda_max(A_s), ties broken lexicographically.
 
-    Enumerates one representative per switching class (signs free off a
-    spanning forest), compares the classes' exact characteristic
-    polynomials by certified root intervals, then recovers the
-    lexicographically smallest signing among all argmin signings via a
-    GF(2) coset reduction.  Output is identical to brute force over all
-    2^|E| signings.
+    Groups the switching classes by their exact characteristic
+    polynomials, compares the polynomials by certified root intervals,
+    then takes the lexicographically smallest signing over every class
+    of every argmin polynomial by a GF(2) coset reduction.  Output is
+    identical to brute force over all 2^|E| signings.
     """
     m = g.num_edges
     if m > cap:
         raise ExhaustionCapError(f"{m} edges exceeds the exhaustion cap {cap}")
-    by_char: Dict[Tuple[int, ...], int] = {}
+    by_char: Dict[Tuple[int, ...], List[int]] = {}
     for coeffs, bits in switching_class_char_polys(g):
-        by_char.setdefault(coeffs, bits)
+        by_char.setdefault(coeffs, []).append(bits)
 
-    best: List[Tuple[Tuple[int, ...], RootInterval, int]] = []
-    for coeffs, bits in by_char.items():
+    best: List[Tuple[Tuple[int, ...], RootInterval]] = []
+    for coeffs in by_char:
         poly = ExactPolynomial.from_coeffs(list(reversed([Fraction(c) for c in coeffs])))
         lam = max_root(poly, Fraction(1, 2**20))
         if not best:
-            best = [(coeffs, lam, bits)]
+            best = [(coeffs, lam)]
             continue
         cmp = compare_roots(lam, best[0][1])
         if cmp < 0:
-            best = [(coeffs, lam, bits)]
+            best = [(coeffs, lam)]
         elif cmp == 0:
-            best.append((coeffs, lam, bits))
+            best.append((coeffs, lam))
 
-    echelon = _gf2_echelon(_cut_space_rows(g))
-    min_bits = None
-    min_coeffs = None
-    for coeffs, _, bits in best:
-        cand = _coset_lex_min(bits, echelon)
-        if min_bits is None or _lex_key(cand, m) < _lex_key(min_bits, m):
-            min_bits = cand
-            min_coeffs = coeffs
-    signing = Signing.from_bits(g, min_bits)
+    # on bit-reversed masks, integer order is the sign vectors' lex order
+    echelon = _gf2_echelon([_reverse(row, m) for row in _cut_space_rows(g)])
+    min_key, min_coeffs = min((_coset_min(_reverse(bits, m), echelon), coeffs)
+                              for coeffs, _ in best for bits in by_char[coeffs])
+    signing = Signing.from_bits(g, _reverse(min_key, m))
     poly = ExactPolynomial.from_coeffs(list(reversed([Fraction(c) for c in min_coeffs])))
     lam = max_root(poly, Fraction(1, 2**30))
     return BestSigning(signing, poly, lam, len(by_char))

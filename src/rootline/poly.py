@@ -8,7 +8,7 @@ The zero polynomial is the empty coefficient list and has degree -1.
 Characteristic polynomials are computed by the Samuelson-Berkowitz scheme,
 which is division free: intermediate values stay in the subring generated
 by the matrix entries, so integer matrices never touch Fraction
-arithmetic (a large constant-factor win for the signing searches).
+arithmetic.
 """
 
 from __future__ import annotations
@@ -159,7 +159,8 @@ class ExactPolynomial:
 
         Substitutes x -> (x - b)/a and renormalizes by a^deg, which keeps
         the leading coefficient exactly equal to the input's (so monic
-        stays monic and the sign is preserved).
+        stays monic and the sign is preserved).  For b = 0 that is the
+        coefficient-wise scaling q_i = a^(n-i) p_i.
         """
         a = to_fraction(a)
         b = to_fraction(b)
@@ -168,6 +169,13 @@ class ExactPolynomial:
         if self.is_zero:
             return self
         n = self.degree
+        if b == 0:
+            out = []
+            power = Fraction(1)
+            for c in reversed(self.coeffs):
+                out.append(c * power)
+                power *= a
+            return ExactPolynomial(reversed(out))
         inner = ExactPolynomial([-b / a, 1 / a])
         return self.compose(inner).scale(a**n)
 
@@ -348,8 +356,9 @@ def char_poly(A: SquareMatrixQ) -> ExactPolynomial:
 def char_poly_int_rows(rows: Sequence[Sequence[int]]) -> List[int]:
     """Berkowitz on plain int rows; returns descending int coefficients.
 
-    Fast path for the signing searches, which grind through many integer
-    matrices and only need coefficient tuples for grouping.
+    The class characteristic polynomials of the signing search use it
+    when their traces could pass 2^62; below that they come from exact
+    trace batches.
     """
     return _berkowitz([list(r) for r in rows])
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,6 +13,11 @@ from rootline.graphs import (
     Graph,
     Signing,
     _batch_traces,
+    _class_bits,
+    _coset_min,
+    _cut_space_rows,
+    _free_edges,
+    _gf2_echelon,
     _int_rows,
     _scaled_diag,
     _scan_exact,
@@ -210,6 +216,71 @@ def test_invariance_matches_fraction_bruteforce():
                 invariance_bruteforce(g, D, k), (g, D, k)
 
 
+def test_class_scan_matches_fraction_bruteforce_on_every_path():
+    # seeded small graphs of every shape: without edges, non-bipartite,
+    # disconnected, with isolated vertices; k below, at and above the
+    # girth; each arithmetic path forced (all three are exact at these sizes)
+    rng = random.Random(23)
+    shapes = [Graph(3, ()),
+              Graph(5, ((0, 1), (0, 2), (1, 2), (3, 4))),
+              Graph(6, ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3)))]
+    while len(shapes) < 10:
+        n = rng.randint(4, 7)
+        g = Graph(n, tuple(e for e in combinations(range(n), 2) if rng.random() < 0.35))
+        if 1 <= g.num_edges <= 8:
+            shapes.append(g)
+    assert any(not g.is_bipartite() for g in shapes[3:])
+    for g in shapes:
+        gi = girth(g)
+        for k in ((1, 2, 3, 4) if gi == math.inf else (gi - 1, gi, gi + 1)):
+            D = None if k == 1 else [F(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+                                     for _ in range(g.n)]
+            diag, L = _scaled_diag(g, D)
+            rho = max(abs(d) + L * deg for d, deg in zip(diag, g.degrees()))
+            assert g.n * rho**k < 2**53
+            expected = invariance_bruteforce(g, D, k)
+            assert _report_fields(_scan_exact(g, diag, L, k)) == expected, (g, D, k)
+            for dtype in (np.float64, np.int64):
+                assert _report_fields(_scan_numpy(g, diag, L, k, dtype)) == expected, \
+                    (g, D, k, dtype)
+
+
+def _assert_class_polys_are_char_polys(g: Graph):
+    """One least representative per switching class, each with its char poly."""
+    echelon = _gf2_echelon(_cut_space_rows(g))
+    got = switching_class_char_polys(g)
+    reps = [bits for _, bits in got]
+    assert len(set(reps)) == len(reps) == 1 << (g.num_edges - len(echelon))
+    assert all(_coset_min(bits, echelon) == bits for bits in reps)
+    for coeffs, bits in got:
+        chi = char_poly(signed_adjacency(g, Signing.from_bits(g, bits)))
+        assert coeffs == tuple(reversed(chi.coeffs)), (g, bits)
+
+
+def test_class_char_polys_equal_char_poly_on_catalog():
+    for entry in catalog_entries():
+        if entry.graph.num_edges <= 24:
+            _assert_class_polys_are_char_polys(entry.graph)
+
+
+def test_class_char_polys_int64_and_berkowitz_paths(monkeypatch):
+    # stars with a few edges among the leaves: the bound n * deg_max^n is
+    # 14 * 13^14 (int64 traces) and 17 * 16^17 (Berkowitz on Python ints)
+    dtypes = []
+    batch_traces = graphs_module._batch_traces
+    monkeypatch.setattr(graphs_module, "_batch_traces",
+                        lambda mats, k: dtypes.append(mats.dtype) or batch_traces(mats, k))
+    leaves = ((1, 2), (2, 3), (3, 4), (5, 6), (1, 6))
+    assert 2**53 <= 14 * 13**14 < 2**62 <= 17 * 16**17
+    int64_star = Graph(14, tuple((0, i) for i in range(1, 14)) + leaves)
+    _assert_class_polys_are_char_polys(int64_star)
+    assert dtypes == [np.int64]
+    dtypes.clear()
+    exact_star = Graph(17, tuple((0, i) for i in range(1, 17)) + leaves)
+    _assert_class_polys_are_char_polys(exact_star)
+    assert dtypes == []
+
+
 def test_batch_traces_float64_exact_just_below_2_53():
     # C_8 with diagonal 139: rho = 139 + 2 = 141 and 8 * 141^7 < 2^53 <= 8 * 142^7,
     # and every signing's trace of M^7 is about 8 * 139^7, above 2^52
@@ -223,23 +294,26 @@ def test_batch_traces_float64_exact_just_below_2_53():
     assert abs(got).max() > 2**52
 
 
-def test_scan_batches_hold_every_signing(monkeypatch):
-    # C_15 has 15 edges: four batches that differ in the signs of edges 13 and 14
-    g = cycle_graph(15)
-    diag, L = _scaled_diag(g, [F(i - 7, 3) for i in range(g.n)])
+def test_scan_batches_hold_every_class_representative(monkeypatch):
+    # K_7: 21 edges, 6 pivot edges, 15 free edges, so four batches of 2^13
+    # representatives that differ in the signs of the last two free edges
+    g = Graph(7, tuple(combinations(range(7), 2)))
+    diag, L = _scaled_diag(g, [F(i - 3, 2) for i in range(g.n)])
+    free = _free_edges(g)
+    assert len(free) == 15
     batch_traces = graphs_module._batch_traces
     batches = []
 
     def check(mats, k):
         high = len(batches)
         for j in (0, 1, 4097, 8191):
-            bits = (high << 13) + j
+            bits = _class_bits((high << 13) + j, free)
             assert mats[j].tolist() == _int_rows(g, Signing.from_bits(g, bits).signs, diag, L)
         batches.append(high)
         return batch_traces(mats, k)
 
     monkeypatch.setattr(graphs_module, "_batch_traces", check)
-    assert _scan_numpy(g, diag, L, 4, np.float64).agree
+    assert _scan_numpy(g, diag, L, 2, np.float64).agree
     assert batches == [0, 1, 2, 3]
 
 
@@ -282,6 +356,33 @@ def test_best_signing_matches_bruteforce():
         assert fast.char == slow.char
 
 
+def test_best_signing_heawood_cospectral_tie_is_lex_least():
+    # 28 classes reach the least lambda_max, all with one characteristic
+    # polynomial; the returned signing attains it and no lex-smaller one does
+    g = heawood_graph()
+    best = best_signing_search(g)
+    lams = {}
+
+    def lam(signs):
+        chi = char_poly(signed_adjacency(g, Signing(signs)))
+        if chi not in lams:
+            lams[chi] = max_root(chi, F(1, 2**20))
+        return lams[chi]
+
+    least = None
+    for _, bits in switching_class_char_polys(g):  # one signing per class
+        r = lam(Signing.from_bits(g, bits).signs)
+        if least is None or compare_roots(r, least) < 0:
+            least = r
+    s = best.signing.signs
+    assert s == (1,) * 13 + (-1, -1, 1, -1, -1, 1, 1, -1)
+    assert compare_roots(lam(s), least) == 0
+    smaller = [s[:i] + (1,) + rest for i in range(len(s)) if s[i] == -1
+               for rest in product((1, -1), repeat=len(s) - 1 - i)]
+    assert len(smaller) < 256
+    assert all(compare_roots(lam(t), least) > 0 for t in smaller)
+
+
 def test_best_signing_c4_value():
     g = cycle_graph(4)
     best = best_signing_search(g)
@@ -321,7 +422,7 @@ def test_bipartite_char_poly_parity_all_signings():
     # one representative per class covers all 2^|E| signings exactly.
     for entry in catalog_entries():
         g = entry.graph
-        if g.num_edges > 16:
+        if g.num_edges > 24:
             continue
         for desc, _bits in switching_class_char_polys(g):
             for j, c in enumerate(desc):  # desc[j] is the x^(n-j) coefficient
@@ -338,8 +439,7 @@ def test_invariance_whole_catalog_below_girth():
         if g.num_edges > 24:
             continue
         D = [F(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(g.n)]
-        if g.num_edges <= 12:
-            assert sign_invariance_report(g, D, girth(g) - 1).agree, entry.name
+        assert sign_invariance_report(g, D, girth(g) - 1).agree, entry.name
 
 
 def test_graph_json_round_trip():

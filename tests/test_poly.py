@@ -96,6 +96,19 @@ def test_shift_scale_maps_root_multiset():
         assert got.lo <= want <= got.hi
 
 
+def test_shift_scale_without_shift_matches_composition():
+    # b = 0 scales coefficient-wise; the general path composes with x/a
+    rng = random.Random(12)
+    for _ in range(40):
+        p = P.from_coeffs([F(rng.randint(-50, 50), rng.randint(1, 9))
+                           for _ in range(rng.randint(1, 12))] + [F(rng.randint(1, 5))])
+        a = F(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30))
+        composed = p.compose(P.from_coeffs([0, 1 / a])).scale(a**p.degree)
+        assert p.shift_scale(a, 0) == composed
+        assert p.shift_scale(a, 0).coeffs == composed.coeffs
+    assert P.from_coeffs([7]).shift_scale(F(3, 2), 0) == P.from_coeffs([7])
+
+
 def test_char_poly_zero_matrix():
     assert char_poly(SquareMatrixQ([[0, 0], [0, 0]])) == P.from_coeffs([0, 0, 1])
 
