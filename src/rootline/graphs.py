@@ -278,10 +278,8 @@ def _reverse(bits: int, m: int) -> int:
 def _free_edges(g: Graph) -> List[int]:
     """The edges that are not pivots of the cut space's echelon form.
 
-    Switching at a vertex set adds that set's cut to the bits, so a
-    switching class is a coset of the cut space.  The signings that are
-    -1 only on free edges hold each class's least member in bits order
-    (`_coset_min`), once each: 2^(|E| - n + components) representatives.
+    The signings that are -1 only on free edges are the least members in
+    bits order (`_coset_min`) of the 2^(|E| - n + components) classes.
     """
     pivots = {row.bit_length() - 1 for row in _gf2_echelon(_cut_space_rows(g))}
     return [i for i in range(g.num_edges) if i not in pivots]
@@ -334,12 +332,15 @@ def _batch_traces(mats: np.ndarray, k: int) -> np.ndarray:
     """
     out = np.empty((k, mats.shape[0]), dtype=mats.dtype)
     out[0] = np.einsum("bii->b", mats)
-    powers = {1: mats}
-    for j in range(2, (k + 1) // 2 + 1):
-        powers[j] = np.matmul(powers[j - 1], mats)
+    # symmetric factors: trace(A^(2j-1)) = sum(A^j * A^(j-1)) and
+    # trace(A^(2j)) = sum(A^j * A^j), so two powers are held at a time
+    power = mats
     for i in range(2, k + 1):
-        # symmetric factors: trace(AB) = sum(A * B)
-        out[i - 1] = np.einsum("bij,bij->b", powers[(i + 1) // 2], powers[i // 2])
+        if i % 2:
+            prev, power = power, np.matmul(power, mats)
+            out[i - 1] = np.einsum("bij,bij->b", power, prev)
+        else:
+            out[i - 1] = np.einsum("bij,bij->b", power, power)
     return out.astype(np.int64)
 
 
@@ -389,12 +390,9 @@ def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]], k: int
                            cap: int = EXHAUSTION_CAP) -> InvarianceReport:
     """Decide trace((D+A_s)^i) = trace((D+A)^i), i = 1..k, for ALL 2^|E| signings.
 
-    Traces are switching-class functions, so the scan forms one matrix
-    per class, the class's least member in bits order (`_free_edges`),
-    and each verdict holds for every signing of the class.  The witness
-    is the literal scan's: the first signing in bits order whose traces
-    differ has a class whose least member differs too and comes no later,
-    so it is the first representative that differs, at the same power.
+    The scan forms one matrix per switching class, its least member in
+    bits order, and reports the witness a literal scan over all signings
+    would (see the module docstring).
 
     The scan runs on the integer matrices M = L*(D + A_s), L the common
     denominator of D; trace(M^i) = L^i trace((D+A_s)^i), so agreement

@@ -170,12 +170,7 @@ class ExactPolynomial:
             return self
         n = self.degree
         if b == 0:
-            out = []
-            power = Fraction(1)
-            for c in reversed(self.coeffs):
-                out.append(c * power)
-                power *= a
-            return ExactPolynomial(reversed(out))
+            return ExactPolynomial([c * a ** (n - i) for i, c in enumerate(self.coeffs)])
         inner = ExactPolynomial([-b / a, 1 / a])
         return self.compose(inner).scale(a**n)
 
