@@ -177,6 +177,10 @@ class _GramKernel:
     an integer.  ``cofactor(T)`` is S / S_T, with S_T the product of
     P_i Q_i over T and S = S_[m]: it brings per-subset integers to the
     one denominator S.
+
+    Simultaneous row and column permutations leave a determinant alone,
+    so ``det`` runs Bareiss once per distinct set of rows (with
+    repeats), memoized on the sorted row tuple for the oracle's life.
     """
 
     def __init__(self, choices: Sequence[Sequence[Tuple[Fraction, ...]]],
@@ -204,11 +208,16 @@ class _GramKernel:
         self.total = math.prod(self.scales)
         self.dim = max(map(len, ints), default=0)  # rank bound on every Gram matrix
         self.gram = [[sum(x * y for x, y in zip(u, w)) for w in ints] for u in ints]
+        self._dets: Dict[Tuple[int, ...], int] = {}
 
     def det(self, rows: Sequence[int]) -> int:
         """Determinant of the integer Gram sub-table on ``rows``."""
-        g = self.gram
-        return _bareiss_det([[g[a][b] for b in rows] for a in rows])
+        key = tuple(sorted(rows))
+        hit = self._dets.get(key)
+        if hit is None:
+            g = self.gram
+            hit = self._dets[key] = _bareiss_det([[g[a][b] for b in key] for a in key])
+        return hit
 
     def cofactor(self, subset: Sequence[int]) -> int:
         s_t = 1
@@ -622,10 +631,12 @@ def _profile_from_raw(n: int, raw: Sequence[Fraction]) -> Optional[SymmetricProf
     """Monic-normalize oracle coefficients into a profile; None if zero."""
     lead = raw[0]
     if lead == 0:
-        if any(c != 0 for c in raw):
+        if any(raw):
             raise OracleInconsistencyError("zero leading coefficient on a nonzero polynomial")
         return None
-    e = tuple((-1) ** i * raw[i] / lead for i in range(1, len(raw)))
+    zero = Fraction(0)
+    e = tuple(zero if not c else c / lead if i % 2 == 0 else -c / lead
+              for i, c in enumerate(raw[1:], 1))
     return SymmetricProfile(n, e)
 
 
@@ -662,7 +673,11 @@ def round_family(spec: FamilySpec, oracle: FamilyOracle,
         children = [(cand, oracle.coeffs(prefix + cand, k))
                     for cand in product(*[range(spec.sizes[i]) for i in group])]
         parent = oracle.coeffs(prefix, k)
-        sums = [sum(raw[i] for _, raw in children) for i in range(k + 1)]
+        sums = [Fraction(0)] * (k + 1)
+        for _, raw in children:
+            for i, c in enumerate(raw):
+                if c:
+                    sums[i] += c
         if tuple(sums) != tuple(parent):
             raise OracleInconsistencyError(
                 f"children of prefix {prefix} sum to {sums}, "

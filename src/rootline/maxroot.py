@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple
 
 from rootline.chebyshev import _cheb_coeffs
@@ -46,8 +47,8 @@ from rootline.ratutil import (
 from rootline.symfuncs import (
     SymmetricProfile,
     extended_power_sums,
+    integer_power_sums,
     power_sums_from_elementary,
-    scaled_integers,
 )
 
 POWER_SUM = "power-sum"
@@ -65,8 +66,9 @@ class InconsistentProfileError(ValueError):
     """The profile cannot come from a nonnegative root vector.
 
     The nonnegativity precondition is not checkable from k < n
-    statistics, so it is trusted; this error fires only when the
-    algorithm trips over a consequence of its violation.
+    statistics, so it is trusted; this error fires only on a consequence
+    of its violation: some e_j < 0, some power sum p_j < 0, e_1 = 0 with
+    some e_j != 0, or a threshold loop that never crosses.
     """
 
 
@@ -84,17 +86,20 @@ class ApproxResult:
             raise ValueError("factor must be >= 1")
 
 
+@lru_cache(maxsize=256)  # a constant of (k, n), asked for on every call
 def uses_power_sum_branch(k: int, n: int) -> bool:
     """Branch test k <= ln n, decided exactly (equality cannot occur)."""
     return le_ln(Fraction(k), n)
 
 
+@lru_cache(maxsize=256)  # a constant of (k, n), asked for on every call
 def shrink_factor(k: int, n: int) -> Fraction:
     """The loop's threshold divisor 1 + (20 L / k)^2 with dyadic L >= ln n."""
     L = ln_upper_dyadic(n, bits=24)
     return 1 + (Fraction(20) * L / k) ** 2
 
 
+@lru_cache(maxsize=256)  # a constant of (k, n), asked for on every call
 def alpha_factor(k: int, n: int) -> Fraction:
     """Rational upper bound on the guaranteed approximation factor.
 
@@ -115,26 +120,28 @@ def alpha_factor(k: int, n: int) -> Fraction:
     return f * f * _GUARD
 
 
-def _threshold_coeffs(n: int, e1: Fraction, psums: Tuple[Fraction, ...]) -> Tuple[int, ...]:
+def _threshold_coeffs(n: int, e1: Fraction, scale: int, psums: Tuple[int, ...]) -> Tuple[int, ...]:
     """Integers c_0..c_k of the loop's threshold test, built once per call.
 
-    The roots are normalized by e_1 > 0 (root sum 1).  With the power
-    sums over a common scale, p_j = P_j / D^j, the normalized sums are
-    p_j / e_1^j = P_j / w^j with w = D e_1, an integer because D^1 p_1 =
-    D e_1 is.  For 1/t = u/v (v > 0),
+    The roots are normalized by e_1 > 0 (root sum 1).  The power sums
+    come as :func:`~rootline.symfuncs.integer_power_sums` gives them,
+    p_j = P_j / D^j, so the normalized sums are p_j / e_1^j = P_j / w^j
+    with w = D e_1, an integer because D^1 p_1 = D e_1 is.  For
+    1/t = u/v (v > 0),
     sum_i T_k(mu_i / t) - n = (a_0 - 1) n + sum_j a_j P_j w^-j (u/v)^j,
     and multiplying by w^k v^k > 0 gives sum_j c_j u^j v^(k-j) with
-    c_0 = (a_0 - 1) n w^k and c_j = a_j P_j w^(k-j).
+    c_0 = (a_0 - 1) n w^k and c_j = a_j P_j w^(k-j).  Any D that makes
+    every P_j integral will do: another D' scales every c_j by the same
+    (D'/D)^k > 0, which leaves each decision unchanged.
     """
     k = len(psums)
-    scale, ints = scaled_integers(psums)
     w = scale * e1.numerator // e1.denominator
     a = _cheb_coeffs(k)
     wpow = [1] * (k + 1)
     for j in range(1, k + 1):
         wpow[j] = wpow[j - 1] * w
     return ((a[0] - 1) * n * wpow[k],) + tuple(
-        a[j] * ints[j - 1] * wpow[k - j] for j in range(1, k + 1))
+        a[j] * psums[j - 1] * wpow[k - j] for j in range(1, k + 1))
 
 
 def _cheb_sum_exceeds(coeffs: Tuple[int, ...], t: Fraction) -> bool:
@@ -204,28 +211,33 @@ def approx_max_root(prof: SymmetricProfile) -> ApproxResult:
     if k < 1:
         raise ValueError("need at least e_1")
     e1 = prof.e[0]
-    if e1 < 0:
-        raise InconsistentProfileError("e_1 < 0 is impossible for nonnegative roots")
+    if any(v.numerator < 0 for v in prof.e):
+        raise InconsistentProfileError("e_j < 0 is impossible for nonnegative roots")
     if n == 1:
         return ApproxResult(e1, Fraction(1), 0, POWER_SUM)
     if e1 == 0:
-        # all roots are zero given nonnegativity
+        # nonnegative roots summing to 0 are all zero
+        if any(prof.e):
+            raise InconsistentProfileError(
+                "e_1 = 0 with some e_j != 0 is impossible for nonnegative roots")
         return ApproxResult(Fraction(0), alpha_factor(k, n), 0,
                             POWER_SUM if uses_power_sum_branch(k, n) else CHEBYSHEV_LOOP)
 
-    psums = power_sums_from_elementary(prof).p
-
-    if uses_power_sum_branch(k, n):
+    power_sum = uses_power_sum_branch(k, n)
+    if power_sum:
+        psums = power_sums_from_elementary(prof).p  # p_j
+    else:
+        scale, psums = integer_power_sums(prof.e, k)  # D^j p_j
+    if any(p < 0 for p in psums):
+        raise InconsistentProfileError("p_j < 0 is impossible for nonnegative roots")
+    if power_sum:
         pk = psums[k - 1] / e1**k  # of the e_1-normalized roots
-        if pk < 0:
-            raise InconsistentProfileError(
-                f"power sum p_{k} < 0 is impossible for nonnegative roots")
         if k == 1:
             return ApproxResult(e1 * pk / n, Fraction(n), 0, POWER_SUM)
         est = e1 * nth_root_lower(pk / n, k, _ROOT_BITS)
         return ApproxResult(est, alpha_factor(k, n), 0, POWER_SUM)
 
-    coeffs = _threshold_coeffs(n, e1, psums)
+    coeffs = _threshold_coeffs(n, e1, scale, psums)
     f = shrink_factor(k, n)
     cap = 10 * k * k + 100
     t = Fraction(1)  # normalized e_1

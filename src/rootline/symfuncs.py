@@ -4,8 +4,9 @@ A ``SymmetricProfile`` is the "top k coefficients" view of an unknown
 root vector: n roots, of which only e_1..e_k are known.  Conversions to
 and from power sums are exact.  Values are ``Fraction``s at the
 interface; the e -> p recurrence runs on integers, over the least common
-scale D with D^i e_i integral (see :func:`integer_power_sums`).  The
-inverse direction divides by i and stays over rationals.
+scale D with D^i e_i integral, and has order r past the last nonzero e_r
+(see :func:`integer_power_sums`).  The inverse direction divides by i and
+stays over rationals.
 """
 
 from __future__ import annotations
@@ -201,25 +202,31 @@ def integer_power_sums(e: Sequence[Fraction], upto: int) -> Tuple[int, Tuple[int
     E_j = D^j e_j integral (see :func:`scaled_integers`), and Newton's
     recurrence multiplied by D^i,
 
-        P_i = sum_{j=1..min(i-1,k)} (-1)^(j-1) E_j P_{i-j} + (-1)^(i-1) i E_i,
+        P_i = sum_{j=1..min(i-1,r)} (-1)^(j-1) E_j P_{i-j} + (-1)^(i-1) i E_i,
 
-    (the last term only for i <= k) runs on integers throughout.
+    (the last term only for i <= r) runs on integers throughout.  Here
+    r <= k is the index of the last nonzero e_j: past it the recurrence
+    has order r, so a profile of rank r costs O(upto * r), not
+    O(upto * k).  Zeros before e_r stay in the recurrence.
     """
-    k = len(e)
-    scale, ints = scaled_integers(e)
+    r = len(e)
+    while r and not e[r - 1]:
+        r -= 1
+    scale, ints = scaled_integers(e[:r])  # zeros leave the least scale alone
     signed = [v if j % 2 == 1 else -v for j, v in enumerate(ints, 1)]  # (-1)^(j-1) E_j
     p = []  # p[i-1] = P_i
     for i in range(1, upto + 1):
-        # pairs (-1)^(j-1) E_j with P_{i-j} for j = 1..min(i-1, k)
+        # pairs (-1)^(j-1) E_j with P_{i-j} for j = 1..min(i-1, r)
         acc = sum(map(mul, signed, reversed(p)))
-        if i <= k:
+        if i <= r:
             acc += i * signed[i - 1]
         p.append(acc)
     return scale, tuple(p)
 
 
 def power_sums_from_elementary(prof: SymmetricProfile) -> PowerSumProfile:
-    """p_1..p_k from e_1..e_k by the Newton recurrence, O(k^2).
+    """p_1..p_k from e_1..e_k by the Newton recurrence, O(k r) for r the
+    index of the last nonzero e_j.
 
     p_i = e_1 p_{i-1} - e_2 p_{i-2} + ... + (-1)^i i e_i  (signs alternating),
     run on integers by :func:`integer_power_sums`.

@@ -128,6 +128,17 @@ def test_malformed_profile_exits_2(profile, tmp_path):
     assert "error" in json.loads(res.stderr)
 
 
+def test_inconsistent_profile_exits_2(tmp_path):
+    # p_2 = 10^2 - 2 * 100 < 0; test_maxroot checks that the threshold
+    # loop is never entered on this profile
+    (tmp_path / "bad.json").write_text(json.dumps({"n": 4, "e": ["10", "100"]}))
+    res = run_cli(["approx-root", "--profile", "bad.json"], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert "p_j < 0" in json.loads(res.stderr)["error"]
+
+
 @pytest.mark.parametrize("pair", [
     {"p": ["1", "x"], "q": [1, 2]},
     [1, 2],

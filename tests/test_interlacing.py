@@ -315,6 +315,41 @@ def test_ks_oracle_matches_brute_force_at_every_prefix(seed):
         assert orc.coeffs(prefix, 1) == want[:2], prefix
 
 
+def test_gram_determinant_runs_once_per_row_set(monkeypatch):
+    # a seeded instance whose coordinates share vectors: across every
+    # prefix, Bareiss runs once per distinct multiset of table rows, and a
+    # row set's determinant does not depend on the order of its rows
+    import rootline.interlacing as interlacing
+
+    rng = random.Random(2)
+    inst = _mixed_ks_instance(rng, 5, 2)
+    orc = ks_oracle(inst)
+    kernel = orc._kernel
+    assert len(kernel.gram) < sum(inst.spec().sizes)  # repeated vectors
+    asked, runs = [], []
+    memo_det, bareiss = kernel.det, interlacing._bareiss_det
+
+    def det(rows):
+        asked.append(tuple(sorted(rows)))
+        return memo_det(rows)
+
+    def counted_bareiss(mat):
+        runs.append(len(mat))
+        return bareiss(mat)
+
+    monkeypatch.setattr(kernel, "det", det)
+    monkeypatch.setattr(interlacing, "_bareiss_det", counted_bareiss)
+    for prefix in _all_prefixes(inst.spec().sizes):
+        orc.coeffs(prefix, inst.n)
+    assert len(runs) == len(set(asked)) < len(asked)
+    g = kernel.gram
+    for key in sorted(set(asked)):
+        rows = list(key)
+        rng.shuffle(rows)
+        assert memo_det(rows) == bareiss([[g[a][b] for b in rows] for a in rows]), rows
+    assert len(runs) == len(set(asked))  # the shuffled queries all hit the memo
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_sr_oracle_matches_brute_force_at_every_prefix(seed):
     rng = random.Random(100 + seed)

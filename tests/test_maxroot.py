@@ -116,12 +116,29 @@ def test_negative_e1_rejected():
 
 
 def test_violated_nonnegativity_trips_iteration_cap():
-    # roots (1, -10, 0) with k = 3: odd Chebyshev index drives the sum to
-    # minus infinity as t shrinks, so it never crosses n; the iteration
-    # cap must fire instead of looping forever
-    prof = profile_of_roots(3, [1, -10, 0], 3)
-    with pytest.raises(InconsistentProfileError):
+    # e = (1, 1/2, 1/6) has every e_j >= 0 and power sums (1, 0, 0) >= 0,
+    # so it passes the checks made before the loop, but no real roots give
+    # p_2 = 0 < p_1^2 / 3.  With p_3 = 0 the Chebyshev sum is -3/t, which
+    # never crosses n; the iteration cap must fire instead of looping forever
+    prof = SymmetricProfile(3, (F(1), F(1, 2), F(1, 6)))
+    with pytest.raises(InconsistentProfileError, match="no threshold crossing"):
         approx_max_root(prof)
+
+
+@pytest.mark.parametrize("e", [
+    (F(10), F(100)),  # p_2 = 10^2 - 2 * 100 < 0
+    (F(10), F(5), F(-1)),  # e_3 < 0
+    (F(0), F(0), F(1)),  # e_1 = 0 forces every root, hence every e_j, to be 0
+], ids=["negative-power-sum", "negative-e3", "zero-sum-nonzero-e3"])
+def test_inconsistent_profile_rejected_before_the_loop(e, monkeypatch):
+    import rootline.maxroot as maxroot
+
+    def no_loop(*args):
+        raise AssertionError("threshold loop entered")
+
+    monkeypatch.setattr(maxroot, "_cheb_sum_exceeds", no_loop)
+    with pytest.raises(InconsistentProfileError):
+        approx_max_root(SymmetricProfile(4, e))
 
 
 def test_bracket_on_random_corpus_small():
@@ -147,25 +164,45 @@ def test_iteration_bound_formula():
         assert abs(iteration_bound(k, n) - approx) <= 1
 
 
+def _dense_small(rng):
+    n = rng.choice([3, 5, 8])
+    k = rng.randint(2, n)
+    mu = [F(rng.randint(0, 40), rng.choice([1, 2, 4])) for _ in range(n)]
+    if sum(mu) == 0:
+        mu[0] = F(1, 2)
+    return profile_of_roots(n, mu, k), max(mu)
+
+
+def _rank_bounded(rng):
+    # k = n in {64, 256}, at most 6 nonzero roots: e_j = 0 past the rank
+    n = rng.choice([64, 256])
+    mu = [F(rng.randint(1, 40), rng.choice([1, 2, 3, 4])) for _ in range(rng.randint(1, 6))]
+    mu += [F(0)] * (n - len(mu))
+    rng.shuffle(mu)
+    return profile_of_roots(n, mu), max(mu)
+
+
 def test_loop_decision_agrees_with_fraction_sum():
     # the integer decision inside the loop, on coefficients built once
-    # per call, must agree with the plain Fraction evaluation of the
-    # Chebyshev sum
+    # per call from the integer power sums, must agree with the plain
+    # Fraction evaluation of the Chebyshev sum
     from rootline.maxroot import _cheb_sum_exceeds, _threshold_coeffs
-    from rootline.symfuncs import power_sums_from_elementary
+    from rootline.symfuncs import integer_power_sums
 
     rng = random.Random(404)
-    for _ in range(20):
-        n = rng.choice([3, 5, 8])
-        k = rng.randint(2, n)
-        mu = [F(rng.randint(0, 40), rng.choice([1, 2, 4])) for _ in range(n)]
-        if sum(mu) == 0:
-            mu[0] = F(1, 2)
-        prof = profile_of_roots(n, mu, k)
+    seen = set()
+    for make in [_dense_small] * 20 + [_rank_bounded] * 10:
+        prof, mu_max = make(rng)
+        n, k = prof.n, prof.k
         e1 = prof.e[0]
-        coeffs = _threshold_coeffs(n, e1, power_sums_from_elementary(prof).p)
-        for _ in range(3):
-            t_hat = F(rng.randint(1, 64), rng.randint(1, 64))
+        coeffs = _threshold_coeffs(n, e1, *integer_power_sums(prof.e, k))
+        # thresholds t = e1 * t_hat spread around the largest root and far off
+        near = mu_max / e1
+        t_hats = [F(rng.randint(1, 64), rng.randint(1, 64)) for _ in range(2)]
+        t_hats += [near * F(rng.randint(80, 120), 100) for _ in range(2)]
+        for t_hat in t_hats:
             fast = _cheb_sum_exceeds(coeffs, t_hat)
             slow = root_sum_test(prof, e1 * t_hat) > n
             assert fast == slow
+            seen.add(fast)
+    assert seen == {False, True}

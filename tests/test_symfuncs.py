@@ -190,9 +190,32 @@ def _tiny(rng):
         F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)))
 
 
+def _zero_tail(rng):
+    # k up to 64 with e_j = 0 past r <= 6, zeros inside e_1..e_r too, and
+    # all-zero profiles (r = 0)
+    k = rng.randint(1, 64)
+    r = rng.randint(0, min(6, k))
+    head = [F(rng.choice([0, 1, -1]) * rng.randint(1, 30), rng.choice([1, 2, 3, 8]))
+            for _ in range(r)]
+    if r:
+        head[-1] = F(rng.choice([1, -1]) * rng.randint(1, 30), rng.choice([1, 4, 9]))
+    return SymmetricProfile(k + rng.randint(0, 3), tuple(head) + (F(0),) * (k - r))
+
+
+def _padded_roots(rng):
+    # a complete profile (k = n) of at most 6 nonzero roots among many zeros
+    n = rng.randint(8, 64)
+    roots = [F(rng.randint(1, 40), rng.choice([1, 2, 3, 4])) for _ in range(rng.randint(0, 6))]
+    roots += [F(0)] * (n - len(roots))
+    rng.shuffle(roots)
+    return profile_of_roots(n, roots)
+
+
 @pytest.mark.parametrize("make", [
     _mixed_denominator_roots, _unrelated_denominators, _zero_and_negative, _tiny,
-], ids=["roots-mixed-denominators", "unrelated-denominators", "zero-and-negative", "k0-k1"])
+    _zero_tail, _padded_roots,
+], ids=["roots-mixed-denominators", "unrelated-denominators", "zero-and-negative", "k0-k1",
+        "zero-tail", "padded-roots"])
 def test_integer_kernel_matches_fraction_recurrence(make):
     rng = random.Random(make.__name__)
     for _ in range(40):
