@@ -117,9 +117,10 @@ def test_negative_e1_rejected():
 
 def test_violated_nonnegativity_trips_iteration_cap():
     # e = (1, 1/2, 1/6) has every e_j >= 0 and power sums (1, 0, 0) >= 0,
-    # so it passes the checks made before the loop, but no real roots give
-    # p_2 = 0 < p_1^2 / 3.  With p_3 = 0 the Chebyshev sum is -3/t, which
-    # never crosses n; the iteration cap must fire instead of looping forever
+    # so it passes the checks made before the loop, yet no real roots
+    # summing to 1 have p_2 = 0.  With p_3 = 0 the Chebyshev sum is -3/t,
+    # which never crosses n; the iteration cap must fire instead of
+    # looping forever
     prof = SymmetricProfile(3, (F(1), F(1, 2), F(1, 6)))
     with pytest.raises(InconsistentProfileError, match="no threshold crossing"):
         approx_max_root(prof)
