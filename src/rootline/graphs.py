@@ -30,9 +30,11 @@ return (cross-checked in the tests).
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -510,7 +512,7 @@ def _char_poly_from_traces(p: Sequence[int]) -> Tuple[int, ...]:
     """
     c = [1]
     for k in range(1, len(p) + 1):
-        q, r = divmod(-sum(a * b for a, b in zip(reversed(c), p)), k)
+        q, r = divmod(-sum(map(mul, reversed(c), p)), k)
         if r:
             raise AssertionError(f"power sums give a non-integral coefficient at x^{len(p) - k}")
         c.append(q)
@@ -560,10 +562,15 @@ def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP) -> BestSigning:
     for coeffs, bits in switching_class_char_polys(g):
         by_char.setdefault(coeffs, []).append(bits)
 
+    # compare_roots refines its arguments, so each polynomial's 2^-20
+    # enclosure is kept as a copy; the winner's copy is then refined on
+    # to 2^-30, the cell that isolating it afresh would give
     best: List[Tuple[Tuple[int, ...], RootInterval]] = []
+    lam_of: Dict[Tuple[int, ...], RootInterval] = {}
     for coeffs in by_char:
         poly = ExactPolynomial.from_coeffs(list(reversed([Fraction(c) for c in coeffs])))
         lam = max_root(poly, Fraction(1, 2**20))
+        lam_of[coeffs] = copy(lam)
         if not best:
             best = [(coeffs, lam)]
             continue
@@ -579,7 +586,7 @@ def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP) -> BestSigning:
                               for coeffs, _ in best for bits in by_char[coeffs])
     signing = Signing.from_bits(g, _reverse(min_key, m))
     poly = ExactPolynomial.from_coeffs(list(reversed([Fraction(c) for c in min_coeffs])))
-    lam = max_root(poly, Fraction(1, 2**30))
+    lam = lam_of[min_coeffs].refine_below(Fraction(1, 2**30))
     return BestSigning(signing, poly, lam, len(by_char))
 
 

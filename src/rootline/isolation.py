@@ -4,15 +4,19 @@ The engine is Descartes-rule bisection (Vincent-Collins-Akritas) applied
 to the square-free factors produced by Yun's algorithm, entirely in
 integer arithmetic:
 
-* a root interval is either an exact rational point or an open dyadic
+* a root interval is either an exact rational point or an open
   interval on which the defining square-free factor changes sign;
+* every enclosure is held on integers, two numerators over one common
+  denominator: refinement, separation and comparison halve it by
+  doubling the denominator, decide each midpoint by an integer sign and
+  order ends by cross-multiplication, so no ``Fraction`` is built until
+  an end is read;
 * multiplicities come from the square-free decomposition, which first
   deflates the zero root (p = x^j f with f(0) != 0), runs Yun's loop on
   f alone and gives x back to the factor of multiplicity j;
 * refinement is sign bisection, so certified width bounds are a loop,
-  not an estimate; it walks the bisection grid on integers, deciding
-  each midpoint by an integer sign, and lands on the same cell as
-  step-by-step bisection;
+  not an estimate; it walks the bisection grid and lands on the same
+  cell as step-by-step bisection;
 * ``max_root`` isolates and separates every root but refines only the
   top one.
 
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import zip_longest
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from rootline.poly import ExactPolynomial
 from rootline.ratutil import to_fraction
@@ -35,10 +39,6 @@ from rootline.ratutil import to_fraction
 IntPoly = Tuple[int, ...]  # ascending degree, trimmed, nonzero unless empty
 
 DEFAULT_PRECISION = Fraction(1, 2**53)
-
-#: overlap width below which compare_roots decides equality by a gcd
-_GCD_WIDTH = Fraction(1, 1 << 256)
-
 
 # ---------------------------------------------------------------------------
 # integer polynomial kernel
@@ -138,11 +138,6 @@ def _divide_exact(f: Sequence[int], g: Sequence[int]) -> List[int]:
     return out
 
 
-def sign_at(c: Sequence[int], x: Fraction) -> int:
-    """Exact sign of the integer polynomial at a rational point."""
-    return _sign_at_ratio(c, x.numerator, x.denominator)
-
-
 def _sign_at_ratio(c: Sequence[int], num: int, den: int) -> int:
     """Sign of c at num/den for den > 0 (num/den need not be in lowest
     terms): the sign of the integer den^d c(num/den), by Horner."""
@@ -193,19 +188,16 @@ def _scale_pow2(c: Sequence[int], h: int) -> List[int]:
     return [v << (h * (d - i)) for i, v in enumerate(c)]
 
 
-def _to_unit_interval(c: Sequence[int], a: Fraction, b: Fraction) -> List[int]:
-    """Integer polynomial whose roots in (0, 1) are those of c in (a, b),
-    mapped by x -> (x - a) / (b - a).
+def _to_unit_interval(c: Sequence[int], lo: int, hi: int, den: int) -> List[int]:
+    """Integer polynomial whose roots in (0, 1) are those of c in
+    (lo/den, hi/den), mapped by x -> (x - lo/den) / ((hi - lo)/den).
 
-    With a = A/L and b - a = W/L over a common denominator L this is
-    L^d c((A + W x) / L): scale the argument by L, shift by A, scale by W.
+    It is den^d c((lo + (hi - lo) x) / den): scale the argument by den,
+    shift by lo, scale by hi - lo.
     """
-    L = math.lcm(a.denominator, b.denominator)
-    A = a.numerator * (L // a.denominator)
-    W = b.numerator * (L // b.denominator) - A
-    d = len(c) - 1
-    shifted = _shift_int([v * L ** (d - i) for i, v in enumerate(c)], A)
-    return _trim([v * W**i for i, v in enumerate(shifted)])
+    d, width = len(c) - 1, hi - lo
+    shifted = _shift_int([v * den ** (d - i) for i, v in enumerate(c)], lo)
+    return _trim([v * width**i for i, v in enumerate(shifted)])
 
 
 def _variations01(c: Sequence[int]) -> int:
@@ -304,42 +296,40 @@ def _isolate01(q: Sequence[int]) -> Tuple[List[Tuple[int, int]], List[Tuple[int,
     return intervals, exact
 
 
-def _isolate_squarefree(q: IntPoly) -> List[Tuple[IntPoly, Fraction, Fraction]]:
-    """All real roots of square-free q as (defining poly, lo, hi) triples.
+def _isolate_squarefree(q: IntPoly, multiplicity: int) -> List[RootInterval]:
+    """All real roots of square-free q, each of the given multiplicity.
 
     Exact roots have lo == hi.  Exact rational roots discovered during
     subdivision are divided out and the remainder re-isolated, so every
     open interval ends up with endpoints at which its defining
-    polynomial is nonzero (a genuine sign-change certificate).
+    polynomial is nonzero (a genuine sign-change certificate).  A cell
+    (c, k) of the unit interval maps onto (-2^h, 2^h) as the grid
+    point c/2^k -> (c 2^(h+1) - 2^(h+k))/2^k.
     """
-    roots: List[Tuple[IntPoly, Fraction, Fraction]] = []
+    roots: List[RootInterval] = []
     work = q
-    while True:
-        if len(work) <= 1:
-            break
+    while len(work) > 1:
         if work[0] == 0:  # simple zero root (q square-free)
-            roots.append((work, Fraction(0), Fraction(0)))
+            roots.append(RootInterval(work, 0, 0, multiplicity, den=1))
             work = _primitive(work[1:])
             continue
         if len(work) == 2:
-            r = Fraction(-work[0], work[1])
-            roots.append((work, r, r))
+            roots.append(RootInterval(work, -work[0], -work[0], multiplicity, den=work[1]))
             break
-        bound = 1 << cauchy_bound_pow2(work)
-        intervals, exact = _isolate01(_to_unit_interval(work, Fraction(-bound), Fraction(bound)))
-        width = Fraction(2 * bound)
+        h = cauchy_bound_pow2(work)
+        intervals, exact = _isolate01(_to_unit_interval(work, -1 << h, 1 << h, 1))
         if not exact:
             for c, k in intervals:
-                lo = -bound + width * Fraction(c, 1 << k)
-                hi = -bound + width * Fraction(c + 1, 1 << k)
-                roots.append((work, lo, hi))
+                lo = (c << (h + 1)) - (1 << (h + k))
+                roots.append(RootInterval(work, lo, lo + (1 << (h + 1)), multiplicity,
+                                          den=1 << k))
             break
         # peel the exact rational roots off and isolate the rest afresh
         for num, k in exact:
-            x = -bound + width * Fraction(num, 1 << k)
-            roots.append((work, x, x))
-            work = _deflate_root(work, x.numerator, x.denominator)
-    roots.sort(key=lambda t: t[1])
+            x = (num << (h + 1)) - (1 << (h + k))
+            root = RootInterval(work, x, x, multiplicity, den=1 << k)  # in lowest terms
+            roots.append(root)
+            work = _deflate_root(work, root.lo_num, root.den)
     return roots
 
 
@@ -351,69 +341,89 @@ def _isolate_squarefree(q: IntPoly) -> List[Tuple[IntPoly, Fraction, Fraction]]:
 class RootInterval:
     """One real root: an exact rational or an open sign-change interval.
 
-    ``poly`` is the square-free integer factor that vanishes (exactly once)
-    inside the interval; refinement bisects against it.
+    The ends are held on one integer grid, lo = lo_num/den and
+    hi = hi_num/den with den > 0: a halving doubles ``den`` and every
+    endpoint test is an integer cross-multiplication. ``poly`` is the
+    square-free integer factor that vanishes (exactly once) inside the
+    interval, and at neither end of it; refinement bisects against it.
     """
 
-    __slots__ = ("poly", "lo", "hi", "multiplicity", "_sign_lo")
+    __slots__ = ("poly", "lo_num", "hi_num", "den", "multiplicity", "_sign_lo")
 
-    def __init__(self, poly: Optional[IntPoly], lo: Fraction, hi: Fraction,
-                 multiplicity: int = 1):
+    def __init__(self, poly: Optional[IntPoly], lo: Union[Fraction, int],
+                 hi: Union[Fraction, int], multiplicity: int = 1, *, den: Optional[int] = None):
+        """``lo`` and ``hi`` are rationals, or with ``den`` the integer
+        numerators of lo/den and hi/den."""
+        if den is None:
+            den = math.lcm(lo.denominator, hi.denominator)
+            lo = lo.numerator * (den // lo.denominator)
+            hi = hi.numerator * (den // hi.denominator)
+        elif den <= 0:
+            raise ValueError("the common denominator must be positive")
+        if lo > hi:
+            raise ValueError("the lower end lies above the upper end")
+        g = math.gcd(lo, hi, den)
+        lo, hi, den = lo // g, hi // g, den // g
         self.poly = poly
-        self.lo = lo
-        self.hi = hi
+        self.lo_num, self.hi_num, self.den = lo, hi, den
         self.multiplicity = multiplicity
-        if lo == hi:
-            self._sign_lo = 0
-        else:
+        self._sign_lo = 0
+        if lo < hi:
             if poly is None:
                 raise ValueError("a non-degenerate interval needs its polynomial")
-            self._sign_lo = sign_at(poly, lo)
-            if self._sign_lo == 0 or self._sign_lo == sign_at(poly, hi):
+            self._sign_lo = _sign_at_ratio(poly, lo, den)
+            if self._sign_lo == 0 or _sign_at_ratio(poly, hi, den) != -self._sign_lo:
                 raise ValueError("not a sign-change isolating interval")
 
     @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, self.den)
+
+    @property
     def exact(self) -> bool:
-        return self.lo == self.hi
+        return self.lo_num == self.hi_num
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.hi_num - self.lo_num, self.den)
 
     def refine_step(self) -> None:
-        if self.exact:
+        """Halve once: keep the half whose ends differ in sign, or stop on
+        a midpoint that is the root."""
+        if self.lo_num == self.hi_num:
             return
-        mid = self.midpoint()
-        s = sign_at(self.poly, mid)
+        mid = self.lo_num + self.hi_num
+        self.den <<= 1
+        s = _sign_at_ratio(self.poly, mid, self.den)
         if s == 0:
-            self.lo = self.hi = mid
+            self.lo_num = self.hi_num = mid
             self._sign_lo = 0
         elif s == self._sign_lo:
-            self.lo = mid
+            self.lo_num = mid
+            self.hi_num <<= 1
         else:
-            self.hi = mid
+            self.lo_num <<= 1
+            self.hi_num = mid
 
     def refine_below(self, width: Fraction) -> "RootInterval":
         """Bisect until the enclosure is at most ``width`` wide.
 
         The result is what repeated ``refine_step`` gives, found on the
-        integer bisection grid: with lo = A/L and hi - lo = W/L, s halvings
-        (the least s with W/(L 2^s) <= width) end in the level-s cell
+        bisection grid: with lo = A/L and hi - lo = W/L, s halvings (the
+        least s with W/(L 2^s) <= width) end in the level-s cell
         (A 2^s + a W, A 2^s + (a+1) W)/(L 2^s) that holds the root, unless
-        a midpoint on the way is the root itself. Each midpoint is decided
-        by an integer sign; the Fraction endpoints are built once.
+        a midpoint on the way is the root itself.
         """
-        if self.exact or self.width <= width:
+        A, W, L = self.lo_num, self.hi_num - self.lo_num, self.den
+        big, unit = W * width.denominator, width.numerator * L
+        if big <= unit:  # exact (W = 0) or already narrow enough
             return self
         if width <= 0:
             raise ValueError("refinement width must be positive")
-        L = math.lcm(self.lo.denominator, self.hi.denominator)
-        A = self.lo.numerator * (L // self.lo.denominator)
-        W = self.hi.numerator * (L // self.hi.denominator) - A
-        big, unit = W * width.denominator, width.numerator * L
         s = max(0, big.bit_length() - unit.bit_length())
         while (unit << s) < big:
             s += 1
@@ -422,21 +432,18 @@ class RootInterval:
             num = (A << t) + (2 * a + 1) * W
             sign = _sign_at_ratio(self.poly, num, L << t)
             if sign == 0:
-                self.lo = self.hi = Fraction(num, L << t)
+                self.lo_num = self.hi_num = num
+                self.den = L << t
                 self._sign_lo = 0
                 return self
             a = 2 * a + (sign == self._sign_lo)
-        self.lo = Fraction((A << s) + a * W, L << s)
-        self.hi = Fraction((A << s) + (a + 1) * W, L << s)
+        self.lo_num = (A << s) + a * W
+        self.hi_num = self.lo_num + W
+        self.den = L << s
         return self
 
-    def contains(self, x: Fraction) -> bool:
-        if self.exact:
-            return self.lo == x
-        return self.lo < x < self.hi
-
     def __float__(self) -> float:
-        return float(self.midpoint())
+        return float(Fraction(self.lo_num + self.hi_num, 2 * self.den))
 
     def __repr__(self) -> str:
         if self.exact:
@@ -445,16 +452,13 @@ class RootInterval:
 
 
 def _disjoint_ordered(a: RootInterval, b: RootInterval) -> bool:
-    """a's root provably precedes b's and the enclosures do not overlap."""
-    if a.hi < b.lo:
-        return True
-    if a.exact and b.exact:
-        return a.lo < b.lo
-    if a.exact:
-        return a.lo <= b.lo  # b's root lies strictly inside (b.lo, b.hi)
-    if b.exact:
-        return a.hi <= b.lo
-    return False
+    """a's root provably precedes b's and the enclosures do not overlap.
+
+    An open enclosure's root lies strictly inside it, so touching ends
+    separate an exact root from an open one, but not two open ones.
+    """
+    a_hi, b_lo = a.hi_num * b.den, b.lo_num * a.den
+    return a_hi < b_lo or (a_hi == b_lo and a.exact != b.exact)
 
 
 def _separate(roots: List[RootInterval]) -> List[RootInterval]:
@@ -462,10 +466,12 @@ def _separate(roots: List[RootInterval]) -> List[RootInterval]:
 
     Roots are pairwise distinct (square-free factors are coprime), so
     bisection always separates them eventually; the re-sort each round
-    lets enclosures migrate past each other as they shrink.
+    lets enclosures migrate past each other as they shrink.  The sort
+    keys are the ends over the common denominator of all enclosures.
     """
     while True:
-        roots.sort(key=lambda r: (r.lo, r.hi))
+        common = math.lcm(*(r.den for r in roots))
+        roots.sort(key=lambda r: (r.lo_num * (common // r.den), r.hi_num * (common // r.den)))
         clean = True
         for a, b in zip(roots, roots[1:]):
             if not _disjoint_ordered(a, b):
@@ -481,9 +487,8 @@ def _separated_roots(p: ExactPolynomial) -> List[RootInterval]:
     enclosures sorted ascending, not yet refined to any width."""
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    return _separate([RootInterval(defining, lo, hi, mult)
-                      for factor, mult in squarefree_decomposition(p)
-                      for defining, lo, hi in _isolate_squarefree(factor)])
+    return _separate([root for factor, mult in squarefree_decomposition(p)
+                      for root in _isolate_squarefree(factor, mult)])
 
 
 def isolate_real_roots(p: ExactPolynomial,
@@ -516,14 +521,14 @@ def max_root(p: ExactPolynomial,
 # ---------------------------------------------------------------------------
 
 
-def _count_open_squarefree(q: IntPoly, a: Fraction, b: Fraction) -> int:
-    """Number of roots of square-free q in the open interval (a, b)."""
-    if a >= b or len(q) <= 1:
+def _count_open_squarefree(q: IntPoly, lo: int, hi: int, den: int) -> int:
+    """Number of roots of square-free q in the open interval (lo/den, hi/den)."""
+    if lo >= hi or len(q) <= 1:
         return 0
-    work = _to_unit_interval(q, a, b)
-    if work[0] == 0:  # root at a itself: outside the open interval
+    work = _to_unit_interval(q, lo, hi, den)
+    if work[0] == 0:  # root at lo/den itself: outside the open interval
         work = list(_primitive(work[1:]))
-    if sign_at(work, Fraction(1)) == 0:
+    if sum(work) == 0:  # likewise at hi/den
         work = list(_deflate_root(work, 1, 1))
     intervals, exact = _isolate01(_trim(work))
     return len(intervals) + len(exact)
@@ -537,10 +542,11 @@ def max_root_leq(p: ExactPolynomial, a: Fraction) -> bool:
             if Fraction(-factor[0], factor[1]) > a:
                 return False
             continue
-        bound = Fraction(1 << cauchy_bound_pow2(factor))
+        bound = 1 << cauchy_bound_pow2(factor)
         if a >= bound:
             continue
-        if _count_open_squarefree(factor, a, bound) > 0:
+        if _count_open_squarefree(factor, a.numerator, bound * a.denominator,
+                                  a.denominator) > 0:
             return False
     return True
 
@@ -560,40 +566,37 @@ def compare_roots(r1: RootInterval, r2: RootInterval) -> int:
     """Total-order comparison of two isolated roots: -1, 0 or +1.
 
     Refines both intervals; if they refuse to separate, decides equality
-    exactly through the gcd of the two defining polynomials.
+    exactly through the gcd of the two defining polynomials once one of
+    them is narrower than 2^-256.  An exact root inside an open
+    enclosure equals its root iff it is a root of the enclosure's
+    polynomial, since the ends never are.
     """
     while True:
-        if r1.hi < r2.lo:
+        d1, d2 = r1.den, r2.den
+        lo1, hi1, lo2, hi2 = r1.lo_num * d2, r1.hi_num * d2, r2.lo_num * d1, r2.hi_num * d1
+        if hi1 < lo2:
             return -1
-        if r2.hi < r1.lo:
+        if hi2 < lo1:
             return 1
-        if r1.exact and r2.exact:
-            return (r1.lo > r2.lo) - (r1.lo < r2.lo)
-        if r1.exact and r2.poly is not None:
-            if sign_at(r2.poly, r1.lo) == 0 and r2.contains(r1.lo):
+        if lo1 == hi1:
+            if lo2 == hi2 or _sign_at_ratio(r2.poly, r1.lo_num, d1) == 0:
                 return 0
-        elif r2.exact and r1.poly is not None:
-            if sign_at(r1.poly, r2.lo) == 0 and r1.contains(r2.lo):
+        elif lo2 == hi2:
+            if _sign_at_ratio(r1.poly, r2.lo_num, d2) == 0:
                 return 0
-        if not r1.exact and not r2.exact and r1.poly is not None and r2.poly is not None:
-            lo, hi = max(r1.lo, r2.lo), min(r1.hi, r2.hi)
-            if _overlap_width_small(r1, r2):
-                g = int_poly_gcd(r1.poly, r2.poly)
-                if len(g) > 1 and _has_root_in_closed(g, lo, hi):
-                    return 0
+        elif (hi1 - lo1) << 256 < d1 * d2 or (hi2 - lo2) << 256 < d1 * d2:
+            g = int_poly_gcd(r1.poly, r2.poly)
+            if len(g) > 1 and _has_root_in_closed(g, max(lo1, lo2), min(hi1, hi2), d1 * d2):
+                return 0
         r1.refine_step()
         r2.refine_step()
 
 
-def _overlap_width_small(r1: RootInterval, r2: RootInterval) -> bool:
-    w = min(r1.width, r2.width)
-    return w > 0 and w < _GCD_WIDTH
-
-
-def _has_root_in_closed(g: IntPoly, a: Fraction, b: Fraction) -> bool:
-    if sign_at(g, a) == 0 or sign_at(g, b) == 0:
+def _has_root_in_closed(g: IntPoly, lo: int, hi: int, den: int) -> bool:
+    """g has a root in the closed [lo/den, hi/den]."""
+    if _sign_at_ratio(g, lo, den) == 0 or _sign_at_ratio(g, hi, den) == 0:
         return True
-    return _count_open_squarefree(_squarefree_part(g), a, b) > 0
+    return _count_open_squarefree(_squarefree_part(g), lo, hi, den) > 0
 
 
 def _squarefree_part(g: IntPoly) -> IntPoly:

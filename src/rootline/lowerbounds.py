@@ -21,6 +21,7 @@ Four constructions:
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -36,7 +37,6 @@ from rootline.graphs import (
     signed_adjacency,
 )
 from rootline.isolation import (
-    RootInterval,
     compare_roots,
     isolate_real_roots,
     max_root,
@@ -402,10 +402,8 @@ def verify_pair(pair: LowerBoundPair) -> PairReport:
             # compare the top roots of q and of p with its roots scaled;
             # compare_roots refines its arguments, so q's top enclosure is
             # compared through a copy and roots_q[-1] stays as reported
-            top = roots_q[-1]
             scaled = p.shift_scale(pair.ratio_lower, 0)
-            cmp = compare_roots(RootInterval(top.poly, top.lo, top.hi, top.multiplicity),
-                                max_root(scaled, _RATIO_WIDTH))
+            cmp = compare_roots(copy(roots_q[-1]), max_root(scaled, _RATIO_WIDTH))
             add("ratio_lower_certified", cmp >= 0,
                 f"claimed {float(pair.ratio_lower):.9g}, certified interval "
                 f">= {float(roots_q[-1].lo / roots_p[-1].hi):.9g}")

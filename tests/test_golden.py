@@ -3,8 +3,9 @@
 Each file under ``tests/golden/`` is the stdout of one command. The
 outputs hold certified root enclosures (``lambda_p_interval``,
 ``ratio_lower``, ``lambda_leaf``/``lambda_root``, the ``verify_pair``
-float details), so any change to how roots are isolated or refined that
-moves a cell shows up here. The ``verify_invariance_*`` files pin the
+float details, the ``sign-search`` ``lambda_max`` endpoints), so any
+change to how roots are isolated, compared or refined that moves a cell
+shows up here. The ``verify_invariance_*`` files pin the
 signing scan's report on a seeded criterion-5 diagonal (C_8 below the
 girth, where the entries are largest), on Q_3, and at the Heawood girth,
 where the scan stops at its witness. The ``round_*`` files pin rounding
@@ -36,6 +37,8 @@ CASES = {
     "verify_pair_noisy_5_13.json": (
         ["verify-pair", "--in", "pair.json"], {"pair.json": "gen_pair_noisy_5_13.json"}),
     "sign_search_q3.json": (["sign-search", "--graph", "Q_3"], {}),
+    "sign_search_k44.json": (["sign-search", "--graph", "K_4,4"], {}),
+    "sign_search_heawood.json": (["sign-search", "--graph", "heawood"], {}),
     "round_ks3.json": (
         ["round", "--family", "family.json", "--epsilon", "1/8", "--exhaustive-check"],
         {"family.json": "ks3_family.json"}),

@@ -356,6 +356,24 @@ def test_best_signing_matches_bruteforce():
         assert fast.char == slow.char
 
 
+def test_best_signing_isolates_each_polynomial_once(monkeypatch):
+    # the winner's 2^-30 enclosure is refined from its 2^-20 one, not
+    # isolated again
+    isolated = []
+
+    def counting(p, precision):
+        isolated.append(p)
+        return max_root(p, precision)
+
+    monkeypatch.setattr(graphs_module, "max_root", counting)
+    for g in (cycle_graph(4), cube_graph(), complete_bipartite(3, 3),
+              complete_bipartite(4, 4), heawood_graph()):
+        isolated.clear()
+        best = best_signing_search(g)
+        assert len(isolated) == best.classes_searched
+        assert len(set(isolated)) == len(isolated)
+
+
 def test_best_signing_heawood_cospectral_tie_is_lex_least():
     # 28 classes reach the least lambda_max, all with one characteristic
     # polynomial; the returned signing attains it and no lex-smaller one does

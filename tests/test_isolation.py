@@ -2,12 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rootline.chebyshev import cheb_poly
 from rootline.interlacing import KSInstance, ks_leaf_poly
 from rootline.isolation import (
     RootInterval,
     _count_open_squarefree,
+    _sign_at_ratio,
+    _separate,
     _separated_roots,
     compare_roots,
     int_poly_from_exact,
@@ -17,12 +21,15 @@ from rootline.isolation import (
     max_root,
     max_root_geq,
     max_root_leq,
-    sign_at,
     squarefree_decomposition,
 )
 from rootline.lowerbounds import noisy_pair, weak_pair
 from rootline.poly import ExactPolynomial as P
 from rootline.selftest import two_block_ks_instance
+
+
+def sign_at(poly, x):
+    return _sign_at_ratio(poly, x.numerator, x.denominator)
 
 
 def test_sqrt2_isolation_width():
@@ -97,14 +104,15 @@ def test_max_root_and_thresholds():
 
 def test_count_distinct_in_interval():
     w = int_poly_from_exact(P.from_roots(range(1, 13)))
-    assert _count_open_squarefree(w, F(5, 2), F(7)) == 4
-    assert _count_open_squarefree(w, F(3), F(7)) == 3  # open: 3 and 7 left out
-    assert _count_open_squarefree(w, F(-1, 3), F(25, 2)) == 12
-    assert _count_open_squarefree(w, F(7), F(3)) == 0
+    assert _count_open_squarefree(w, 5, 14, 2) == 4  # (5/2, 7)
+    assert _count_open_squarefree(w, 3, 7, 1) == 3  # open: 3 and 7 left out
+    assert _count_open_squarefree(w, 6, 14, 2) == 3  # (3, 7) not in lowest terms
+    assert _count_open_squarefree(w, -2, 75, 6) == 12  # (-1/3, 25/2)
+    assert _count_open_squarefree(w, 7, 3, 1) == 0
     # T_64 has 64 simple roots in (-1, 1), 32 of them positive
     t64 = int_poly_from_exact(cheb_poly(64))
-    assert _count_open_squarefree(t64, F(-1), F(1)) == 64
-    assert _count_open_squarefree(t64, F(0), F(1, 1)) == 32
+    assert _count_open_squarefree(t64, -1, 1, 1) == 64
+    assert _count_open_squarefree(t64, 0, 1, 1) == 32
 
 
 def test_compare_roots_equality_via_gcd():
@@ -260,6 +268,20 @@ def test_root_interval_without_polynomial_raises():
     assert RootInterval(None, F(1, 2), F(1, 2)).exact
 
 
+def test_inverted_root_interval_raises():
+    # an inverted enclosure used to be accepted with a negative width, and
+    # compare_roots against its mirror image never returned
+    with pytest.raises(ValueError):
+        RootInterval((-2, 0, 1), F(3, 2), F(1))
+    with pytest.raises(ValueError):
+        RootInterval(None, F(1), F(0))
+    with pytest.raises(ValueError):
+        RootInterval((-1, 1), 0, 1, den=0)
+    # an end that is a root certifies no root strictly inside: x - 1 on (0, 1)
+    with pytest.raises(ValueError):
+        RootInterval((-1, 1), F(0), F(1))
+
+
 # ---------------------------------------------------------------------------
 # refine_below against step-by-step bisection
 # ---------------------------------------------------------------------------
@@ -332,7 +354,7 @@ def test_refine_below_on_dyadic_grid_roots(lo, hi):
             poly = (-n, d, -n, d)  # (d x - n)(x^2 + 1)
             got = _assert_refines_like_bisection(poly, lo, hi, w / 2**s)
             assert got.exact == (j <= s)
-            assert got.contains(root)
+            assert got.lo <= root <= got.hi
 
 
 def test_refine_below_non_dyadic_endpoints():
@@ -383,3 +405,245 @@ def test_max_root_is_last_isolated_root():
     _top_matches(P([F(-7)]) * P.x() ** 5)
     _top_matches(P.from_coeffs([1, 0, 1]))  # x^2 + 1: no real root
     assert max_root(P.from_coeffs([1, 0, 1])) is None
+
+
+# ---------------------------------------------------------------------------
+# compare_roots and _separate against Fraction-endpoint references
+# ---------------------------------------------------------------------------
+
+
+class _FractionEnclosure:
+    """Reference enclosure: Fraction endpoints, halved one step at a time."""
+
+    def __init__(self, poly, lo, hi):
+        self.poly, self.lo, self.hi = poly, F(lo), F(hi)
+        self.sign_lo = 0 if lo == hi else sign_at(poly, self.lo)
+
+    @property
+    def exact(self):
+        return self.lo == self.hi
+
+    def step(self):
+        if self.exact:
+            return
+        mid = (self.lo + self.hi) / 2
+        s = sign_at(self.poly, mid)
+        if s == 0:
+            self.lo = self.hi = mid
+        elif s == self.sign_lo:
+            self.lo = mid
+        else:
+            self.hi = mid
+
+
+def _sturm_count(g, a, b):
+    """Distinct roots of the integer polynomial g in (a, b], for g(a) != 0."""
+
+    def rem(f, h):
+        f = list(f)
+        while len(f) >= len(h):
+            c = f[-1] / h[-1]
+            for i, v in enumerate(h):
+                f[len(f) - len(h) + i] -= c * v
+            f.pop()
+        while f and f[-1] == 0:
+            f.pop()
+        return f
+
+    seq = [[F(v) for v in g], [F(i * g[i]) for i in range(1, len(g))]]
+    while len(seq[-1]) > 1:
+        r = rem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-v for v in r])
+
+    def variations(x):
+        signs = [s for s in (sign_at(tuple(f), x) for f in seq) if s]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    return variations(a) - variations(b)
+
+
+def _compare_reference(r1, r2):
+    """compare_roots on Fraction endpoints with the gcd test below 2^-256."""
+    while True:
+        if r1.hi < r2.lo:
+            return -1
+        if r2.hi < r1.lo:
+            return 1
+        if r1.exact and r2.exact:
+            return (r1.lo > r2.lo) - (r1.lo < r2.lo)
+        if r1.exact:
+            if sign_at(r2.poly, r1.lo) == 0 and r2.lo < r1.lo < r2.hi:
+                return 0
+        elif r2.exact:
+            if sign_at(r1.poly, r2.lo) == 0 and r1.lo < r2.lo < r1.hi:
+                return 0
+        else:
+            lo, hi = max(r1.lo, r2.lo), min(r1.hi, r2.hi)
+            if min(r1.hi - r1.lo, r2.hi - r2.lo) < F(1, 2**256):
+                g = int_poly_gcd(r1.poly, r2.poly)
+                if len(g) > 1 and (sign_at(g, lo) == 0 or sign_at(g, hi) == 0
+                                   or _sturm_count(g, lo, hi) > 0):
+                    return 0
+        r1.step()
+        r2.step()
+
+
+def _separate_reference(roots):
+    """_separate on Fraction endpoints: sort by (lo, hi), halve each
+    neighbouring pair that is not provably ordered, until none is left."""
+
+    def ordered(a, b):
+        if a.hi < b.lo:
+            return True
+        if a.exact and b.exact:
+            return a.lo < b.lo
+        if a.exact or b.exact:
+            return a.hi <= b.lo
+        return False
+
+    while True:
+        roots.sort(key=lambda r: (r.lo, r.hi))
+        clean = True
+        for a, b in zip(roots, roots[1:]):
+            if not ordered(a, b):
+                a.step()
+                b.step()
+                clean = False
+        if clean:
+            return roots
+
+
+def _assert_compare_like_reference(a, b):
+    """a, b: (poly, lo, hi); checks both argument orders."""
+    for (p1, lo1, hi1), (p2, lo2, hi2) in ((a, b), (b, a)):
+        r1, r2 = RootInterval(p1, lo1, hi1), RootInterval(p2, lo2, hi2)
+        f1, f2 = _FractionEnclosure(p1, lo1, hi1), _FractionEnclosure(p2, lo2, hi2)
+        assert compare_roots(r1, r2) == _compare_reference(f1, f2)
+        assert (r1.lo, r1.hi, r2.lo, r2.hi) == (f1.lo, f1.hi, f2.lo, f2.hi)
+        assert type(r1.lo) is F and type(r2.hi) is F
+
+
+def _assert_separate_like_reference(cells):
+    got = _separate([RootInterval(p, lo, hi) for p, lo, hi in cells])
+    want = _separate_reference([_FractionEnclosure(p, lo, hi) for p, lo, hi in cells])
+    assert [(r.poly, r.lo, r.hi) for r in got] == [(r.poly, r.lo, r.hi) for r in want]
+
+
+def _mul(*polys):
+    out = (1,)
+    for q in polys:
+        prod = [0] * (len(out) + len(q) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(q):
+                prod[i + j] += u * v
+        out = tuple(prod)
+    return out
+
+
+SQRT2 = (-2, 0, 1)
+
+
+def test_compare_roots_matches_reference_on_seeded_cases():
+    tie_a, tie_b = _mul(SQRT2, (5, 1)), _mul(SQRT2, (-1, 1))  # (x^2-2)(x+5), (x^2-2)(x-1)
+    cases = [
+        # a shared root sqrt(2) on different grids: the gcd branch decides 0
+        ((tie_a, F(1), F(2)), (tie_b, F(5, 4), F(3, 2))),
+        ((tie_a, F(1), F(2)), (tie_b, F(9, 7), F(11, 7))),
+        ((tie_a, F(-2), F(-1)), (tie_b, F(-3), F(-5, 4))),
+        # sqrt(2) against 1: x - 1 is exact, or open in (x^2-2)(x-1)
+        ((tie_a, F(1), F(2)), ((-1, 1), F(1), F(1))),
+        ((tie_a, F(1), F(2)), (tie_b, F(1, 2), F(5, 4))),
+        # a root on the first and on a deeper midpoint
+        ((_mul((-3, 2), (1, 0, 1)), F(1), F(2)), (SQRT2, F(1), F(2))),
+        ((_mul((-3, 2), (1, 0, 1)), F(1), F(2)), ((-3, 2), F(3, 2), F(3, 2))),
+        ((_mul((-11, 8), (1, 0, 1)), F(1), F(2)), ((-11, 8), F(1), F(3, 2))),
+        ((_mul((-11, 21), (1, 0, 1)), F(1, 3), F(5, 7)), ((-11, 21), F(11, 21), F(11, 21))),
+        # an exact root against an open interval around it and next to it
+        (((-7, 5), F(7, 5), F(7, 5)), (_mul((-7, 5), (-3, 0, 1)), F(1), F(3, 2))),
+        (((-7, 5), F(7, 5), F(7, 5)), (SQRT2, F(1), F(3, 2))),
+        (((-7, 5), F(7, 5), F(7, 5)), (SQRT2, F(4, 3), F(10, 7))),
+        (((-7, 5), F(7, 5), F(7, 5)), (None, F(7, 5), F(7, 5))),
+        ((None, F(1, 3), F(1, 3)), (None, F(2, 7), F(2, 7))),
+        # distinct close roots on non-dyadic grids
+        ((SQRT2, F(1, 3), F(5, 3)), ((-1415, 1000), F(7, 5), F(10, 7))),
+        (((-3, 0, 1), F(1), F(2)), (_mul((-1, 1, 1), (-2, 0, 1)), F(1, 3), F(7, 5))),
+    ]
+    for a, b in cases:
+        _assert_compare_like_reference(a, b)
+
+
+def test_separate_matches_reference_on_seeded_cases():
+    _assert_separate_like_reference([
+        (SQRT2, F(-1, 3), F(2)), ((-3, 2), F(1), F(2)), ((-2, 1), F(2), F(2)),
+        ((-7, 5), F(7, 5), F(7, 5)), ((2, 1), F(-2), F(-2)), ((-3, 0, 1), F(1, 3), F(7, 3)),
+    ])
+    _assert_separate_like_reference([
+        (SQRT2, F(1), F(2)), (SQRT2, F(-2), F(-1)), ((-3, 0, 1), F(1), F(2)),
+        ((-5, 0, 1), F(2), F(3)), ((-1, 0, 0, 1), F(1, 2), F(3, 2)), ((0, 1), F(0), F(0)),
+    ])
+    _assert_separate_like_reference([
+        (_mul((-11, 8), (1, 0, 1)), F(1), F(2)), (SQRT2, F(1), F(2)), ((-3, 2), F(3, 2), F(3, 2)),
+        ((-11, 21), F(1, 3), F(5, 7)), ((-1, 0, 2), F(1, 3), F(5, 7)),
+    ])
+
+
+# irreducible factors with their real roots, as floats to aim the endpoints
+_FACTORS = {
+    (-2, 0, 1): (-2 ** 0.5, 2 ** 0.5), (-3, 0, 1): (-3 ** 0.5, 3 ** 0.5),
+    (-1, 0, 2): (-0.5 ** 0.5, 0.5 ** 0.5), (-1, -1, 1): ((1 - 5 ** 0.5) / 2, (1 + 5 ** 0.5) / 2),
+    (-3, 2): (1.5,), (-1, 1): (1.0,), (1, 3): (-1 / 3,), (-11, 8): (11 / 8,), (-7, 5): (1.4,),
+    (2, 1): (-2.0,),
+}
+_FACTOR_LIST = sorted(_FACTORS)
+
+
+@st.composite
+def _cell(draw, factor, root, others):
+    """(poly, lo, hi) around ``root`` of ``factor``, the factor times
+    ``others``; exact when the root is rational and the draw says so,
+    else an open sign-change interval with endpoints of mixed grids."""
+    poly = _mul(factor, *others)
+    if len(factor) == 2 and draw(st.booleans()):
+        x = F(-factor[0], factor[1])
+        return (draw(st.sampled_from([factor, poly, None])), x, x)
+    centre = F(root).limit_denominator(draw(st.sampled_from([1, 2, 3, 7, 64, 1000])))
+    if len(factor) == 2:
+        centre = F(-factor[0], factor[1])
+    left = F(1, draw(st.integers(3, 40)))
+    right = draw(st.sampled_from([left, 3 * left, F(1, draw(st.integers(3, 40)))]))
+    lo, hi = centre - left, centre + right
+    assume(sign_at(poly, lo) * sign_at(poly, hi) < 0)
+    return (poly, lo, hi)
+
+
+@st.composite
+def _compare_args(draw):
+    shared = draw(st.sampled_from(_FACTOR_LIST))
+    root = draw(st.sampled_from(_FACTORS[shared]))
+    cells = []
+    for _ in range(2):
+        own = draw(st.sampled_from(_FACTOR_LIST))
+        others = [own] if own != shared and draw(st.booleans()) else []
+        if draw(st.integers(0, 3)) == 0:  # aim this argument at another root
+            shared_here = own
+            root_here = draw(st.sampled_from(_FACTORS[own]))
+            others = []
+        else:
+            shared_here, root_here = shared, root
+        cells.append(draw(_cell(shared_here, root_here, others)))
+    return cells
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(_compare_args())
+def test_compare_roots_matches_reference_property(args):
+    _assert_compare_like_reference(*args)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from([(f, x) for f in _FACTOR_LIST for x in _FACTORS[f]]),
+                min_size=2, max_size=6, unique=True), st.data())
+def test_separate_matches_reference_property(roots, data):
+    _assert_separate_like_reference([data.draw(_cell(f, x, [])) for f, x in roots])
