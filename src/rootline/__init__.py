@@ -5,30 +5,25 @@ only in non-authoritative cross-checks; every reported bound is backed by an
 exact rational comparison or a certified interval.
 """
 
-from rootline.poly import ExactPolynomial, SquareMatrixQ, char_poly, sigma_k
+from rootline.poly import ExactPolynomial, char_poly
 from rootline.symfuncs import (
     PowerSumProfile,
     SymmetricProfile,
-    elementary_from_power_sums,
     power_sums_from_elementary,
     profile_from_coefficients,
 )
-from rootline.maxroot import ApproxResult, alpha_factor, approx_max_root, root_sum_test
+from rootline.maxroot import ApproxResult, alpha_factor, approx_max_root
 
 __all__ = [
     "ExactPolynomial",
-    "SquareMatrixQ",
     "char_poly",
-    "sigma_k",
     "SymmetricProfile",
     "PowerSumProfile",
     "power_sums_from_elementary",
-    "elementary_from_power_sums",
     "profile_from_coefficients",
     "ApproxResult",
     "alpha_factor",
     "approx_max_root",
-    "root_sum_test",
 ]
 
 __version__ = "0.1.0"

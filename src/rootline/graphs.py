@@ -20,11 +20,13 @@ and its class's least member differ at the same power, and that member
 comes no later, so it is the first differing representative.  It
 clears denominators, bounds every partial sum by n * rho^k (rho the
 largest absolute row sum) and runs the batches on float64 BLAS below
-2^53, on int64 below 2^62, and on Python integers beyond; each choice
-is exact.  The class characteristic polynomials come from the same
-trace batches by Newton's identities.  The search for the best signing
-returns exactly the signing a full lexicographic brute force would
-return (cross-checked in the tests).
+2^53, on int64 below 2^62, and on numpy object arrays of Python
+integers beyond, all through the same batch code; each choice is exact.
+The class characteristic polynomials come from the same trace batches
+by Newton's identities.  Outside the batches every matrix is a list of
+integer rows.  The search for the best signing returns exactly the
+signing a full lexicographic brute force would return (cross-checked in
+the tests).
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from rootline.isolation import RootInterval, compare_roots, max_root
-from rootline.poly import ExactPolynomial, SquareMatrixQ, char_poly_int_rows
+from rootline.isolation import RootInterval, compare_roots, max_root, max_root_leq
+from rootline.poly import ExactPolynomial, char_poly
 from rootline.ratutil import RationalLike, to_fraction
 
 EXHAUSTION_CAP = 24
@@ -186,33 +188,38 @@ def avg_degree_bound(g: Graph) -> Fraction:
     return Fraction(2 * g.num_edges, g.n)
 
 
-def signed_adjacency(g: Graph, s: Signing,
-                     D: Optional[Sequence[RationalLike]] = None) -> SquareMatrixQ:
-    """The symmetric matrix D + A_s (D diagonal, defaults to zero)."""
+def signed_adjacency(g: Graph, s: Signing, diag: Optional[Sequence[int]] = None,
+                     scale: int = 1) -> List[List[int]]:
+    """Rows of the integer matrix diag + scale * A_s (diag defaults to zero).
+
+    A rational diagonal is cleared to integers first (`_scaled_diag`).
+    """
     if len(s.signs) != g.num_edges:
         raise ValueError("signing does not cover the edge set")
-    rows = [[Fraction(0)] * g.n for _ in range(g.n)]
-    if D is not None:
-        if len(D) != g.n:
-            raise ValueError("diagonal has wrong length")
-        for i, d in enumerate(D):
-            rows[i][i] = to_fraction(d)
-    for (u, v), sign in zip(g.edges, s.signs):
-        rows[u][v] = Fraction(sign)
-        rows[v][u] = Fraction(sign)
-    return SquareMatrixQ(rows)
-
-
-def _int_rows(g: Graph, signs: Sequence[int], diag: Sequence[int],
-              scale: int = 1) -> List[List[int]]:
-    """Rows of diag + scale * A_s as Python ints."""
     rows = [[0] * g.n for _ in range(g.n)]
-    for i, d in enumerate(diag):
-        rows[i][i] = d
-    for (u, v), sign in zip(g.edges, signs):
-        rows[u][v] = sign * scale
-        rows[v][u] = sign * scale
+    if diag is not None:
+        if len(diag) != g.n:
+            raise ValueError("diagonal has wrong length")
+        for i, d in enumerate(diag):
+            rows[i][i] = d
+    for (u, v), sign in zip(g.edges, s.signs):
+        rows[u][v] = rows[v][u] = sign * scale
     return rows
+
+
+def _matmul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def matrix_power(rows: List[List[int]], t: int) -> List[List[int]]:
+    """Rows of M^t, t >= 1, for the square integer matrix M."""
+    if t < 1:
+        raise ValueError(f"need a matrix power t >= 1, got t={t}")
+    power = rows
+    for _ in range(t - 1):
+        power = _matmul(power, rows)
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +322,25 @@ def _class_traces(g: Graph, free: List[int], diag: Sequence[int], scale: int, k:
     mats[:, us, vs] = scale
     mats[:, vs, us] = scale
     fu, fv = us[free], vs[free]
-    pattern = np.arange(1 << low)[:, None] >> np.arange(low)
-    signs = scale * (1 - 2 * (pattern & 1))
+    # +-scale by sign bit, built in the batch type: object keeps Python ints
+    entry = np.array([scale, -scale], dtype=dtype)
+    signs = entry[(np.arange(1 << low)[:, None] >> np.arange(low)) & 1]
     mats[:, fu[:low], fv[:low]] = signs
     mats[:, fv[:low], fu[:low]] = signs
     for high in range(1 << (len(free) - low)):
-        signs = scale * (1 - 2 * ((high >> np.arange(len(free) - low)) & 1))
+        signs = entry[(high >> np.arange(len(free) - low)) & 1]
         mats[:, fu[low:], fv[low:]] = signs
         mats[:, fv[low:], fu[low:]] = signs
         yield high << low, _batch_traces(mats, k)
 
 
 def _batch_traces(mats: np.ndarray, k: int) -> np.ndarray:
-    """traces[i-1, b] = trace(mats[b]^i) for i = 1..k, as int64.
+    """traces[i-1, b] = trace(mats[b]^i) for i = 1..k.
 
-    `mats` holds symmetric integer matrices in float64 or int64, within
-    the bound of `sign_invariance_report` for that type.
+    `mats` holds symmetric integer matrices in float64, int64 or object
+    (Python integers), within the bound of `sign_invariance_report` for
+    that type.  float64 traces are returned as int64; the other types
+    are returned as they are.
     """
     out = np.empty((k, mats.shape[0]), dtype=mats.dtype)
     out[0] = np.einsum("bii->b", mats)
@@ -343,17 +353,17 @@ def _batch_traces(mats: np.ndarray, k: int) -> np.ndarray:
             out[i - 1] = np.einsum("bij,bij->b", power, prev)
         else:
             out[i - 1] = np.einsum("bij,bij->b", power, power)
-    return out.astype(np.int64)
+    return out.astype(np.int64) if out.dtype == np.float64 else out
 
 
 def _exact_dtype(bound: int):
     """The batch type that holds every integer of absolute value <= bound
-    exactly, or None for Python integers."""
+    exactly: float64, int64, or object for Python integers."""
     if bound < 2**53:
         return np.float64
     if bound < 2**62:
         return np.int64
-    return None
+    return object
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +422,7 @@ def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]], k: int
     * B < 2^53: float64 represents each one exactly, whatever order or
       fused multiply-adds BLAS uses;
     * B < 2^62: int64 never overflows;
-    * otherwise the scan runs on Python integers.
+    * otherwise the batches are object arrays of Python integers.
     """
     if k < 1:
         raise ValueError(f"need k >= 1 trace powers, got k={k}")
@@ -423,10 +433,7 @@ def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]], k: int
             "use sample_sign_invariance for an uncertified check")
     diag, L = _scaled_diag(g, D)
     rho = max(abs(d) + L * deg for d, deg in zip(diag, g.degrees()))
-    dtype = _exact_dtype(g.n * rho ** k)
-    if dtype is None:
-        return _scan_exact(g, diag, L, k)
-    return _scan_numpy(g, diag, L, k, dtype)
+    return _scan_numpy(g, diag, L, k, _exact_dtype(g.n * rho ** k))
 
 
 def sample_sign_invariance(g: Graph, D: Optional[Sequence[RationalLike]], k: int,
@@ -436,43 +443,28 @@ def sample_sign_invariance(g: Graph, D: Optional[Sequence[RationalLike]], k: int
 
     rng = random.Random(seed)
     diag, L = _scaled_diag(g, D)
-    ref = _traces_exact(_int_rows(g, (1,) * g.num_edges, diag, L), k)
+    ref = _traces_exact(signed_adjacency(g, Signing.all_plus(g), diag, L), k)
     for _ in range(samples):
-        signs = Signing.from_bits(g, rng.getrandbits(g.num_edges)).signs
-        if _traces_exact(_int_rows(g, signs, diag, L), k) != ref:
+        s = Signing.from_bits(g, rng.getrandbits(g.num_edges))
+        if _traces_exact(signed_adjacency(g, s, diag, L), k) != ref:
             return False
     return True
 
 
 def _traces_exact(rows: List[List[int]], k: int) -> List[int]:
-    n = len(rows)
+    """trace(M^i), i = 1..k, on Python integers, without numpy."""
     out = []
-    power = [row[:] for row in rows]
-    for i in range(1, k + 1):
-        if i > 1:
-            power = [[sum(power[a][t] * rows[t][b] for t in range(n)) for b in range(n)]
-                     for a in range(n)]
-        out.append(sum(power[a][a] for a in range(n)))
+    power = rows
+    for i in range(k):
+        if i:
+            power = _matmul(power, rows)
+        out.append(sum(power[a][a] for a in range(len(rows))))
     return out
 
 
-def _scan_exact(g: Graph, diag: List[int], L: int, k: int) -> InvarianceReport:
-    """The class scan on Python integers, representatives in bits order."""
-    free = _free_edges(g)
-    ref = None
-    for assign in range(1 << len(free)):
-        bits = _class_bits(assign, free)
-        tr = _traces_exact(_int_rows(g, Signing.from_bits(g, bits).signs, diag, L), k)
-        if ref is None:
-            ref = tr
-        elif tr != ref:
-            power = next(i + 1 for i in range(k) if tr[i] != ref[i])
-            return InvarianceReport(g, k, False, power, (0, bits, power))
-    return InvarianceReport(g, k, True)
-
-
 def _scan_numpy(g: Graph, diag: List[int], L: int, k: int, dtype) -> InvarianceReport:
-    """The class scan in batches of `dtype` matrices; the witness rule of `_scan_exact`.
+    """The class scan in batches of `dtype` matrices, representatives in
+    bits order.
 
     Representative 0 of the first batch is the all-plus signing; within
     a batch the first differing column is the least differing assign.
@@ -527,18 +519,13 @@ def switching_class_char_polys(g: Graph) -> List[Tuple[Tuple[int, ...], int]]:
     The representatives are the scan's (`_free_edges`), stacked with a
     zero diagonal; each polynomial comes from trace(A_s^i), i = 1..n,
     by Newton's identities.  The traces are exact in the batch type
-    chosen from the scan's bound with rho = max degree and k = n; beyond
-    2^62 the polynomials come from Berkowitz on Python integers.
+    chosen from the scan's bound with rho = max degree and k = n.
     """
     free = _free_edges(g)
     n = g.n
     zero_diag = [0] * n
     reps = [_class_bits(assign, free) for assign in range(1 << len(free))]
     dtype = _exact_dtype(n * g.max_degree() ** n)
-    if dtype is None:
-        return [(tuple(char_poly_int_rows(_int_rows(g, Signing.from_bits(g, bits).signs,
-                                                    zero_diag))), bits)
-                for bits in reps]
     out = []
     for first, traces in _class_traces(g, free, zero_diag, 1, n, dtype):
         for j, p in enumerate(traces.T.tolist()):
@@ -568,8 +555,7 @@ def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP) -> BestSigning:
     best: List[Tuple[Tuple[int, ...], RootInterval]] = []
     lam_of: Dict[Tuple[int, ...], RootInterval] = {}
     for coeffs in by_char:
-        poly = ExactPolynomial.from_coeffs(list(reversed([Fraction(c) for c in coeffs])))
-        lam = max_root(poly, Fraction(1, 2**20))
+        lam = max_root(ExactPolynomial(reversed(coeffs)), Fraction(1, 2**20))
         lam_of[coeffs] = copy(lam)
         if not best:
             best = [(coeffs, lam)]
@@ -585,9 +571,8 @@ def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP) -> BestSigning:
     min_key, min_coeffs = min((_coset_min(_reverse(bits, m), echelon), coeffs)
                               for coeffs, _ in best for bits in by_char[coeffs])
     signing = Signing.from_bits(g, _reverse(min_key, m))
-    poly = ExactPolynomial.from_coeffs(list(reversed([Fraction(c) for c in min_coeffs])))
     lam = lam_of[min_coeffs].refine_below(Fraction(1, 2**30))
-    return BestSigning(signing, poly, lam, len(by_char))
+    return BestSigning(signing, ExactPolynomial(reversed(min_coeffs)), lam, len(by_char))
 
 
 def ramanujan_bound_holds(g: Graph, s: Signing) -> bool:
@@ -596,15 +581,10 @@ def ramanujan_bound_holds(g: Graph, s: Signing) -> bool:
     Decided on the squared matrix: eigenvalues of A_s^2 are the squares,
     so the bound becomes the rational threshold 4*(deg_max - 1).
     """
-    from rootline.isolation import max_root_leq
-
     d = g.max_degree()
     if d < 2:
         raise ValueError("bound is vacuous for max degree < 2")
-    A = signed_adjacency(g, s)
-    A2 = A @ A
-    from rootline.poly import char_poly
-
+    A2 = matrix_power(signed_adjacency(g, s), 2)
     return max_root_leq(char_poly(A2), Fraction(4 * (d - 1)))
 
 

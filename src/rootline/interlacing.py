@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from rootline.isolation import compare_roots, isolate_real_roots, max_root
 from rootline.maxroot import approx_max_root
-from rootline.poly import ExactPolynomial, SquareMatrixQ, char_poly
+from rootline.poly import ExactPolynomial, char_poly_int_rows
 from rootline.ratutil import (
     RationalLike,
     format_rational,
@@ -372,16 +372,25 @@ def ks_oracle(inst: KSInstance) -> KSOracle:
 
 
 def _rank_one_char_poly(vectors: Sequence[Sequence[Fraction]], d: int) -> ExactPolynomial:
-    """Characteristic polynomial of the d x d matrix sum v v^T, each v read
-    as zero-padded to length d."""
-    rows = [[Fraction(0)] * d for _ in range(d)]
+    """Characteristic polynomial of the d x d matrix M = sum v v^T, each v
+    read as zero-padded to length d.
+
+    Berkowitz runs on the integer Gram sum G = sum w w^T of w = L v, L the
+    common denominator of every entry.  G = L^2 M, so the x^(d-i)
+    coefficient of det(xI - M) is that of det(xI - G) over L^(2i).
+    """
+    L = math.lcm(*(x.denominator for v in vectors for x in v))
+    rows = [[0] * d for _ in range(d)]
     for v in vectors:
-        for a, va in enumerate(v):
-            if va:
-                for b, vb in enumerate(v):
-                    if vb:
-                        rows[a][b] += va * vb
-    return char_poly(SquareMatrixQ(rows))
+        w = [x.numerator * (L // x.denominator) for x in v]
+        for a, wa in enumerate(w):
+            if wa:
+                row = rows[a]
+                for b, wb in enumerate(w):
+                    if wb:
+                        row[b] += wa * wb
+    desc = char_poly_int_rows(rows)
+    return ExactPolynomial(reversed([Fraction(c, L ** (2 * i)) for i, c in enumerate(desc)]))
 
 
 def _pad(p: ExactPolynomial, d: int, n: int) -> ExactPolynomial:

@@ -34,6 +34,7 @@ from rootline.graphs import (
     avg_degree_bound,
     best_signing_search,
     girth,
+    matrix_power,
     signed_adjacency,
 )
 from rootline.isolation import (
@@ -193,10 +194,8 @@ def girth_pair(g: Graph, power: int, cap: int = EXHAUSTION_CAP) -> LowerBoundPai
         raise ValueError(f"power {power} leaves no matched statistics below girth {gi}")
 
     best = best_signing_search(g, cap)
-    A_plus = signed_adjacency(g, Signing.all_plus(g))
-    A_best = signed_adjacency(g, best.signing)
-    q = char_poly(A_plus.power(power))
-    p = char_poly(A_best.power(power))
+    q = char_poly(matrix_power(signed_adjacency(g, Signing.all_plus(g)), power))
+    p = char_poly(matrix_power(signed_adjacency(g, best.signing), power))
 
     prof_p, prof_q = profile_from_polynomial(p, k), profile_from_polynomial(q, k)
     if not profiles_equal_up_to_k(prof_p, prof_q):

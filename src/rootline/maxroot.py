@@ -42,11 +42,9 @@ from rootline.ratutil import (
     ln_upper_dyadic,
     nth_root_lower,
     nth_root_upper,
-    to_fraction,
 )
 from rootline.symfuncs import (
     SymmetricProfile,
-    extended_power_sums,
     integer_power_sums,
     power_sums_from_elementary,
 )
@@ -163,32 +161,6 @@ def _cheb_sum_exceeds(coeffs: Tuple[int, ...], t: Fraction) -> bool:
             acc += (c * opow) << (shift * j)
         opow *= odd
     return acc > 0
-
-
-def root_sum_test(prof: SymmetricProfile, t, cheb_index: int = None) -> Fraction:
-    """Exact value of sum_i T_k(mu_i / t), with k = prof.k by default.
-
-    <= n whenever t >= mu_max; > n forces t < mu_max (soundness of the
-    loop's stopping rule).  A larger Chebyshev index may be requested
-    when the profile is complete (k = n), in which case the higher power
-    sums it needs are still determined exactly.
-    """
-    t = to_fraction(t)
-    if t <= 0:
-        raise ValueError("threshold t must be positive")
-    if prof.k < 1:
-        raise ValueError("profile carries no statistics")
-    k = prof.k if cheb_index is None else cheb_index
-    coeffs = _cheb_coeffs(k)
-    psums = extended_power_sums(prof, k)
-    inv = 1 / t
-    total = Fraction(coeffs[0] * prof.n)
-    ipow = Fraction(1)
-    for j in range(1, k + 1):
-        ipow *= inv
-        if coeffs[j]:
-            total += coeffs[j] * psums[j - 1] * ipow
-    return total
 
 
 def iteration_bound(k: int, n: int) -> int:

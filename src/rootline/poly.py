@@ -1,14 +1,14 @@
-"""Dense univariate polynomials and matrices over exact rationals.
+"""Dense univariate polynomials over exact rationals.
 
 ``ExactPolynomial`` stores coefficients in ascending degree order and is
 the common currency of the package: characteristic polynomials, Chebyshev
 polynomials and every generated lower-bound instance flow through it.
 The zero polynomial is the empty coefficient list and has degree -1.
 
-Characteristic polynomials are computed by the Samuelson-Berkowitz scheme,
-which is division free: intermediate values stay in the subring generated
-by the matrix entries, so integer matrices never touch Fraction
-arithmetic.
+Characteristic polynomials are taken of integer matrices, given as rows,
+by the Samuelson-Berkowitz scheme: it is division free, so every
+intermediate value is an integer and no Fraction arithmetic is done.
+Callers with rational entries scale them to integers first.
 """
 
 from __future__ import annotations
@@ -231,73 +231,14 @@ class ExactPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# characteristic polynomials of integer matrices
 # ---------------------------------------------------------------------------
 
 
-class SquareMatrixQ:
-    """Square matrix with exact rational entries."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, rows: Sequence[Sequence[RationalLike]]):
-        n = len(rows)
-        entries = []
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-            entries.append(tuple(to_fraction(v) for v in row))
-        self.n = n
-        self.entries: Tuple[Tuple[Fraction, ...], ...] = tuple(entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "SquareMatrixQ":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
-
-    def __matmul__(self, other: "SquareMatrixQ") -> "SquareMatrixQ":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
-        bt = list(zip(*other.entries))
-        rows = []
-        for i in range(n):
-            arow = self.entries[i]
-            rows.append([sum(a * b for a, b in zip(arow, bt[j])) for j in range(n)])
-        return SquareMatrixQ(rows)
-
-    def power(self, t: int) -> "SquareMatrixQ":
-        if t < 0:
-            raise ValueError("negative matrix power")
-        result = SquareMatrixQ.identity(self.n)
-        base = self
-        while t:
-            if t & 1:
-                result = result @ base
-            base = base @ base
-            t >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SquareMatrixQ) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"SquareMatrixQ({[list(map(str, row)) for row in self.entries]})"
-
-
-def _berkowitz(rows: List[List]) -> List:
+def char_poly_int_rows(rows: Sequence[Sequence[int]]) -> List[int]:
     """det(xI - A) coefficients, descending, by Samuelson-Berkowitz.
 
-    Division free: works verbatim over int or Fraction entries.
+    Division free, so integer rows stay integers throughout.
     """
     n = len(rows)
     if n == 0:
@@ -325,45 +266,15 @@ def _berkowitz(rows: List[List]) -> List:
     return vec
 
 
-def char_poly(A: SquareMatrixQ) -> ExactPolynomial:
-    """Exact characteristic polynomial det(xI - A); monic of degree n.
+def char_poly(rows: Sequence[Sequence[int]]) -> ExactPolynomial:
+    """Exact characteristic polynomial det(xI - A) of a square integer
+    matrix, given as rows; monic of degree n.
 
     Sign convention: det(xI - A) = sum_k (-1)^k sigma_k(A) x^(n-k) where
-    sigma_k is the sum of all principal k-by-k minors.
+    sigma_k is the sum of all principal k-by-k minors.  Rational entries
+    are the caller's to clear: for a common denominator L, the x^(n-k)
+    coefficient for A is that for L*A divided by L^k.
     """
-    rows: List[List] = []
-    all_int = True
-    for row in A.entries:
-        r = []
-        for v in row:
-            if v.denominator == 1:
-                r.append(v.numerator)
-            else:
-                all_int = False
-                r.append(v)
-        rows.append(r)
-    if not all_int:
-        rows = [[to_fraction(v) for v in row] for row in A.entries]
-    desc = _berkowitz(rows)
-    return ExactPolynomial.from_coeffs(list(reversed([to_fraction(c) for c in desc])))
-
-
-def char_poly_int_rows(rows: Sequence[Sequence[int]]) -> List[int]:
-    """Berkowitz on plain int rows; returns descending int coefficients.
-
-    The class characteristic polynomials of the signing search use it
-    when their traces could pass 2^62; below that they come from exact
-    trace batches.
-    """
-    return _berkowitz([list(r) for r in rows])
-
-
-def sigma_k(A: SquareMatrixQ, k: int) -> Fraction:
-    """Sum of all principal k-by-k minors, read off char_poly.
-
-    sigma_0 = 1, sigma_1 = trace, sigma_n = det.
-    """
-    if not 0 <= k <= A.n:
-        raise ValueError(f"sigma_k needs 0 <= k <= n, got k={k}, n={A.n}")
-    chi = char_poly(A)
-    return (-1) ** k * chi.coeff(A.n - k)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    return ExactPolynomial(reversed(char_poly_int_rows(rows)))

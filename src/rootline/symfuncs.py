@@ -1,12 +1,11 @@
-"""Newton's identities: elementary symmetric functions <-> power sums.
+"""Newton's identities: elementary symmetric functions -> power sums.
 
 A ``SymmetricProfile`` is the "top k coefficients" view of an unknown
-root vector: n roots, of which only e_1..e_k are known.  Conversions to
-and from power sums are exact.  Values are ``Fraction``s at the
-interface; the e -> p recurrence runs on integers, over the least common
-scale D with D^i e_i integral, and has order r past the last nonzero e_r
-(see :func:`integer_power_sums`).  The inverse direction divides by i and
-stays over rationals.
+root vector: n roots, of which only e_1..e_k are known.  The conversion
+to power sums is exact.  Values are ``Fraction``s at the interface; the
+e -> p recurrence runs on integers, over the least common scale D with
+D^i e_i integral, and has order r past the last nonzero e_r (see
+:func:`integer_power_sums`).
 """
 
 from __future__ import annotations
@@ -232,25 +231,6 @@ def power_sums_from_elementary(prof: SymmetricProfile) -> PowerSumProfile:
     run on integers by :func:`integer_power_sums`.
     """
     return PowerSumProfile(prof.n, _over_powers(*integer_power_sums(prof.e, prof.k)))
-
-
-def elementary_from_power_sums(prof: PowerSumProfile) -> SymmetricProfile:
-    """Inverse of :func:`power_sums_from_elementary`; exact round trip.
-
-    e_i = (1/i) * sum_{j=1..i} (-1)^(j-1) e_{i-j} p_j, with e_0 = 1.
-    """
-    p = prof.p
-    k = prof.k
-    if k > prof.n:
-        raise ValueError("more power sums than roots")
-    e = [Fraction(1)]
-    for i in range(1, k + 1):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            term = e[i - j] * p[j - 1]
-            acc += term if j % 2 == 1 else -term
-        e.append(acc / i)
-    return SymmetricProfile(prof.n, tuple(e[1:]))
 
 
 def profile_from_coefficients(n: int, c: Sequence[RationalLike]) -> SymmetricProfile:

@@ -18,9 +18,7 @@ from rootline.graphs import (
     _cut_space_rows,
     _free_edges,
     _gf2_echelon,
-    _int_rows,
     _scaled_diag,
-    _scan_exact,
     _scan_numpy,
     _traces_exact,
     avg_degree_bound,
@@ -32,6 +30,7 @@ from rootline.graphs import (
     girth,
     heawood_graph,
     high_girth_catalog,
+    matrix_power,
     ramanujan_bound_holds,
     sample_sign_invariance,
     sign_invariance_report,
@@ -40,7 +39,7 @@ from rootline.graphs import (
     tutte_coxeter_graph,
 )
 from rootline.isolation import compare_roots, isolate_real_roots, max_root, max_root_geq
-from rootline.poly import ExactPolynomial, char_poly, char_poly_int_rows
+from rootline.poly import char_poly
 
 
 def best_signing_bruteforce(g: Graph, width: F = F(1, 2**30)) -> BestSigning:
@@ -50,21 +49,17 @@ def best_signing_bruteforce(g: Graph, width: F = F(1, 2**30)) -> BestSigning:
     tie-break matches the class-based search by construction.
     """
     m = g.num_edges
-    zero_diag = [0] * g.n
     best_bits = None
     best_lam = None
-    best_coeffs = None
+    best_poly = None
     for key in range(1 << m):
         # key's high bit is edge 0: counting up walks sign vectors in lex order
         bits = sum(1 << i for i in range(m) if (key >> (m - 1 - i)) & 1)
-        signs = Signing.from_bits(g, bits).signs
-        coeffs = tuple(char_poly_int_rows(_int_rows(g, signs, zero_diag)))
-        poly = ExactPolynomial.from_coeffs(list(reversed([F(c) for c in coeffs])))
+        poly = char_poly(signed_adjacency(g, Signing.from_bits(g, bits)))
         lam = max_root(poly, width)
         if best_lam is None or compare_roots(lam, best_lam) < 0:
-            best_bits, best_lam, best_coeffs = bits, lam, coeffs
-    poly = ExactPolynomial.from_coeffs(list(reversed([F(c) for c in best_coeffs])))
-    return BestSigning(Signing.from_bits(g, best_bits), poly, best_lam, 1 << m)
+            best_bits, best_lam, best_poly = bits, lam, poly
+    return BestSigning(Signing.from_bits(g, best_bits), best_poly, best_lam, 1 << m)
 
 
 def test_girth_values():
@@ -108,16 +103,30 @@ def test_catalog_metadata_verified():
 
 def test_signed_adjacency_single_edge():
     g = Graph(2, ((0, 1),))
-    A = signed_adjacency(g, Signing((1,)))
-    assert A.entries == ((F(0), F(1)), (F(1), F(0)))
-    An = signed_adjacency(g, Signing((-1,)))
-    assert An.entries == ((F(0), F(-1)), (F(-1), F(0)))
+    assert signed_adjacency(g, Signing((1,))) == [[0, 1], [1, 0]]
+    assert signed_adjacency(g, Signing((-1,))) == [[0, -1], [-1, 0]]
+    assert signed_adjacency(g, Signing((-1,)), [3, -2], 5) == [[3, -5], [-5, -2]]
+    with pytest.raises(ValueError):
+        signed_adjacency(g, Signing((1,)), [3])
 
 
 def test_signing_domain_mismatch():
     g = cycle_graph(4)
     with pytest.raises(ValueError):
         signed_adjacency(g, Signing((1, 1, 1)))
+    with pytest.raises(ValueError):
+        signed_adjacency(g, Signing((1,) * 5))
+
+
+def test_matrix_power_of_signed_adjacency():
+    g = cycle_graph(4)
+    A = signed_adjacency(g, Signing.from_bits(g, 1))
+    assert matrix_power(A, 1) == A
+    # one flipped edge: A_s^2 = 2I, so A_s^4 = 4I
+    assert matrix_power(A, 2) == [[2 * (i == j) for j in range(4)] for i in range(4)]
+    assert matrix_power(A, 4) == [[4 * (i == j) for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError):
+        matrix_power(A, 0)
 
 
 def test_c4_spectrum():
@@ -143,12 +152,13 @@ def _report_fields(rep):
 
 
 def test_invariance_numpy_matches_exact_path():
+    # float64 and int64 batches against object batches of Python integers
     rng = random.Random(4)
     for g in (cycle_graph(4), cycle_graph(6), cube_graph()):
         D = [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(g.n)]
         k = girth(g)
         diag, L = _scaled_diag(g, D)
-        exact = _report_fields(_scan_exact(g, diag, L, k))
+        exact = _report_fields(_scan_numpy(g, diag, L, k, object))
         for dtype in (np.float64, np.int64):
             assert _report_fields(_scan_numpy(g, diag, L, k, dtype)) == exact, (g, dtype)
 
@@ -163,10 +173,9 @@ def test_invariance_witness_rule_same_on_every_path():
     g = C4_AND_TRIANGLE
     expected = (False, 4, (0, 1, 4))
     diag, L = _scaled_diag(g, None)
-    assert _report_fields(_scan_exact(g, diag, L, 4)) == expected
-    for dtype in (np.float64, np.int64):
+    for dtype in (np.float64, np.int64, object):
         assert _report_fields(_scan_numpy(g, diag, L, 4, dtype)) == expected
-    # zero diagonal scans on float64; entries 10^6 are beyond 2^62 and scan exactly
+    # zero diagonal scans on float64; entries 10^6 are beyond 2^62 and scan on object batches
     assert _report_fields(sign_invariance_report(g, None, 4)) == expected
     assert _report_fields(sign_invariance_report(g, [10**6] * 7, 4)) == expected
 
@@ -179,8 +188,18 @@ def test_invariance_scans_literal_scaled_matrix():
     assert L == 12
     for bits in (0, 5, 31):
         s = Signing.from_bits(g, bits)
-        expected = [[L * x for x in row] for row in signed_adjacency(g, s, D).entries]
-        assert _int_rows(g, s.signs, diag, L) == expected
+        expected = [[L * x for x in row] for row in _fraction_adjacency(g, s, D)]
+        assert signed_adjacency(g, s, diag, L) == expected
+
+
+def _fraction_adjacency(g: Graph, s: Signing, D):
+    """Rows of D + A_s over Fractions, built apart from `signed_adjacency`."""
+    rows = [[F(0)] * g.n for _ in range(g.n)]
+    for i, d in enumerate(D or ()):
+        rows[i][i] = F(d)
+    for (u, v), sign in zip(g.edges, s.signs):
+        rows[u][v] = rows[v][u] = F(sign)
+    return rows
 
 
 def invariance_bruteforce(g: Graph, D, k: int):
@@ -189,13 +208,16 @@ def invariance_bruteforce(g: Graph, D, k: int):
     The witness is the first signing in bits order whose traces differ
     from the all-plus signing's, with the first power at which they do.
     """
+    n = g.n
+
     def traces(bits):
-        A = signed_adjacency(g, Signing.from_bits(g, bits), D)
+        A = _fraction_adjacency(g, Signing.from_bits(g, bits), D)
         out, P = [], A
         for i in range(k):
             if i:
-                P = P @ A
-            out.append(P.trace())
+                P = [[sum(P[a][t] * A[t][b] for t in range(n)) for b in range(n)]
+                     for a in range(n)]
+            out.append(sum(P[a][a] for a in range(n)))
         return out
 
     ref = traces(0)
@@ -239,8 +261,7 @@ def test_class_scan_matches_fraction_bruteforce_on_every_path():
             rho = max(abs(d) + L * deg for d, deg in zip(diag, g.degrees()))
             assert g.n * rho**k < 2**53
             expected = invariance_bruteforce(g, D, k)
-            assert _report_fields(_scan_exact(g, diag, L, k)) == expected, (g, D, k)
-            for dtype in (np.float64, np.int64):
+            for dtype in (np.float64, np.int64, object):
                 assert _report_fields(_scan_numpy(g, diag, L, k, dtype)) == expected, \
                     (g, D, k, dtype)
 
@@ -263,22 +284,48 @@ def test_class_char_polys_equal_char_poly_on_catalog():
             _assert_class_polys_are_char_polys(entry.graph)
 
 
-def test_class_char_polys_int64_and_berkowitz_paths(monkeypatch):
-    # stars with a few edges among the leaves: the bound n * deg_max^n is
-    # 14 * 13^14 (int64 traces) and 17 * 16^17 (Berkowitz on Python ints)
-    dtypes = []
+def _record_batches(monkeypatch):
+    """Patch `_batch_traces` to record (dtype, every entry of the batch and
+    of its traces is a Python int) per call."""
+    batches = []
     batch_traces = graphs_module._batch_traces
-    monkeypatch.setattr(graphs_module, "_batch_traces",
-                        lambda mats, k: dtypes.append(mats.dtype) or batch_traces(mats, k))
+
+    def record(mats, k):
+        traces = batch_traces(mats, k)
+        batches.append((mats.dtype, all(type(x) is int for x in mats.flat)
+                        and all(type(x) is int for x in traces.flat)))
+        return traces
+
+    monkeypatch.setattr(graphs_module, "_batch_traces", record)
+    return batches
+
+
+def test_class_char_polys_int64_and_object_paths(monkeypatch):
+    # stars with a few edges among the leaves: the bound n * deg_max^n is
+    # 14 * 13^14 (int64 traces) and 17 * 16^17 (object batches of Python
+    # ints; an int64 there would wrap silently)
+    batches = _record_batches(monkeypatch)
     leaves = ((1, 2), (2, 3), (3, 4), (5, 6), (1, 6))
     assert 2**53 <= 14 * 13**14 < 2**62 <= 17 * 16**17
     int64_star = Graph(14, tuple((0, i) for i in range(1, 14)) + leaves)
     _assert_class_polys_are_char_polys(int64_star)
-    assert dtypes == [np.int64]
-    dtypes.clear()
-    exact_star = Graph(17, tuple((0, i) for i in range(1, 17)) + leaves)
-    _assert_class_polys_are_char_polys(exact_star)
-    assert dtypes == []
+    assert [dtype for dtype, _ in batches] == [np.int64]
+    batches.clear()
+    object_star = Graph(17, tuple((0, i) for i in range(1, 17)) + leaves)
+    _assert_class_polys_are_char_polys(object_star)
+    assert batches == [(object, True)]
+
+
+def test_invariance_object_batches_hold_python_ints(monkeypatch):
+    # beyond 2^62 the scan runs on object batches; every entry stays a
+    # Python int, also when the common denominator L is beyond int64
+    batches = _record_batches(monkeypatch)
+    g = C4_AND_TRIANGLE
+    for D in ([10**6] * 7, [F(1, 2**64)] + [F(3, 2)] * 6, [F(5, 3**40)] * 7):
+        batches.clear()
+        assert _report_fields(sign_invariance_report(g, D, 4)) == \
+            invariance_bruteforce(g, D, 4), D
+        assert batches == [(object, True)], D
 
 
 def test_batch_traces_float64_exact_just_below_2_53():
@@ -287,7 +334,7 @@ def test_batch_traces_float64_exact_just_below_2_53():
     g = cycle_graph(8)
     diag = [139] * 8
     assert 8 * 141**7 < 2**53 <= 8 * 142**7
-    rows = [_int_rows(g, Signing.from_bits(g, bits).signs, diag) for bits in range(1 << 8)]
+    rows = [signed_adjacency(g, Signing.from_bits(g, bits), diag) for bits in range(1 << 8)]
     got = _batch_traces(np.array(rows, dtype=np.float64), 7)
     assert got.dtype == np.int64
     assert got.T.tolist() == [_traces_exact(r, 7) for r in rows]
@@ -308,7 +355,7 @@ def test_scan_batches_hold_every_class_representative(monkeypatch):
         high = len(batches)
         for j in (0, 1, 4097, 8191):
             bits = _class_bits((high << 13) + j, free)
-            assert mats[j].tolist() == _int_rows(g, Signing.from_bits(g, bits).signs, diag, L)
+            assert mats[j].tolist() == signed_adjacency(g, Signing.from_bits(g, bits), diag, L)
         batches.append(high)
         return batch_traces(mats, k)
 
@@ -320,24 +367,26 @@ def test_scan_batches_hold_every_class_representative(monkeypatch):
 def test_invariance_path_switches_at_2_53_and_2_62(monkeypatch):
     # C_8 at k = 7 with diagonal d: rho = d + 2, and the bound is 8 * rho^7
     taken = []
-    scan_numpy, scan_exact = graphs_module._scan_numpy, graphs_module._scan_exact
+    scan_numpy = graphs_module._scan_numpy
     monkeypatch.setattr(graphs_module, "_scan_numpy",
                         lambda *a: taken.append(a[-1].__name__) or scan_numpy(*a))
-    monkeypatch.setattr(graphs_module, "_scan_exact",
-                        lambda *a: taken.append("exact") or scan_exact(*a))
     assert 8 * 344**7 < 2**62 <= 8 * 345**7
     for d in (139, 140, 342, 343):
         assert sign_invariance_report(cycle_graph(8), [d] * 8, 7).agree
-    assert taken == ["float64", "int64", "int64", "exact"]
+    assert taken == ["float64", "int64", "int64", "object"]
 
 
 def test_invariance_seeded_c8_below_girth_skips_exact_path(monkeypatch):
     # the largest diagonal criterion 5 draws (entries -8..8 over 1..4,
     # common denominator 12): rho = 12*8 + 12*2 = 120, 8 * 120^7 < 2^53
-    def refuse(*args):
-        raise AssertionError("exact path taken")
+    scan_numpy = graphs_module._scan_numpy
 
-    monkeypatch.setattr(graphs_module, "_scan_exact", refuse)
+    def refuse(*args):
+        if args[-1] is not np.float64:
+            raise AssertionError(f"{args[-1].__name__} path taken")
+        return scan_numpy(*args)
+
+    monkeypatch.setattr(graphs_module, "_scan_numpy", refuse)
     D = [F(8), F(-8), F(8), F(-8), F(8, 3), F(-8), F(7, 4), F(8)]
     assert sign_invariance_report(cycle_graph(8), D, 7).agree
 

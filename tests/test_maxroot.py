@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from rootline.chebyshev import cheb_poly
 from rootline.maxroot import (
     CHEBYSHEV_LOOP,
     POWER_SUM,
@@ -11,11 +12,32 @@ from rootline.maxroot import (
     alpha_factor,
     approx_max_root,
     iteration_bound,
-    root_sum_test,
     shrink_factor,
     uses_power_sum_branch,
 )
-from rootline.symfuncs import SymmetricProfile, profile_of_roots
+from rootline.symfuncs import SymmetricProfile, extended_power_sums, profile_of_roots
+
+
+def root_sum_test(prof: SymmetricProfile, t, cheb_index: int = None) -> F:
+    """Reference: exact value of sum_i T_k(mu_i / t), with k = prof.k by default.
+
+    <= n whenever t >= mu_max; > n forces t < mu_max (soundness of the
+    loop's stopping rule).  A larger Chebyshev index may be requested
+    when the profile is complete (k = n), in which case the higher power
+    sums it needs are still determined exactly.
+    """
+    t = F(t)
+    if t <= 0:
+        raise ValueError("threshold t must be positive")
+    if prof.k < 1:
+        raise ValueError("profile carries no statistics")
+    k = prof.k if cheb_index is None else cheb_index
+    coeffs = cheb_poly(k).coeffs
+    psums = extended_power_sums(prof, k)
+    total = coeffs[0] * prof.n
+    for j in range(1, len(coeffs)):
+        total += coeffs[j] * psums[j - 1] / t**j
+    return total
 
 
 def test_branch_selection_uses_natural_log():

@@ -5,12 +5,8 @@ from itertools import permutations
 
 import pytest
 
-from rootline.poly import (
-    ExactPolynomial as P,
-    SquareMatrixQ,
-    char_poly,
-    sigma_k,
-)
+from rootline.interlacing import _rank_one_char_poly
+from rootline.poly import ExactPolynomial as P, char_poly
 
 
 def test_mul_difference_of_squares():
@@ -110,24 +106,28 @@ def test_shift_scale_without_shift_matches_composition():
 
 
 def test_char_poly_zero_matrix():
-    assert char_poly(SquareMatrixQ([[0, 0], [0, 0]])) == P.from_coeffs([0, 0, 1])
+    assert char_poly([[0, 0], [0, 0]]) == P.from_coeffs([0, 0, 1])
 
 
 def test_char_poly_swap_matrix():
-    A = SquareMatrixQ([[0, 1], [1, 0]])
-    assert char_poly(A) == P.from_coeffs([-1, 0, 1])
+    assert char_poly([[0, 1], [1, 0]]) == P.from_coeffs([-1, 0, 1])
 
 
 def test_char_poly_triangle():
-    A = SquareMatrixQ([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    assert char_poly(A) == P.from_coeffs([-2, -3, 0, 1])
+    assert char_poly([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == P.from_coeffs([-2, -3, 0, 1])
 
 
-def _char_poly_by_minors(A):
-    """Brute-force det(xI - A) by Leibniz expansion; oracle for n <= 5."""
-    n = A.n
-    coeffs = [F(0)] * (n + 1)
-    x_minus_a = [[(P.from_coeffs([-A[i, j], 1]) if i == j else P.from_coeffs([-A[i, j]]))
+def test_char_poly_needs_a_square_matrix():
+    assert char_poly([]) == P.one()
+    with pytest.raises(ValueError):
+        char_poly([[1, 2]])
+
+
+def _char_poly_by_minors(rows):
+    """Brute-force det(xI - A) by Leibniz expansion over Fractions; oracle
+    for n <= 5."""
+    n = len(rows)
+    x_minus_a = [[(P.from_coeffs([-rows[i][j], 1]) if i == j else P.from_coeffs([-rows[i][j]]))
                   for j in range(n)] for i in range(n)]
     total = P.zero()
     for perm in permutations(range(n)):
@@ -155,37 +155,41 @@ def _char_poly_by_minors(A):
 def test_char_poly_matches_minor_expansion(n):
     rng = random.Random(100 + n)
     for _ in range(4):
-        A = SquareMatrixQ([[F(rng.randint(-4, 4), rng.choice([1, 2]))
-                            for _ in range(n)] for _ in range(n)])
-        assert char_poly(A) == _char_poly_by_minors(A)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert char_poly(rows) == _char_poly_by_minors(rows)
 
 
-def test_sigma_examples():
-    assert sigma_k(SquareMatrixQ([[1, 0], [0, 2]]), 2) == 2
-    assert sigma_k(SquareMatrixQ([[0, 1], [1, 0]]), 2) == -1
-    A = SquareMatrixQ([[3, 1], [7, -2]])
-    assert sigma_k(A, 1) == A.trace()
-    assert sigma_k(A, 0) == 1
+def _fraction_gram(vectors, d):
+    """sum v v^T over Fractions, each v zero-padded to length d."""
+    rows = [[F(0)] * d for _ in range(d)]
+    for v in vectors:
+        for a, va in enumerate(v):
+            for b, vb in enumerate(v):
+                rows[a][b] += F(va) * F(vb)
+    return rows
 
 
-def test_sigma_trace_det_random():
-    rng = random.Random(7)
-    for n in (2, 3, 4):
-        A = SquareMatrixQ([[F(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)])
-        assert sigma_k(A, 1) == A.trace()
-        det = _char_poly_by_minors(A)(0) * (-1) ** n
-        assert sigma_k(A, n) == det
-
-
-def test_sigma_out_of_range():
-    with pytest.raises(ValueError):
-        sigma_k(SquareMatrixQ([[0, 0], [0, 0]]), 3)
-
-
-def test_matrix_power_and_matmul():
-    A = SquareMatrixQ([[0, 1], [1, 0]])
-    assert A.power(2) == SquareMatrixQ.identity(2)
-    assert (A @ A) == SquareMatrixQ.identity(2)
+def test_rank_one_char_poly_matches_fraction_minors():
+    # the integer Gram sum over L^2 against Leibniz on the rational matrix:
+    # unrelated denominators, vectors shorter than d, no vectors at all
+    cases = [
+        ([], 3),
+        ([(F(1, 3), F(2, 7))], 2),
+        ([(F(1, 3), F(2, 7)), (F(5, 4),), (F(-3, 11), F(0), F(9, 2))], 4),
+        ([(F(2), F(-1))], 3),
+    ]
+    rng = random.Random(29)
+    dens = (1, 2, 3, 5, 7, 8, 9, 13)
+    for _ in range(40):
+        d = rng.randint(1, 5)
+        cases.append(([tuple(F(rng.randint(-9, 9), rng.choice(dens))
+                             for _ in range(rng.randint(0, d)))
+                       for _ in range(rng.randint(0, 4))], d))
+    for vectors, d in cases:
+        got = _rank_one_char_poly(vectors, d)
+        assert got == _char_poly_by_minors(_fraction_gram(vectors, d)), (vectors, d)
+        assert got.degree == d and got.is_monic()
+    assert _rank_one_char_poly([], 3) == P.from_coeffs([0, 0, 0, 1])
 
 
 def test_poly_json_round_trip():

@@ -9,7 +9,6 @@ from rootline.poly import ExactPolynomial as P
 from rootline.symfuncs import (
     PowerSumProfile,
     SymmetricProfile,
-    elementary_from_power_sums,
     extended_power_sums,
     integer_power_sums,
     power_sums_from_elementary,
@@ -18,6 +17,25 @@ from rootline.symfuncs import (
     profile_of_roots,
     profiles_equal_up_to_k,
 )
+
+
+def elementary_from_power_sums(prof: PowerSumProfile) -> SymmetricProfile:
+    """Reference inverse of :func:`power_sums_from_elementary`.
+
+    e_i = (1/i) * sum_{j=1..i} (-1)^(j-1) e_{i-j} p_j, with e_0 = 1.
+    """
+    p = prof.p
+    k = prof.k
+    if k > prof.n:
+        raise ValueError("more power sums than roots")
+    e = [F(1)]
+    for i in range(1, k + 1):
+        acc = F(0)
+        for j in range(1, i + 1):
+            term = e[i - j] * p[j - 1]
+            acc += term if j % 2 == 1 else -term
+        e.append(acc / i)
+    return SymmetricProfile(prof.n, tuple(e[1:]))
 
 
 def test_single_statistic():
