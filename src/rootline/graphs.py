@@ -42,7 +42,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from rootline.isolation import RootInterval, compare_roots, max_root, max_root_leq
-from rootline.poly import ExactPolynomial, char_poly
+from rootline.poly import ExactPolynomial, char_poly_int_rows
 from rootline.ratutil import RationalLike, to_fraction
 
 EXHAUSTION_CAP = 24
@@ -555,7 +555,7 @@ def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP) -> BestSigning:
     best: List[Tuple[Tuple[int, ...], RootInterval]] = []
     lam_of: Dict[Tuple[int, ...], RootInterval] = {}
     for coeffs in by_char:
-        lam = max_root(ExactPolynomial(reversed(coeffs)), Fraction(1, 2**20))
+        lam = max_root(coeffs[::-1], Fraction(1, 2**20))
         lam_of[coeffs] = copy(lam)
         if not best:
             best = [(coeffs, lam)]
@@ -585,7 +585,7 @@ def ramanujan_bound_holds(g: Graph, s: Signing) -> bool:
     if d < 2:
         raise ValueError("bound is vacuous for max degree < 2")
     A2 = matrix_power(signed_adjacency(g, s), 2)
-    return max_root_leq(char_poly(A2), Fraction(4 * (d - 1)))
+    return max_root_leq(char_poly_int_rows(A2)[::-1], Fraction(4 * (d - 1)))
 
 
 # ---------------------------------------------------------------------------

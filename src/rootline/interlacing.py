@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from rootline.isolation import compare_roots, isolate_real_roots, max_root
+from rootline.isolation import IntPoly, compare_roots, isolate_real_roots, max_root
 from rootline.maxroot import approx_max_root
 from rootline.poly import ExactPolynomial, char_poly_int_rows
 from rootline.ratutil import (
@@ -371,13 +371,14 @@ def ks_oracle(inst: KSInstance) -> KSOracle:
     return KSOracle(inst)
 
 
-def _rank_one_char_poly(vectors: Sequence[Sequence[Fraction]], d: int) -> ExactPolynomial:
+def _rank_one_char_poly(vectors: Sequence[Sequence[Fraction]], d: int) -> Tuple[IntPoly, int]:
     """Characteristic polynomial of the d x d matrix M = sum v v^T, each v
-    read as zero-padded to length d.
+    read as zero-padded to length d, as ascending integers over a scale.
 
     Berkowitz runs on the integer Gram sum G = sum w w^T of w = L v, L the
     common denominator of every entry.  G = L^2 M, so the x^(d-i)
-    coefficient of det(xI - M) is that of det(xI - G) over L^(2i).
+    coefficient c_i of det(xI - G) is L^(2i) times that of det(xI - M),
+    and det(xI - M) is the integers c_i L^(2(d-i)) over the scale L^(2d).
     """
     L = math.lcm(*(x.denominator for v in vectors for x in v))
     rows = [[0] * d for _ in range(d)]
@@ -390,17 +391,25 @@ def _rank_one_char_poly(vectors: Sequence[Sequence[Fraction]], d: int) -> ExactP
                     if wb:
                         row[b] += wa * wb
     desc = char_poly_int_rows(rows)
-    return ExactPolynomial(reversed([Fraction(c, L ** (2 * i)) for i, c in enumerate(desc)]))
+    L2 = L * L
+    return tuple(c * L2**k for k, c in enumerate(reversed(desc))), L2**d
 
 
-def _pad(p: ExactPolynomial, d: int, n: int) -> ExactPolynomial:
-    """x^(n-d) p: a degree-d characteristic polynomial in ambient dimension n.
+def _weighted_char_poly_sum(leaves: Sequence[Tuple[Fraction, Sequence[Sequence[Fraction]]]],
+                            d: int, n: int) -> ExactPolynomial:
+    """x^(n-d) sum weight * det(xI - sum v v^T) over the (weight, vectors)
+    leaves, the vectors read as zero-padded to length d.
 
     x^(D-d) times the characteristic polynomial of a d x d matrix is that
     of the D x D matrix bordered by zeros, so sums of characteristic
     polynomials can be taken at any common D <= n and padded once.
     """
-    return ExactPolynomial([Fraction(0)] * (n - d) + list(p.coeffs))
+    total = [Fraction(0)] * (d + 1)
+    for weight, vectors in leaves:
+        if weight:
+            coeffs, scale = _rank_one_char_poly(vectors, d)
+            total = [t + Fraction(weight * c, scale) for t, c in zip(total, coeffs)]
+    return ExactPolynomial([Fraction(0)] * (n - d) + total)
 
 
 def ks_brute_force_poly(inst: KSInstance, prefix: Tuple[int, ...] = ()) -> ExactPolynomial:
@@ -409,20 +418,12 @@ def ks_brute_force_poly(inst: KSInstance, prefix: Tuple[int, ...] = ()) -> Exact
     Independent test oracle for the coefficient formulas; exponential in
     the number of unfixed coordinates.
     """
-    m = inst.m
     d = max([len(v) for sup in inst.supports for v, _ in sup] + [1])
-    free = list(range(len(prefix), m))
-    total = ExactPolynomial.zero()
-    for outcome in product(*[range(len(inst.supports[i])) for i in free]):
-        choices = list(prefix) + list(outcome)
-        weight = Fraction(1)
-        for i, c in enumerate(choices):
-            weight *= inst.supports[i][c][1]
-        if weight == 0:
-            continue
-        vectors = [inst.supports[i][c][0] for i, c in enumerate(choices)]
-        total = total + _rank_one_char_poly(vectors, d).scale(weight)
-    return _pad(total, d, inst.n)
+    leaves = []
+    for outcome in product(*[range(len(sup)) for sup in inst.supports[len(prefix):]]):
+        picked = [inst.supports[i][c] for i, c in enumerate(tuple(prefix) + outcome)]
+        leaves.append((math.prod(w for _, w in picked), [v for v, _ in picked]))
+    return _weighted_char_poly_sum(leaves, d, inst.n)
 
 
 def padded_coeffs(p: ExactPolynomial, n: int) -> Tuple[Fraction, ...]:
@@ -431,11 +432,12 @@ def padded_coeffs(p: ExactPolynomial, n: int) -> Tuple[Fraction, ...]:
     return tuple(p.coeff(n - i) for i in range(n + 1))
 
 
-def ks_leaf_poly(inst: KSInstance, choices: Tuple[int, ...]) -> ExactPolynomial:
-    """Unweighted char poly of the chosen rank-one sum, padded to degree n."""
+def ks_leaf_poly(inst: KSInstance, choices: Tuple[int, ...]) -> IntPoly:
+    """Unweighted char poly of the chosen rank-one sum, padded to degree n,
+    as ascending integers: a positive multiple of it, with its roots."""
     vectors = [inst.supports[i][c][0] for i, c in enumerate(choices)]
     d = max([len(v) for v in vectors] + [1])
-    return _pad(_rank_one_char_poly(vectors, d), d, inst.n)
+    return (0,) * (inst.n - d) + _rank_one_char_poly(vectors, d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -562,16 +564,11 @@ def sr_oracle(inst: SRInstance) -> SROracle:
 def sr_brute_force_poly(inst: SRInstance, prefix: Tuple[int, ...] = ()) -> ExactPolynomial:
     """Probability-weighted sum of exact characteristic polynomials."""
     d = max([len(v) for v in inst.vectors] + [1])
-    total = ExactPolynomial.zero()
     ell = len(prefix)
-    for mask, p in enumerate(inst.table):
-        if p == 0:
-            continue
-        if any(((mask >> i) & 1) != prefix[i] for i in range(ell)):
-            continue
-        vecs = [inst.vectors[i] for i in range(inst.m) if (mask >> i) & 1]
-        total = total + _rank_one_char_poly(vecs, d).scale(p)
-    return _pad(total, d, inst.n)
+    leaves = [(p, [inst.vectors[i] for i in range(inst.m) if (mask >> i) & 1])
+              for mask, p in enumerate(inst.table)
+              if p and all(((mask >> i) & 1) == prefix[i] for i in range(ell))]
+    return _weighted_char_poly_sum(leaves, d, inst.n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ The engine is Descartes-rule bisection (Vincent-Collins-Akritas) applied
 to the square-free factors produced by Yun's algorithm, entirely in
 integer arithmetic:
 
+* every entry point takes an ``ExactPolynomial`` or ascending integer
+  coefficients and clears them at one boundary to the one primitive
+  integer polynomial with a positive lead that has the same roots;
 * a root interval is either an exact rational point or an open
   interval on which the defining square-free factor changes sign;
 * every enclosure is held on integers, two numerators over one common
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import zip_longest
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from rootline.poly import ExactPolynomial
 from rootline.ratutil import to_fraction
@@ -51,7 +54,7 @@ def _trim(c: List[int]) -> List[int]:
     return c
 
 
-def _content(c: Sequence[int]) -> int:
+def _content(c: Iterable[int]) -> int:
     g = 0
     for v in c:
         g = math.gcd(g, abs(v))
@@ -61,25 +64,28 @@ def _content(c: Sequence[int]) -> int:
 
 
 def _primitive(c: Sequence[int]) -> IntPoly:
+    """c over its content, lead made positive; () for zero.  The content is
+    taken from the lead down, so on x^j f it mostly stops inside f."""
     c = _trim(list(c))
-    if not c:
-        return ()
-    g = _content(c)
-    if c[-1] < 0:
+    g = _content(reversed(c))
+    if c and c[-1] < 0:
         g = -g
-    return tuple(v // g for v in c)
+    return tuple(c) if g == 1 else tuple(v // g for v in c)
 
 
-def int_poly_from_fractions(coeffs: Sequence[Fraction]) -> IntPoly:
-    """Clear denominators and strip integer content (sign of lead kept +)."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return _primitive([c.numerator * (lcm // c.denominator) for c in coeffs])
+PolyLike = Union[ExactPolynomial, Sequence[int]]
 
 
-def int_poly_from_exact(p: ExactPolynomial) -> IntPoly:
-    return int_poly_from_fractions(p.coeffs)
+def _int_poly(p: PolyLike) -> IntPoly:
+    """The boundary: p, an ``ExactPolynomial`` or ascending integers, as the
+    primitive integer polynomial with a positive lead and p's roots."""
+    if isinstance(p, ExactPolynomial):
+        den = math.lcm(*(c.denominator for c in p.coeffs))
+        p = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    full = _primitive(p)
+    if not full:
+        raise ValueError("the zero polynomial has no roots to isolate")
+    return full
 
 
 def _deriv(c: IntPoly) -> IntPoly:
@@ -225,7 +231,7 @@ def cauchy_bound_pow2(c: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def squarefree_decomposition(p: ExactPolynomial) -> List[Tuple[IntPoly, int]]:
+def squarefree_decomposition(p: PolyLike) -> List[Tuple[IntPoly, int]]:
     """Yun decomposition: [(factor, multiplicity)] by increasing
     multiplicity, factors primitive, square-free and pairwise coprime; the
     product of factor^mult is p up to a constant.
@@ -235,11 +241,7 @@ def squarefree_decomposition(p: ExactPolynomial) -> List[Tuple[IntPoly, int]]:
     Every divisor in the loop is primitive (a gcd's primitive part), so
     each quotient is an exact integer polynomial.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no square-free decomposition")
-    if p.degree < 1:
-        return []
-    full = int_poly_from_exact(p)
+    full = _int_poly(p)
     j = next(i for i, v in enumerate(full) if v)
     out: List[Tuple[IntPoly, int]] = []
     # Yun's invariant for i >= 1: c = a_i a_(i+1) ... and gcd(c, d) = a_i,
@@ -482,16 +484,14 @@ def _separate(roots: List[RootInterval]) -> List[RootInterval]:
             return roots
 
 
-def _separated_roots(p: ExactPolynomial) -> List[RootInterval]:
+def _separated_roots(p: PolyLike) -> List[RootInterval]:
     """All real roots of p with multiplicity, in pairwise disjoint
     enclosures sorted ascending, not yet refined to any width."""
-    if p.is_zero:
-        raise ValueError("cannot isolate roots of the zero polynomial")
     return _separate([root for factor, mult in squarefree_decomposition(p)
                       for root in _isolate_squarefree(factor, mult)])
 
 
-def isolate_real_roots(p: ExactPolynomial,
+def isolate_real_roots(p: PolyLike,
                        precision: Fraction = DEFAULT_PRECISION) -> List[RootInterval]:
     """All real roots of p with multiplicity, isolated and refined.
 
@@ -505,7 +505,7 @@ def isolate_real_roots(p: ExactPolynomial,
     return roots
 
 
-def max_root(p: ExactPolynomial,
+def max_root(p: PolyLike,
              precision: Fraction = DEFAULT_PRECISION) -> Optional[RootInterval]:
     """Largest real root of p, or None if p has no real roots.
 
@@ -534,14 +534,9 @@ def _count_open_squarefree(q: IntPoly, lo: int, hi: int, den: int) -> int:
     return len(intervals) + len(exact)
 
 
-def max_root_leq(p: ExactPolynomial, a: Fraction) -> bool:
-    """Certified decision: every real root of p is <= a. Exact, no slack."""
-    a = to_fraction(a)
-    for factor, _ in squarefree_decomposition(p):
-        if len(factor) == 2:
-            if Fraction(-factor[0], factor[1]) > a:
-                return False
-            continue
+def _roots_leq(factors: List[Tuple[IntPoly, int]], a: Fraction) -> bool:
+    """Every real root of the square-free factors is <= a."""
+    for factor, _ in factors:
         bound = 1 << cauchy_bound_pow2(factor)
         if a >= bound:
             continue
@@ -551,10 +546,18 @@ def max_root_leq(p: ExactPolynomial, a: Fraction) -> bool:
     return True
 
 
-def max_root_geq(p: ExactPolynomial, a: Fraction) -> bool:
-    """Certified decision: some real root of p is >= a."""
+def max_root_leq(p: PolyLike, a: Fraction) -> bool:
+    """Certified decision: every real root of p is <= a. Exact, no slack."""
+    return _roots_leq(squarefree_decomposition(p), to_fraction(a))
+
+
+def max_root_geq(p: PolyLike, a: Fraction) -> bool:
+    """Certified decision: some real root of p is >= a: a is a root of a
+    square-free factor, or not every root is <= a."""
     a = to_fraction(a)
-    return p(a) == 0 or not max_root_leq(p, a)
+    factors = squarefree_decomposition(p)
+    return (any(_sign_at_ratio(f, a.numerator, a.denominator) == 0 for f, _ in factors)
+            or not _roots_leq(factors, a))
 
 
 # ---------------------------------------------------------------------------

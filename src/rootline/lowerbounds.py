@@ -107,19 +107,17 @@ class LowerBoundPair:
         )
 
 
-def _max_root_bounds(p: ExactPolynomial,
-                     width: Fraction = _RATIO_WIDTH) -> Tuple[Fraction, Fraction]:
-    r = max_root(p, width)
+def _max_root_bounds(p: ExactPolynomial) -> Tuple[Fraction, Fraction]:
+    r = max_root(p, _RATIO_WIDTH)
     if r is None:
         raise ValueError("polynomial has no real roots")
     return r.lo, r.hi
 
 
-def certified_ratio_lower(p: ExactPolynomial, q: ExactPolynomial,
-                          width: Fraction = _RATIO_WIDTH) -> Fraction:
+def certified_ratio_lower(p: ExactPolynomial, q: ExactPolynomial) -> Fraction:
     """Rational r with lambda_max(q)/lambda_max(p) >= r, from isolation."""
-    _, p_hi = _max_root_bounds(p, width)
-    q_lo, _ = _max_root_bounds(q, width)
+    _, p_hi = _max_root_bounds(p)
+    q_lo, _ = _max_root_bounds(q)
     if p_hi <= 0:
         raise ValueError("ratio certificate needs lambda_max(p) > 0")
     return q_lo / p_hi

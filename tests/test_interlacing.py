@@ -86,7 +86,8 @@ def test_ks_oracle_k1_is_minus_expected_trace():
 def test_ks_oracle_deterministic_prefix_is_char_poly():
     inst = KSInstance(2, (_coin(E1, E2), _coin(E1, E2)))
     orc = ks_oracle(inst)
-    leaf = ks_leaf_poly(inst, (0, 0)).scale(F(1, 4))
+    # integer vectors (L = 1): the leaf's integers are its char poly itself
+    leaf = P(ks_leaf_poly(inst, (0, 0))).scale(F(1, 4))
     assert orc.coeffs((0, 0), 2) == tuple(reversed(leaf.coeffs))
 
 
@@ -108,8 +109,18 @@ def test_ks_refinement_consistency_random():
 def test_ks_padding_adds_zero_roots():
     inst = KSInstance(5, (_coin(E1, E2),))
     leaf = ks_leaf_poly(inst, (0,))
-    assert leaf.degree == 5
-    assert leaf.coeff(0) == 0  # x | leaf
+    assert leaf == (0, 0, 0, 0, -1, 1)  # x^3 (x^2 - x): degree 5, x | leaf
+
+
+def test_ks_leaf_poly_rational_vectors_keep_their_roots():
+    # L = 6: the integers are det(xI - M) times 6^(2d), so a positive
+    # multiple of the padded char poly; M = diag(1/4, 1/9) bordered by zeros
+    inst = KSInstance(4, ((((F(1, 2), F(0)), F(1)),), (((F(0), F(1, 3)), F(1)),)))
+    leaf = ks_leaf_poly(inst, (0, 0))
+    want = P.from_roots([F(1, 4), F(1, 9), 0, 0])
+    assert P(leaf) == want.scale(6**4)
+    top = max_root(leaf, F(1, 2**20))
+    assert top.exact and top.lo == F(1, 4)
 
 
 def test_round_family_m1_picks_smaller_root():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,12 +11,11 @@ from rootline.interlacing import KSInstance, ks_leaf_poly
 from rootline.isolation import (
     RootInterval,
     _count_open_squarefree,
+    _int_poly,
     _sign_at_ratio,
     _separate,
     _separated_roots,
     compare_roots,
-    int_poly_from_exact,
-    int_poly_from_fractions,
     int_poly_gcd,
     isolate_real_roots,
     max_root,
@@ -103,14 +103,14 @@ def test_max_root_and_thresholds():
 
 
 def test_count_distinct_in_interval():
-    w = int_poly_from_exact(P.from_roots(range(1, 13)))
+    w = _int_poly(P.from_roots(range(1, 13)))
     assert _count_open_squarefree(w, 5, 14, 2) == 4  # (5/2, 7)
     assert _count_open_squarefree(w, 3, 7, 1) == 3  # open: 3 and 7 left out
     assert _count_open_squarefree(w, 6, 14, 2) == 3  # (3, 7) not in lowest terms
     assert _count_open_squarefree(w, -2, 75, 6) == 12  # (-1/3, 25/2)
     assert _count_open_squarefree(w, 7, 3, 1) == 0
     # T_64 has 64 simple roots in (-1, 1), 32 of them positive
-    t64 = int_poly_from_exact(cheb_poly(64))
+    t64 = _int_poly(cheb_poly(64))
     assert _count_open_squarefree(t64, -1, 1, 1) == 64
     assert _count_open_squarefree(t64, 0, 1, 1) == 32
 
@@ -168,24 +168,26 @@ def _fraction_yun(p):
             out.pop()
         return out
 
+    def primitive(c):
+        return _int_poly(P(c)) if c else ()
+
     def gcd(a, b):
-        return [F(v) for v in int_poly_gcd(int_poly_from_fractions(a),
-                                           int_poly_from_fractions(b))]
+        return [F(v) for v in int_poly_gcd(primitive(a), primitive(b))]
 
     if p.degree < 1:
         return []
-    f = [F(c) for c in int_poly_from_exact(p)]
+    f = [F(c) for c in _int_poly(p)]
     fp = deriv(f)
     g = gcd(f, fp)
     if len(g) == 1:
-        return [(int_poly_from_fractions(f), 1)]
+        return [(primitive(f), 1)]
     c = div(f, g)
     d = sub(div(fp, g), deriv(c))
     out, i = [], 1
     while len(c) > 1:
         a = gcd(c, d)
         if len(a) > 1:
-            out.append((int_poly_from_fractions(a), i))
+            out.append((primitive(a), i))
         c = div(c, a)
         d = sub(div(d, a), deriv(c))
         i += 1
@@ -227,7 +229,7 @@ def test_padded_leaf_max_root_matches_unpadded():
         for bits in (0, 37, 200, 255):
             choices = tuple((bits >> i) & 1 for i in range(inst.m))
             padded, unpadded = ks_leaf_poly(inst, choices), ks_leaf_poly(rank, choices)
-            assert padded.coeffs[256 - 2 * d:] == unpadded.coeffs
+            assert padded[256 - 2 * d:] == unpadded
             a = max_root(padded, F(1, 2**20))
             b = max_root(unpadded, F(1, 2**20))
             assert (a.lo, a.hi) == (b.lo, b.hi)
@@ -257,8 +259,61 @@ def test_high_degree_chebyshev_pair_roots():
 
 
 def test_zero_polynomial_rejected():
-    with pytest.raises(ValueError):
-        isolate_real_roots(P.zero())
+    # max_root_geq used to answer True: the zero polynomial vanishes at a
+    for zero in (P.zero(), (), (0, 0, 0)):
+        for call in (isolate_real_roots, max_root, squarefree_decomposition,
+                     lambda p: max_root_leq(p, F(1)), lambda p: max_root_geq(p, F(1))):
+            with pytest.raises(ValueError):
+                call(zero)
+
+
+# ---------------------------------------------------------------------------
+# the integer boundary: one primitive polynomial whatever the input form
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _two_forms(draw):
+    """(ExactPolynomial, ascending integers) with the same roots: an
+    integer polynomial with repeated factors allowed, given once over a
+    random rational constant and once times a positive integer constant,
+    both padded by x^j; the integers may carry zeros past the lead."""
+    base = (draw(st.sampled_from([-3, -1, 1, 2])),)
+    for _ in range(draw(st.integers(0, 3))):
+        factor = tuple(draw(st.integers(-4, 4)) for _ in range(draw(st.integers(1, 2))))
+        factor += (draw(st.sampled_from([-2, -1, 1, 3])),)
+        base = _mul(base, *[factor] * draw(st.integers(1, 3)))
+    j = draw(st.integers(0, 4))
+    num = draw(st.integers(1, 9)) * draw(st.sampled_from([-1, 1]))
+    den, scale = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    exact = P([F(0)] * j + [F(c * num, den) for c in base])
+    ints = (0,) * j + tuple(c * scale for c in base) + (0,) * draw(st.integers(0, 2))
+    return exact, ints
+
+
+def _cells(roots):
+    return [(r.poly, r.lo, r.hi, r.multiplicity) for r in roots]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_two_forms(), st.fractions(min_value=-6, max_value=6, max_denominator=8))
+def test_integer_and_exact_forms_meet_at_one_boundary(forms, a):
+    exact, ints = forms
+    primitive = _int_poly(exact)
+    assert _int_poly(ints) == primitive
+    assert primitive[-1] > 0 and math.gcd(*primitive) == 1
+    precision = F(1, 2**30)
+    assert _cells(isolate_real_roots(exact, precision)) == _cells(
+        isolate_real_roots(ints, precision))
+    top, top_int = max_root(exact, precision), max_root(ints, precision)
+    assert (top is None) == (top_int is None)
+    thresholds = [a]
+    if top is not None:
+        assert _cells([top]) == _cells([top_int])
+        thresholds += [top.lo, top.hi]
+    for t in thresholds:
+        assert max_root_leq(exact, t) == max_root_leq(ints, t)
+        assert max_root_geq(exact, t) == max_root_geq(ints, t)
 
 
 def test_root_interval_without_polynomial_raises():

@@ -186,10 +186,12 @@ def test_rank_one_char_poly_matches_fraction_minors():
                              for _ in range(rng.randint(0, d)))
                        for _ in range(rng.randint(0, 4))], d))
     for vectors, d in cases:
-        got = _rank_one_char_poly(vectors, d)
+        coeffs, scale = _rank_one_char_poly(vectors, d)
+        assert all(type(c) is int for c in coeffs) and scale > 0
+        got = P([F(c, scale) for c in coeffs])
         assert got == _char_poly_by_minors(_fraction_gram(vectors, d)), (vectors, d)
         assert got.degree == d and got.is_monic()
-    assert _rank_one_char_poly([], 3) == P.from_coeffs([0, 0, 0, 1])
+    assert _rank_one_char_poly([], 3) == ((0, 0, 0, 1), 1)
 
 
 def test_poly_json_round_trip():

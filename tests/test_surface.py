@@ -5,8 +5,9 @@ appears somewhere in ``src/rootline`` or ``bench/`` outside its own
 definition, as a ``Name`` or an ``Attribute``.  Imports and the
 package's ``__all__`` do not count: importing or re-exporting a name is
 not calling it.  The only other way to pass is an entry in ``KEEP`` with
-its reason.  Tests do not count as callers: a helper only the tests use
-belongs in the tests.
+its reason, and ``KEEP`` lists only names the guard would flag without
+it: an entry whose name has gained a caller fails.  Tests do not count
+as callers: a helper only the tests use belongs in the tests.
 """
 
 import ast
@@ -57,14 +58,14 @@ def _definitions(module, tree):
     return out
 
 
-def unreferenced():
+def unreferenced(keep=KEEP):
     files = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
     refs = [ref for tree in trees.values() for ref in _references(tree)]
     missing = []
     for path in sorted(SRC.glob("*.py")):
         for qualname, name, node in _definitions(path.stem, trees[path]):
-            if qualname in KEEP:
+            if qualname in keep:
                 continue
             if not any(ref == name and node not in enclosing for ref, enclosing in refs):
                 missing.append(qualname)
@@ -73,6 +74,10 @@ def unreferenced():
 
 def test_every_definition_has_a_caller():
     assert unreferenced() == []
+
+
+def test_keep_entries_have_no_caller():
+    assert sorted(set(KEEP) - set(unreferenced(keep=()))) == []
 
 
 def test_keep_entries_still_exist():
