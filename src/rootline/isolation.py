@@ -8,7 +8,7 @@ integer arithmetic:
   coefficients and clears them at one boundary to the one primitive
   integer polynomial with a positive lead that has the same roots;
 * a root interval is either an exact rational point or an open
-  interval on which the defining square-free factor changes sign;
+  interval on which its defining square-free polynomial changes sign;
 * every enclosure is held on integers, two numerators over one common
   denominator: refinement, separation and comparison halve it by
   doubling the denominator, decide each midpoint by an integer sign and
@@ -20,8 +20,11 @@ integer arithmetic:
 * refinement is sign bisection, so certified width bounds are a loop,
   not an estimate; it walks the bisection grid and lands on the same
   cell as step-by-step bisection;
-* ``max_root`` isolates and separates every root but refines only the
-  top one.
+* the Descartes walk runs right to left: ``isolate_real_roots`` drains
+  it, while ``max_root`` stops each square-free factor's walk at its
+  largest root, separates only those tops and the zero root, and refines
+  only the winner; ``RootInterval.scaled`` turns an enclosure of a root
+  into one of the root times a rational, with no second isolation.
 
 On top of the isolator sit exact decision procedures used by the
 certificate machinery: root counting on intervals, "no roots above a
@@ -33,8 +36,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import islice, zip_longest
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from rootline.poly import ExactPolynomial
 from rootline.ratutil import to_fraction
@@ -213,9 +216,10 @@ def _variations01(c: Sequence[int]) -> int:
 
 
 def _deflate_root(c: Sequence[int], num: int, den: int) -> IntPoly:
-    """Divide by (den*x - num) given that num/den is a root (coprime num,
-    den); the quotient is returned primitive."""
-    return _primitive(_divide_exact(c, (-num, den)))
+    """Divide by (den*x - num) given that num/den is a root; the quotient
+    is returned primitive."""
+    g = math.gcd(num, den)
+    return _primitive(_divide_exact(c, (-num // g, den // g)))
 
 
 def cauchy_bound_pow2(c: Sequence[int]) -> int:
@@ -270,69 +274,65 @@ def squarefree_decomposition(p: PolyLike) -> List[Tuple[IntPoly, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _isolate01(q: Sequence[int]) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """Isolate roots of square-free q inside the open unit interval.
+def _descartes01(q: Sequence[int]) -> Iterator[Tuple[int, int, bool, Tuple[Tuple[int, int], ...]]]:
+    """Roots of square-free q inside the open unit interval, right to left.
 
-    Preconditions: q(0) != 0 and q(1) != 0.
-    Returns (open intervals as (c, k) meaning (c/2^k, (c+1)/2^k),
-             exact dyadic roots as (num, k) meaning num/2^k).
+    Preconditions: q(0) != 0 and q(1) != 0.  Yields (c, k, exact, path):
+    the open cell (c/2^k, (c+1)/2^k) that holds one root or, when
+    ``exact``, the dyadic root c/2^k itself.  A root found at a midpoint
+    is divided out of both halves below it, so the item's cell belongs to
+    q with the roots in ``path``, as (num, k) meaning num/2^k, divided
+    out.  The walk is depth first and takes the right half first, so the
+    first item is the largest root and a caller that needs only it stops.
     """
-    intervals: List[Tuple[int, int]] = []
-    exact: List[Tuple[int, int]] = []
-    stack = [(0, 0, list(q))]
+    stack = [(0, 0, list(q), ())]
     while stack:
-        c, k, poly = stack.pop()
+        c, k, poly, path = stack.pop()
+        if poly is None:  # a midpoint root, due once its right half is done
+            yield c, k, True, path
+            continue
         v = _variations01(poly)
         if v == 0:
             continue
         if v == 1:
-            intervals.append((c, k))
+            yield c, k, False, path
             continue
         left = _scale_pow2(poly, 1)
-        if sum(left) == 0:  # root exactly at the midpoint (2c+1)/2^(k+1)
-            exact.append((2 * c + 1, k + 1))
+        at_mid = sum(left) == 0  # root exactly at the midpoint (2c+1)/2^(k+1)
+        below = path + ((2 * c + 1, k + 1),) if at_mid else path
+        if at_mid:
             left = list(_deflate_root(left, 1, 1))  # left-child coordinate x = 1
-        right = _shift1(left)
-        stack.append((2 * c, k + 1, left))
-        stack.append((2 * c + 1, k + 1, _trim(right)))
-    return intervals, exact
+        stack.append((2 * c, k + 1, left, below))
+        if at_mid:
+            stack.append((2 * c + 1, k + 1, None, path))
+        stack.append((2 * c + 1, k + 1, _trim(_shift1(left)), below))
 
 
-def _isolate_squarefree(q: IntPoly, multiplicity: int) -> List[RootInterval]:
-    """All real roots of square-free q, each of the given multiplicity.
+def _squarefree_roots(q: IntPoly, multiplicity: int) -> Iterator[RootInterval]:
+    """The real roots of square-free q, each of the given multiplicity: a
+    zero root first if q has one, then the others from right to left.
 
-    Exact roots have lo == hi.  Exact rational roots discovered during
-    subdivision are divided out and the remainder re-isolated, so every
-    open interval ends up with endpoints at which its defining
-    polynomial is nonzero (a genuine sign-change certificate).  A cell
-    (c, k) of the unit interval maps onto (-2^h, 2^h) as the grid
-    point c/2^k -> (c 2^(h+1) - 2^(h+k))/2^k.
+    Exact roots have lo == hi.  An open cell belongs to q with the exact
+    roots found on the way to it divided out, so its defining polynomial
+    is nonzero at both ends (a genuine sign-change certificate).  A cell
+    (c, k) of the unit interval maps onto (-2^h, 2^h) as the grid point
+    c/2^k -> (c 2^(h+1) - 2^(h+k))/2^k.
     """
-    roots: List[RootInterval] = []
-    work = q
-    while len(work) > 1:
-        if work[0] == 0:  # simple zero root (q square-free)
-            roots.append(RootInterval(work, 0, 0, multiplicity, den=1))
-            work = _primitive(work[1:])
-            continue
-        if len(work) == 2:
-            roots.append(RootInterval(work, -work[0], -work[0], multiplicity, den=work[1]))
-            break
-        h = cauchy_bound_pow2(work)
-        intervals, exact = _isolate01(_to_unit_interval(work, -1 << h, 1 << h, 1))
-        if not exact:
-            for c, k in intervals:
-                lo = (c << (h + 1)) - (1 << (h + k))
-                roots.append(RootInterval(work, lo, lo + (1 << (h + 1)), multiplicity,
-                                          den=1 << k))
-            break
-        # peel the exact rational roots off and isolate the rest afresh
-        for num, k in exact:
-            x = (num << (h + 1)) - (1 << (h + k))
-            root = RootInterval(work, x, x, multiplicity, den=1 << k)  # in lowest terms
-            roots.append(root)
-            work = _deflate_root(work, root.lo_num, root.den)
-    return roots
+    if q[0] == 0:  # simple zero root (q square-free)
+        yield RootInterval(q, 0, 0, multiplicity, den=1)
+        q = _primitive(q[1:])
+    if len(q) == 2:
+        yield RootInterval(q, -q[0], -q[0], multiplicity, den=q[1])
+    if len(q) <= 2:
+        return
+    h = cauchy_bound_pow2(q)
+    for c, k, exact, path in _descartes01(_to_unit_interval(q, -1 << h, 1 << h, 1)):
+        poly = q
+        for num, j in path:
+            poly = _deflate_root(poly, (num << (h + 1)) - (1 << (h + j)), 1 << j)
+        lo = (c << (h + 1)) - (1 << (h + k))
+        yield RootInterval(poly, lo, lo if exact else lo + (1 << (h + 1)), multiplicity,
+                           den=1 << k)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +444,23 @@ class RootInterval:
         self.den = L << s
         return self
 
+    def scaled(self, r: Fraction) -> "RootInterval":
+        """This root times the rational r, as a new enclosure.
+
+        Its polynomial is the square-free factor f(x/r), cleared to a
+        primitive integer polynomial, and its ends are r*lo and r*hi,
+        swapped for r < 0; for r = 0 it is the exact root 0.
+        """
+        a, b = r.numerator, r.denominator
+        if a == 0:
+            return RootInterval((0, 1), 0, 0, self.multiplicity, den=1)
+        poly = self.poly
+        if poly is not None:  # a^d f(b x / a), term by term
+            d = len(poly) - 1
+            poly = _primitive([v * b**i * a ** (d - i) for i, v in enumerate(poly)])
+        lo, hi = sorted((a * self.lo_num, a * self.hi_num))
+        return RootInterval(poly, lo, hi, self.multiplicity, den=b * self.den)
+
     def __float__(self) -> float:
         return float(Fraction(self.lo_num + self.hi_num, 2 * self.den))
 
@@ -484,11 +501,12 @@ def _separate(roots: List[RootInterval]) -> List[RootInterval]:
             return roots
 
 
-def _separated_roots(p: PolyLike) -> List[RootInterval]:
+def separated_roots(p: PolyLike) -> List[RootInterval]:
     """All real roots of p with multiplicity, in pairwise disjoint
-    enclosures sorted ascending, not yet refined to any width."""
+    enclosures sorted ascending, not yet refined to any width: a caller
+    that reads only some of them refines only those."""
     return _separate([root for factor, mult in squarefree_decomposition(p)
-                      for root in _isolate_squarefree(factor, mult)])
+                      for root in _squarefree_roots(factor, mult)])
 
 
 def isolate_real_roots(p: PolyLike,
@@ -498,7 +516,7 @@ def isolate_real_roots(p: PolyLike,
     Result is sorted ascending; intervals are pairwise disjoint and each
     has width <= precision (exact rational roots have width 0).
     """
-    roots = _separated_roots(p)
+    roots = separated_roots(p)
     precision = to_fraction(precision)
     for r in roots:
         r.refine_below(precision)
@@ -509,11 +527,18 @@ def max_root(p: PolyLike,
              precision: Fraction = DEFAULT_PRECISION) -> Optional[RootInterval]:
     """Largest real root of p, or None if p has no real roots.
 
-    Only the top enclosure is refined; it is the same interval that
-    ``isolate_real_roots(p, precision)[-1]`` gives.
+    Each square-free factor's walk stops at its largest root; only those
+    roots and the zero root are separated, and only the top one is
+    refined.  Every enclosure is an aligned dyadic cell, and refinement
+    reaches the same cell from any wider aligned cell that holds the root,
+    so the result is ``isolate_real_roots(p, precision)[-1]`` whenever
+    neither search has already left that root's enclosure at most
+    ``precision`` wide before refining it.
     """
-    roots = _separated_roots(p)
-    return roots[-1].refine_below(to_fraction(precision)) if roots else None
+    tops: List[RootInterval] = []
+    for factor, mult in squarefree_decomposition(p):
+        tops += islice(_squarefree_roots(factor, mult), 2 if factor[0] == 0 else 1)
+    return _separate(tops)[-1].refine_below(to_fraction(precision)) if tops else None
 
 
 # ---------------------------------------------------------------------------
@@ -521,27 +546,25 @@ def max_root(p: PolyLike,
 # ---------------------------------------------------------------------------
 
 
-def _count_open_squarefree(q: IntPoly, lo: int, hi: int, den: int) -> int:
-    """Number of roots of square-free q in the open interval (lo/den, hi/den)."""
+def _open_roots(q: IntPoly, lo: int, hi: int, den: int) -> Iterator[Tuple]:
+    """The roots of square-free q in the open interval (lo/den, hi/den),
+    as the items of the Descartes walk on it, right to left."""
     if lo >= hi or len(q) <= 1:
-        return 0
+        return iter(())
     work = _to_unit_interval(q, lo, hi, den)
     if work[0] == 0:  # root at lo/den itself: outside the open interval
         work = list(_primitive(work[1:]))
     if sum(work) == 0:  # likewise at hi/den
         work = list(_deflate_root(work, 1, 1))
-    intervals, exact = _isolate01(_trim(work))
-    return len(intervals) + len(exact)
+    return _descartes01(_trim(work))
 
 
 def _roots_leq(factors: List[Tuple[IntPoly, int]], a: Fraction) -> bool:
     """Every real root of the square-free factors is <= a."""
     for factor, _ in factors:
         bound = 1 << cauchy_bound_pow2(factor)
-        if a >= bound:
-            continue
-        if _count_open_squarefree(factor, a.numerator, bound * a.denominator,
-                                  a.denominator) > 0:
+        if a < bound and any(_open_roots(factor, a.numerator, bound * a.denominator,
+                                         a.denominator)):
             return False
     return True
 
@@ -599,7 +622,7 @@ def _has_root_in_closed(g: IntPoly, lo: int, hi: int, den: int) -> bool:
     """g has a root in the closed [lo/den, hi/den]."""
     if _sign_at_ratio(g, lo, den) == 0 or _sign_at_ratio(g, hi, den) == 0:
         return True
-    return _count_open_squarefree(_squarefree_part(g), lo, hi, den) > 0
+    return any(_open_roots(_squarefree_part(g), lo, hi, den))
 
 
 def _squarefree_part(g: IntPoly) -> IntPoly:

@@ -39,10 +39,10 @@ from rootline.graphs import (
 )
 from rootline.isolation import (
     compare_roots,
-    isolate_real_roots,
     max_root,
     max_root_geq,
     max_root_leq,
+    separated_roots,
 )
 from rootline.poly import ExactPolynomial, char_poly
 from rootline.ratutil import cos_pi_bounds, format_rational, to_fraction
@@ -363,6 +363,11 @@ def verify_pair(pair: LowerBoundPair) -> PairReport:
     first mismatch index on failure), certified real-rootedness of both
     polynomials, nonnegativity of the spectra, and that ratio_lower is
     actually a lower bound on the max-root ratio.
+
+    Every root of p and q is isolated once, to count multiplicities; only
+    the smallest and largest are refined, to 2^-48, since only they are
+    read.  The ratio is decided exactly by comparing q's top root with
+    p's top enclosure scaled by ratio_lower (``RootInterval.scaled``).
     """
     checks: List[PairCheck] = []
 
@@ -370,7 +375,7 @@ def verify_pair(pair: LowerBoundPair) -> PairReport:
         checks.append(PairCheck(name, bool(passed), detail))
 
     p, q = pair.p, pair.q
-    same_shape = (not p.is_zero and not q.is_zero and p.degree == q.degree
+    same_shape = (not p.is_zero and not q.is_zero and p.degree == q.degree >= 1
                   and p.is_monic() and q.is_monic())
     add("monic_equal_degree", same_shape,
         f"deg p={p.degree}, deg q={q.degree}")
@@ -383,24 +388,24 @@ def verify_pair(pair: LowerBoundPair) -> PairReport:
         matched >= pair.k,
         "all equal" if matched >= pair.k else f"first mismatch at position {matched + 1}")
 
-    roots_p = isolate_real_roots(p, _RATIO_WIDTH)
-    roots_q = isolate_real_roots(q, _RATIO_WIDTH)
+    roots_p = separated_roots(p)
+    roots_q = separated_roots(q)
     real_p = sum(r.multiplicity for r in roots_p) == n
     real_q = sum(r.multiplicity for r in roots_q) == n
     add("p_real_rooted", real_p, f"{sum(r.multiplicity for r in roots_p)}/{n} roots real")
     add("q_real_rooted", real_q, f"{sum(r.multiplicity for r in roots_q)}/{n} roots real")
 
     if real_p and real_q:
+        for r in (roots_p[0], roots_p[-1], roots_q[0], roots_q[-1]):
+            r.refine_below(_RATIO_WIDTH)
         nonneg = roots_p[0].lo >= 0 and roots_q[0].lo >= 0
         add("roots_nonnegative", nonneg,
             f"min root bounds {float(roots_p[0].lo):.6g}, {float(roots_q[0].lo):.6g}")
         if roots_p[-1].hi > 0:
-            # exact decision lambda_max(q) >= ratio_lower * lambda_max(p):
-            # compare the top roots of q and of p with its roots scaled;
+            # exact decision lambda_max(q) >= ratio_lower * lambda_max(p);
             # compare_roots refines its arguments, so q's top enclosure is
             # compared through a copy and roots_q[-1] stays as reported
-            scaled = p.shift_scale(pair.ratio_lower, 0)
-            cmp = compare_roots(copy(roots_q[-1]), max_root(scaled, _RATIO_WIDTH))
+            cmp = compare_roots(copy(roots_q[-1]), roots_p[-1].scaled(pair.ratio_lower))
             add("ratio_lower_certified", cmp >= 0,
                 f"claimed {float(pair.ratio_lower):.9g}, certified interval "
                 f">= {float(roots_q[-1].lo / roots_p[-1].hi):.9g}")

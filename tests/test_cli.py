@@ -75,6 +75,15 @@ def test_verify_pair_fails_on_tampering(tmp_path):
     assert res.returncode == 1
 
 
+def test_verify_pair_accepts_ratio_zero(tmp_path):
+    data = weak_pair(4).to_json_dict()
+    data["ratio_lower"] = "0/1"
+    (tmp_path / "pair.json").write_text(json.dumps(data))
+    res = run_cli(["verify-pair", "--in", "pair.json"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["ok"]
+
+
 def test_girth_subcommand(tmp_path):
     res = run_cli(["girth", "--graph", "heawood"], tmp_path)
     assert res.returncode == 0, res.stderr

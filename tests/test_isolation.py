@@ -1,5 +1,6 @@
 import math
 import random
+from copy import copy
 from fractions import Fraction as F
 
 import pytest
@@ -10,17 +11,17 @@ from rootline.chebyshev import cheb_poly
 from rootline.interlacing import KSInstance, ks_leaf_poly
 from rootline.isolation import (
     RootInterval,
-    _count_open_squarefree,
     _int_poly,
+    _open_roots,
     _sign_at_ratio,
     _separate,
-    _separated_roots,
     compare_roots,
     int_poly_gcd,
     isolate_real_roots,
     max_root,
     max_root_geq,
     max_root_leq,
+    separated_roots,
     squarefree_decomposition,
 )
 from rootline.lowerbounds import noisy_pair, weak_pair
@@ -100,6 +101,10 @@ def test_max_root_and_thresholds():
     assert not max_root_leq(w, F(119, 10))
     assert max_root_geq(w, F(12))
     assert not max_root_geq(w, F(121, 10))
+
+
+def _count_open_squarefree(q, lo, hi, den):
+    return sum(1 for _ in _open_roots(q, lo, hi, den))
 
 
 def test_count_distinct_in_interval():
@@ -373,7 +378,7 @@ def _random_squarefree_intervals(rng, count):
         p = P([F(rng.randint(-30, 30)) for _ in range(rng.randint(3, 9))])
         if p.is_zero or p.degree < 1:
             continue
-        out += [(r.poly, r.lo, r.hi) for r in _separated_roots(p) if not r.exact]
+        out += [(r.poly, r.lo, r.hi) for r in separated_roots(p) if not r.exact]
     return out[:count]
 
 
@@ -460,6 +465,88 @@ def test_max_root_is_last_isolated_root():
     _top_matches(P([F(-7)]) * P.x() ** 5)
     _top_matches(P.from_coeffs([1, 0, 1]))  # x^2 + 1: no real root
     assert max_root(P.from_coeffs([1, 0, 1])) is None
+
+
+# ---------------------------------------------------------------------------
+# the top-down max_root against full isolation, and scaled enclosures
+# ---------------------------------------------------------------------------
+
+_WIDTH = F(1, 2**20)
+_UNREFINED = F(2**256)  # wider than any enclosure drawn below: no refinement
+
+
+@st.composite
+def _top_down_cases(draw):
+    """Ascending integers: a product of factors with multiplicities, times
+    x^j.  The factors carry dyadic roots the walk meets at midpoints,
+    other rational and irrational roots, dense small polynomials, and
+    pairs of roots closer than _WIDTH, rational or irrational."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["dyadic", "rational", "quadratic", "close", "dense"]))
+        if kind == "dyadic":  # the root n/2^j
+            factor = (draw(st.integers(-40, 40)), -(1 << draw(st.integers(0, 4))))
+        elif kind == "rational":
+            factor = (draw(st.integers(-20, 20)), -draw(st.sampled_from([3, 5, 12])))
+        elif kind == "quadratic":  # the roots +-sqrt(a/b)
+            factor = (-draw(st.integers(1, 30)), 0, draw(st.integers(1, 4)))
+        elif kind == "close":
+            n, e = draw(st.integers(-12, 12)), draw(st.integers(21, 40))
+            if draw(st.booleans()):  # n/3 and n/3 + 2^-e/3
+                factor = _mul((-n, 3), (-((n << e) + 1), 3 << e))
+            else:  # n/4 +- sqrt(2) 2^-e: 2^(2e-4) (4x - n)^2 - 2
+                square = [c << (2 * e - 4) for c in _mul((-n, 4), (-n, 4))]
+                factor = (square[0] - 2, *square[1:])
+        else:
+            factor = tuple(draw(st.integers(-6, 6)) for _ in range(draw(st.integers(1, 4))))
+            factor += (draw(st.sampled_from([-2, -1, 1, 3])),)
+        factors += [factor] * draw(st.integers(1, 3 if len(factor) <= 3 else 1))
+    return (0,) * draw(st.integers(0, 3)) + _mul(*factors)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_top_down_cases())
+def test_top_down_max_root_matches_full_isolation(p):
+    full = isolate_real_roots(p, _WIDTH)
+    top = max_root(p, _WIDTH)
+    if not full:
+        assert top is None
+        return
+    last = full[-1]
+    assert top.multiplicity == last.multiplicity
+    assert top.width <= _WIDTH
+    assert compare_roots(copy(top), copy(last)) == 0
+    # the cells agree unless a search left the top enclosure narrow already
+    if (max_root(p, _UNREFINED).width > _WIDTH
+            and isolate_real_roots(p, _UNREFINED)[-1].width > _WIDTH):
+        assert (top.lo, top.hi) == (last.lo, last.hi)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_top_down_cases(),
+       st.fractions(min_value=-9, max_value=9, max_denominator=2**50).filter(bool))
+def test_scaled_enclosure_is_a_root_of_the_scaled_copy(p, c):
+    roots = isolate_real_roots(p, _WIDTH)
+    assume(roots)
+    copy_roots = isolate_real_roots(P([F(v) for v in p]).shift_scale(c, 0), _WIDTH)
+    # c > 0 keeps the order of the roots; c < 0 reverses it
+    ends = ((roots[-1], copy_roots[-1]), (roots[0], copy_roots[0]))
+    for root, image in ends if c > 0 else ((roots[-1], copy_roots[0]), (roots[0], copy_roots[-1])):
+        scaled = root.scaled(c)
+        assert (scaled.lo, scaled.hi) == tuple(sorted((c * root.lo, c * root.hi)))
+        assert scaled.exact == root.exact and scaled.multiplicity == root.multiplicity
+        assert compare_roots(scaled, copy(image)) == 0
+
+
+def test_scaled_enclosure_on_exact_and_zero_roots():
+    top = max_root(weak_pair(2).p)  # lambda_max(p) = 1 exactly
+    assert top.exact and top.lo == 1
+    for c in (F(3, 7), F(-5, 2)):
+        scaled = top.scaled(c)
+        assert scaled.exact and scaled.lo == c
+    zero = max_root(P.from_coeffs([-2, 0, 1])).scaled(F(0))
+    assert zero.exact and zero.lo == 0
+    assert compare_roots(zero, max_root(P.from_roots([-1, 0]))) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,50 @@ def test_verify_pair_detects_wrong_ratio():
     assert not rep.ok
 
 
+def _ratio_check(pair):
+    rep = verify_pair(pair)
+    return next(c for c in rep.checks if c.name == "ratio_lower_certified")
+
+
+def test_verify_pair_decides_ratio_zero():
+    # ratio_lower = 0 claims only lambda_max(q) >= 0, decided through the
+    # exact root 0
+    pair = weak_pair(4)
+    zero = LowerBoundPair(pair.p, pair.q, pair.k, F(0), "weak", pair.certificate)
+    rep = verify_pair(zero)
+    assert rep.ok
+    assert _ratio_check(zero).detail.startswith("claimed 0, certified interval >= ")
+    # top roots 1 of x^2 - 1 and 0 of x^2 + 2x: 0 >= 0 * 1 holds at equality
+    at_zero = LowerBoundPair(P.from_roots([-1, 1]), P.from_roots([-2, 0]), 0, F(0), "weak", {})
+    assert _ratio_check(at_zero).passed
+    below = LowerBoundPair(P.from_roots([-1, 1]), P.from_roots([-3, -1]), 0, F(0), "weak", {})
+    assert not _ratio_check(below).passed
+
+
+def test_verify_pair_rejects_constant_pair():
+    # two constants have no largest root to compare
+    one = P([F(1)])
+    rep = verify_pair(LowerBoundPair(one, one, 0, F(1), "weak", {}))
+    assert not rep.ok
+    assert [c.name for c in rep.checks] == ["monic_equal_degree"]
+
+
+def test_verify_pair_negative_ratio_scales_the_top_root():
+    # -2 >= -1 * 3 = -1 * lambda_max(p); the smallest root 1 of p must not
+    # stand in for the largest, as it does in the top root of p scaled by -1
+    p, q = P.from_roots([1, 3]), P.from_roots([-5, -2])
+    assert _ratio_check(LowerBoundPair(p, q, 0, F(-1), "weak", {})).passed
+    assert not _ratio_check(LowerBoundPair(p, q, 0, F(-1, 2), "weak", {})).passed
+
+
+def test_verify_pair_ratio_at_an_irrational_tie():
+    # sqrt(8) = 2 sqrt(2): equality is decided through the gcd of x^2 - 8
+    # and the scaled factor of x^2 - 2
+    p, q = P.from_coeffs([-2, 0, 1]), P.from_coeffs([-8, 0, 1])
+    for ratio, certified in ((F(2), True), (2 + F(1, 2**60), False), (2 - F(1, 2**60), True)):
+        assert _ratio_check(LowerBoundPair(p, q, 1, ratio, "weak", {})).passed == certified
+
+
 def test_matched_count_and_ratio_helpers():
     a = P.from_roots([1, 2, 3])
     b = P.from_roots([1, 2, 4])
