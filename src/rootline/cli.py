@@ -195,6 +195,8 @@ def _cmd_verify_invariance(params: Dict, seed: Optional[int]) -> dict:
 
 def _cmd_round(params: Dict, seed: Optional[int]) -> dict:
     data = _load_json(params["family"])
+    if not isinstance(data, dict):
+        raise CliError("a family file holds a JSON object (a KS or an SR instance)")
     if "supports" in data:
         inst = KSInstance.from_json_dict(data)
         oracle = ks_oracle(inst)

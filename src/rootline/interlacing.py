@@ -305,13 +305,15 @@ class KSOracle(FamilyOracle):
     integer; it is memoized per subset and the choices fixed inside it.
     Each coefficient is then the one Fraction
     (-1)^j weight * (sum_T N_T * S / S_T) / S, with S_T = prod_{i in T} P_i Q_i
-    and S = S_[m].
+    and S = S_[m].  The j-subsets T with their cofactors S / S_T are
+    listed once per j, the first time a call reads that j.
     """
 
     def __init__(self, inst: KSInstance):
         self.inst = inst
         self.spec = inst.spec()
         self._memo: Dict = {}
+        self._subsets: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
         prob_scales = [math.lcm(*(p.denominator for _, p in sup)) for sup in inst.supports]
         kernel = self._kernel = _GramKernel(
             [[v for v, _ in sup] for sup in inst.supports], prob_scales)
@@ -358,10 +360,14 @@ class KSOracle(FamilyOracle):
         ell = len(prefix)
         kernel = self._kernel
         for j in range(1, min(k, m, kernel.dim) + 1):
+            table = self._subsets.get(j)
+            if table is None:
+                table = self._subsets[j] = [(subset, kernel.cofactor(subset))
+                                            for subset in combinations(range(m), j)]
             acc = 0
-            for subset in combinations(range(m), j):
+            for subset, cofactor in table:
                 fixed = tuple((i, prefix[i]) for i in subset if i < ell)
-                acc += self._expected_sigma(subset, fixed) * kernel.cofactor(subset)
+                acc += self._expected_sigma(subset, fixed) * cofactor
             out[j] = Fraction((-1) ** j * weight.numerator * acc,
                               weight.denominator * kernel.total)
         return tuple(out)
@@ -395,35 +401,47 @@ def _rank_one_char_poly(vectors: Sequence[Sequence[Fraction]], d: int) -> Tuple[
     return tuple(c * L2**k for k, c in enumerate(reversed(desc))), L2**d
 
 
-def _weighted_char_poly_sum(leaves: Sequence[Tuple[Fraction, Sequence[Sequence[Fraction]]]],
+def _weighted_char_poly_sum(leaves: Sequence[Tuple[Fraction, IntPoly, int]],
                             d: int, n: int) -> ExactPolynomial:
-    """x^(n-d) sum weight * det(xI - sum v v^T) over the (weight, vectors)
-    leaves, the vectors read as zero-padded to length d.
+    """x^(n-d) sum weight * c / scale over the (weight, c, scale) leaves,
+    c / scale a d x d characteristic polynomial as
+    :func:`_rank_one_char_poly` gives it, summed over one denominator.
 
     x^(D-d) times the characteristic polynomial of a d x d matrix is that
     of the D x D matrix bordered by zeros, so sums of characteristic
     polynomials can be taken at any common D <= n and padded once.
     """
-    total = [Fraction(0)] * (d + 1)
-    for weight, vectors in leaves:
-        if weight:
-            coeffs, scale = _rank_one_char_poly(vectors, d)
-            total = [t + Fraction(weight * c, scale) for t, c in zip(total, coeffs)]
-    return ExactPolynomial([Fraction(0)] * (n - d) + total)
+    leaves = [leaf for leaf in leaves if leaf[0]]
+    den = math.lcm(*(weight.denominator * scale for weight, _, scale in leaves))
+    total = [0] * (d + 1)
+    for weight, coeffs, scale in leaves:
+        f = weight.numerator * (den // (weight.denominator * scale))
+        total = [t + f * c for t, c in zip(total, coeffs)]
+    return ExactPolynomial([Fraction(0)] * (n - d) + [Fraction(t, den) for t in total])
 
 
-def ks_brute_force_poly(inst: KSInstance, prefix: Tuple[int, ...] = ()) -> ExactPolynomial:
-    """Expected characteristic polynomial by full outcome enumeration.
+def ks_brute_force_leaves(inst: KSInstance, prefix: Tuple[int, ...] = ()
+                          ) -> Tuple[ExactPolynomial, List[IntPoly]]:
+    """The expected characteristic polynomial by full outcome enumeration,
+    and every leaf's unweighted characteristic polynomial padded to degree
+    n, as ascending integers (a positive multiple of it), each formed once.
 
     Independent test oracle for the coefficient formulas; exponential in
     the number of unfixed coordinates.
     """
     d = max([len(v) for sup in inst.supports for v, _ in sup] + [1])
-    leaves = []
+    weighted, leaves = [], []
     for outcome in product(*[range(len(sup)) for sup in inst.supports[len(prefix):]]):
         picked = [inst.supports[i][c] for i, c in enumerate(tuple(prefix) + outcome)]
-        leaves.append((math.prod(w for _, w in picked), [v for v, _ in picked]))
-    return _weighted_char_poly_sum(leaves, d, inst.n)
+        coeffs, scale = _rank_one_char_poly([v for v, _ in picked], d)
+        weighted.append((math.prod(w for _, w in picked), coeffs, scale))
+        leaves.append((0,) * (inst.n - d) + coeffs)
+    return _weighted_char_poly_sum(weighted, d, inst.n), leaves
+
+
+def ks_brute_force_poly(inst: KSInstance, prefix: Tuple[int, ...] = ()) -> ExactPolynomial:
+    """Expected characteristic polynomial by full outcome enumeration."""
+    return ks_brute_force_leaves(inst, prefix)[0]
 
 
 def padded_coeffs(p: ExactPolynomial, n: int) -> Tuple[Fraction, ...]:
@@ -565,7 +583,8 @@ def sr_brute_force_poly(inst: SRInstance, prefix: Tuple[int, ...] = ()) -> Exact
     """Probability-weighted sum of exact characteristic polynomials."""
     d = max([len(v) for v in inst.vectors] + [1])
     ell = len(prefix)
-    leaves = [(p, [inst.vectors[i] for i in range(inst.m) if (mask >> i) & 1])
+    leaves = [(p, *_rank_one_char_poly(
+                  [inst.vectors[i] for i in range(inst.m) if (mask >> i) & 1], d))
               for mask, p in enumerate(inst.table)
               if p and all(((mask >> i) & 1) == prefix[i] for i in range(ell))]
     return _weighted_char_poly_sum(leaves, d, inst.n)
@@ -664,7 +683,15 @@ def round_family(spec: FamilySpec, oracle: FamilyOracle,
     comparison, to be at most (1+eps) times the root polynomial's.
 
     Every step also re-checks the oracle's refinement consistency: the
-    children's coefficient vectors must sum to the parent's exactly.
+    children's coefficient vectors must sum exactly to the vector scored
+    for their prefix.  Each vector is asked for once: the first group's
+    parent comes from the oracle, every later group's parent is the
+    chosen child of the group before it (the same prefix at the same k),
+    and when k = n the leaf and the root are the last chosen child and
+    the first parent.  The certificate compares the leaf's top
+    enclosure with the root's scaled by 1 + eps
+    (:meth:`~rootline.isolation.RootInterval.scaled`), the same exact
+    order as isolating the rescaled root polynomial.
     """
     eps = to_fraction(epsilon)
     if eps <= 0:
@@ -674,11 +701,11 @@ def round_family(spec: FamilySpec, oracle: FamilyOracle,
 
     prefix: Tuple[int, ...] = ()
     steps: List[StepLog] = []
+    first = parent = oracle.coeffs(prefix, k)
     while len(prefix) < m:
         group = tuple(range(len(prefix), min(len(prefix) + M, m)))
         children = [(cand, oracle.coeffs(prefix + cand, k))
                     for cand in product(*[range(spec.sizes[i]) for i in group])]
-        parent = oracle.coeffs(prefix, k)
         sums = [Fraction(0)] * (k + 1)
         for _, raw in children:
             for i, c in enumerate(raw):
@@ -698,21 +725,21 @@ def round_family(spec: FamilySpec, oracle: FamilyOracle,
             count += 1
             est = approx_max_root(prof).estimate
             if best_est is None or est < best_est:
-                best_est, best_cand = est, cand
+                best_est, best_cand, parent = est, cand, raw  # the next group's parent
         if best_cand is None:
             raise OracleInconsistencyError(
                 f"every extension of prefix {prefix} is identically zero")
         steps.append(StepLog(len(prefix), group, count, best_cand, best_est))
         prefix = prefix + best_cand
 
-    leaf = _poly_from_raw(n, oracle.coeffs(prefix, n))
-    root = _poly_from_raw(n, oracle.coeffs((), n))
-    lam_leaf = max_root(leaf, Fraction(1, 2**40))
-    lam_root = max_root(root, Fraction(1, 2**40))
+    if k == n:
+        leaf_raw, root_raw = parent, first
+    else:
+        leaf_raw, root_raw = oracle.coeffs(prefix, n), oracle.coeffs((), n)
+    lam_leaf = max_root(_poly_from_raw(n, leaf_raw), Fraction(1, 2**40))
+    lam_root = max_root(_poly_from_raw(n, root_raw), Fraction(1, 2**40))
     # exact decision lambda(leaf) <= (1+eps) * lambda(root)
-    scaled_root = root.shift_scale(1 + eps, 0)
-    lam_scaled = max_root(scaled_root, Fraction(1, 2**40))
-    certified = compare_roots(lam_leaf, lam_scaled) <= 0
+    certified = compare_roots(lam_leaf, lam_root.scaled(1 + eps)) <= 0
     return RoundingResult(
         assignment=prefix,
         certified=certified,

@@ -18,6 +18,17 @@ the normalized profile and the estimate is scaled back.  Consequently
 scaling the root vector by c > 0 scales the returned estimate by
 exactly c, bit for bit, with identical iteration count and factor.
 
+Passes whose answer is already known run no Horner.  Before the loop
+one dyadic u >= max_i |nu_i| over the normalized roots nu_i is seeded
+from floats on the even power sum p_j (j = k, or k - 1 for odd k) and
+verified exactly on integers, so no float reaches a decision.  At every
+threshold t >= u each |nu_i / t| <= 1, so each |T_k(nu_i / t)| <= 1 and
+the sum is at most n: the test is False, as Horner would find, and the
+pass only counts as an iteration.  For real roots of any sign
+sum_i nu_i^j >= max_i |nu_i|^j because j is even, so estimate, factor,
+iteration count and branch are those of the loop without the skip;
+where the exact check fails nothing is skipped.
+
 Irrational quantities never enter: ln n is replaced by a certified
 dyadic upper bound, k-th roots are certified rational lower bounds with
 relative error below 2^-64, and the loop threshold is floored to 64
@@ -28,10 +39,11 @@ returned rationals, not an approximation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 from rootline.chebyshev import _cheb_coeffs
 from rootline.ratutil import (
@@ -58,6 +70,8 @@ _ROOT_BITS = 65
 _T_BITS = 64
 #: slack factor absorbing root/threshold roundings inside alpha
 _GUARD = 1 + Fraction(1, 2**40)
+#: significand bits of the dyadic root bound the loop skips passes above
+_BOUND_BITS = 32
 
 
 class InconsistentProfileError(ValueError):
@@ -142,6 +156,30 @@ def _threshold_coeffs(n: int, e1: Fraction, scale: int, psums: Tuple[int, ...]) 
         a[j] * psums[j - 1] * wpow[k - j] for j in range(1, k + 1))
 
 
+def _root_bound(e1: Fraction, scale: int, psums: Tuple[int, ...]) -> Optional[Fraction]:
+    """A dyadic u >= max_i |nu_i| over the e_1-normalized roots, or None.
+
+    Takes the even power sum of index j = k, or k - 1 for odd k, in the
+    integers of :func:`_threshold_coeffs`: P_j / w^j = sum_i nu_i^j, which
+    bounds every nu_i^j whatever the signs of the real nu_i.  The
+    candidate u = a/b comes from floats (bit lengths and log2), rounded
+    up, and is verified once, exactly, as P_j b^j <= (w a)^j.  None when
+    j < 2, P_j = 0, or the check fails.
+    """
+    j = len(psums) & ~1
+    if j < 2 or psums[j - 1] <= 0:
+        return None
+    pj = psums[j - 1]
+    w = scale * e1.numerator // e1.denominator
+    log_u = math.log2(pj) / j - math.log2(w)
+    s = _BOUND_BITS - math.ceil(log_u)
+    a = math.ceil(2.0 ** (log_u + s) * (1 + 2.0**-30)) + 1
+    u = Fraction(a, 1 << s) if s >= 0 else Fraction(a << -s)
+    if pj * u.denominator**j > (w * u.numerator) ** j:
+        return None
+    return u
+
+
 def _cheb_sum_exceeds(coeffs: Tuple[int, ...], t: Fraction) -> bool:
     """Exact decision  sum_i T_k(mu_i / t) > n  from :func:`_threshold_coeffs`.
 
@@ -210,13 +248,15 @@ def approx_max_root(prof: SymmetricProfile) -> ApproxResult:
         return ApproxResult(est, alpha_factor(k, n), 0, POWER_SUM)
 
     coeffs = _threshold_coeffs(n, e1, scale, psums)
+    bound = _root_bound(e1, scale, psums)
     f = shrink_factor(k, n)
     cap = 10 * k * k + 100
     t = Fraction(1)  # normalized e_1
     iterations = 0
     while iterations < cap:
         iterations += 1
-        if _cheb_sum_exceeds(coeffs, t):
+        # t >= bound puts every |nu_i / t| <= 1, so the sum is at most n
+        if (bound is None or t < bound) and _cheb_sum_exceeds(coeffs, t):
             return ApproxResult(e1 * t, alpha_factor(k, n), iterations, CHEBYSHEV_LOOP)
         t = dyadic_floor(t / f, _T_BITS)
     raise InconsistentProfileError(

@@ -32,8 +32,8 @@ from rootline.graphs import (
 from rootline.interlacing import (
     KSInstance,
     check_common_interlacing,
+    ks_brute_force_leaves,
     ks_brute_force_poly,
-    ks_leaf_poly,
     ks_oracle,
     padded_coeffs,
     round_family,
@@ -430,17 +430,17 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     for trial, inst in instances:
         oracle = ks_oracle(inst)
         spec = inst.spec()
-        # exhaustive cross-checks, independent of the rounding path
-        brute_root = ks_brute_force_poly(inst)
+        # exhaustive cross-checks, independent of the rounding path; each
+        # leaf's characteristic polynomial feeds both the sum and the scan
+        brute_root, leaves = ks_brute_force_leaves(inst)
         if oracle.coeffs((), inst.n) != padded_coeffs(brute_root, inst.n):
             failures.append(f"trial {trial}: root polynomial mismatch vs enumeration")
             continue
         root_monic = brute_root.monic()
         lam_root = max_root(root_monic, Fraction(1, 2**30))
         min_leaf = None
-        for leaf_bits in range(1 << inst.m):
-            choices = tuple((leaf_bits >> i) & 1 for i in range(inst.m))
-            lam = max_root(ks_leaf_poly(inst, choices), Fraction(1, 2**20))
+        for leaf in leaves:
+            lam = max_root(leaf, Fraction(1, 2**20))
             if min_leaf is None or compare_roots(lam, min_leaf) < 0:
                 min_leaf = lam
         if compare_roots(min_leaf, lam_root) > 0:

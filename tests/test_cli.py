@@ -167,7 +167,9 @@ def test_malformed_pair_exits_2(pair, tmp_path):
     {"kind": "ks", "n": 2, "supports": 5},
     {"n": 2, "m": 40, "table": {"0": "1/1"}, "vectors": []},
     {"n": 2, "m": 1, "table": {"2": "1/1"}, "vectors": [["1/1"]]},
-], ids=["ks-supports-not-a-list", "sr-m-too-large", "sr-mask-out-of-range"])
+    5, None, True, "supports", [1],
+], ids=["ks-supports-not-a-list", "sr-m-too-large", "sr-mask-out-of-range",
+        "int", "null", "bool", "string", "array"])
 def test_malformed_family_exits_2(family, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(family))
     res = run_cli(["round", "--family", "bad.json", "--epsilon", "1/2"], tmp_path)

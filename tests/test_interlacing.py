@@ -175,6 +175,66 @@ def test_round_family_detects_inconsistent_oracle():
         round_family(inst.spec(), LyingOracle(), F(1, 2))
 
 
+class CountingOracle:
+    """Passes calls through to an oracle and records each (prefix, k)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def coeffs(self, prefix, k):
+        self.calls.append((prefix, k))
+        return self.inner.coeffs(prefix, k)
+
+
+def _children_per_group(spec, M):
+    return [len(list(product(*[range(spec.sizes[i]) for i in range(s, min(s + M, spec.m))])))
+            for s in range(0, spec.m, M)]
+
+
+def test_round_family_asks_for_each_vector_once_when_k_is_n():
+    inst = two_block_ks_instance(random.Random(7), 8, 2, 16)
+    spec, eps = inst.spec(), F(1, 2)
+    M, k = rounding_coefficient_budget(inst.n, inst.m, eps)
+    assert k == inst.n
+    counting = CountingOracle(ks_oracle(inst))
+    res = round_family(spec, counting, eps)
+    assert res.to_json_dict() == round_family(spec, ks_oracle(inst), eps).to_json_dict()
+    assert len(counting.calls) == sum(_children_per_group(spec, M)) + 1
+    assert len(set(counting.calls)) == len(counting.calls)
+    assert counting.calls[0] == ((), k)
+
+
+def test_round_family_asks_for_leaf_and_root_when_k_is_below_n():
+    # a small m in a large ambient dimension: the budget caps k below n
+    inst = KSInstance(1000, (_coin((F(2), F(0)), E2), _coin(E1, (F(0), F(3)))))
+    spec, eps = inst.spec(), F(1, 2)
+    M, k = rounding_coefficient_budget(inst.n, inst.m, eps)
+    assert k < inst.n
+    counting = CountingOracle(ks_oracle(inst))
+    res = round_family(spec, counting, eps)
+    assert res.assignment == (1, 0) and res.certified
+    at_k = [c for c in counting.calls if c[1] == k]
+    assert len(at_k) == sum(_children_per_group(spec, M)) + 1
+    assert [c for c in counting.calls if c[1] != k] == [(res.assignment, inst.n), ((), inst.n)]
+
+
+def test_round_family_detects_a_lie_in_a_later_group():
+    # m = 4 walks two groups of two; only children of the second group lie
+    inst = KSInstance(2, (_coin(E1, E2),) * 4)
+    assert rounding_coefficient_budget(inst.n, inst.m, F(1, 2))[0] == 2
+
+    class LateLiar(CountingOracle):
+        def coeffs(self, prefix, k):
+            out = super().coeffs(prefix, k)
+            return tuple(c + 1 for c in out) if len(prefix) == 4 and prefix[3] == 0 else out
+
+    liar = LateLiar(ks_oracle(inst))
+    with pytest.raises(OracleInconsistencyError):
+        round_family(inst.spec(), liar, F(1, 2))
+    assert any(len(prefix) == 4 for prefix, _ in liar.calls)
+
+
 def test_rounding_budget():
     M, k = rounding_coefficient_budget(256, 8, F(1, 2))
     assert M == 2

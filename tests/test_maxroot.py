@@ -3,19 +3,29 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rootline.chebyshev import cheb_poly
+from rootline.chebyshev import cheb_eval, cheb_poly
 from rootline.maxroot import (
     CHEBYSHEV_LOOP,
     POWER_SUM,
     InconsistentProfileError,
+    _cheb_sum_exceeds,
+    _root_bound,
+    _threshold_coeffs,
     alpha_factor,
     approx_max_root,
     iteration_bound,
     shrink_factor,
     uses_power_sum_branch,
 )
-from rootline.symfuncs import SymmetricProfile, extended_power_sums, profile_of_roots
+from rootline.symfuncs import (
+    SymmetricProfile,
+    extended_power_sums,
+    integer_power_sums,
+    profile_of_roots,
+)
 
 
 def root_sum_test(prof: SymmetricProfile, t, cheb_index: int = None) -> F:
@@ -209,9 +219,6 @@ def test_loop_decision_agrees_with_fraction_sum():
     # the integer decision inside the loop, on coefficients built once
     # per call from the integer power sums, must agree with the plain
     # Fraction evaluation of the Chebyshev sum
-    from rootline.maxroot import _cheb_sum_exceeds, _threshold_coeffs
-    from rootline.symfuncs import integer_power_sums
-
     rng = random.Random(404)
     seen = set()
     for make in [_dense_small] * 20 + [_rank_bounded] * 10:
@@ -229,3 +236,52 @@ def test_loop_decision_agrees_with_fraction_sum():
             assert fast == slow
             seen.add(fast)
     assert seen == {False, True}
+
+
+@st.composite
+def _real_roots(draw):
+    """(n, roots, k): r <= n nonzero rational roots of either sign with a
+    positive sum, padded with n - r zeros."""
+    n = draw(st.integers(2, 24))
+    r = draw(st.integers(1, min(n, 5)))
+    nonzero = [F(draw(st.integers(1, 40)) * draw(st.sampled_from([-1, 1])),
+                 draw(st.sampled_from([1, 2, 3, 4, 8])))
+               for _ in range(r)]
+    total = sum(nonzero)
+    if total <= 0:  # raise the first root until e_1 > 0
+        nonzero[0] = abs(nonzero[0]) - total + F(1, 8)
+    return n, nonzero + [F(0)] * (n - r), draw(st.integers(1, n))
+
+
+def _reference_exceeds(n, nu, k, t) -> bool:
+    return sum(cheb_eval(k, x / t) for x in nu) > n
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(_real_roots(), st.integers(1, 1 << 12), st.integers(0, 8),
+       st.sampled_from([1, 1, 3, 5, 7, 11]))
+def test_threshold_decision_matches_fraction_reference(case, num, shift, odd):
+    # dyadic thresholds (odd = 1), as the loop makes them, and thresholds
+    # whose denominator has an odd part, against sum_i T_k(nu_i / t) > n
+    n, roots, k = case
+    prof = profile_of_roots(n, roots, k)
+    e1 = prof.e[0]
+    coeffs = _threshold_coeffs(n, e1, *integer_power_sums(prof.e, k))
+    t = F(num, odd << shift)
+    assert _cheb_sum_exceeds(coeffs, t) == _reference_exceeds(n, [x / e1 for x in roots], k, t)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(_real_roots(), st.fractions(min_value=0, max_value=3, max_denominator=64))
+def test_no_threshold_at_or_above_the_root_bound_crosses(case, above):
+    # the loop skips every pass with t >= u: there the sum must be <= n
+    n, roots, k = case
+    prof = profile_of_roots(n, roots, k)
+    e1 = prof.e[0]
+    u = _root_bound(e1, *integer_power_sums(prof.e, k))
+    if k < 2:
+        assert u is None
+        return
+    nu = [x / e1 for x in roots]
+    assert u is not None and u >= max(abs(x) for x in nu)
+    assert not _reference_exceeds(n, nu, k, u * (1 + above))

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rootline.poly import ExactPolynomial as P
 from rootline.symfuncs import (
@@ -270,3 +272,17 @@ def test_scale_is_least_and_divides_root_denominator():
             assert scale == least
             if prof.k == n:  # a complete profile needs every root denominator
                 assert scale == math.lcm(*(r.denominator for r in roots))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12), min_size=1,
+                max_size=8),
+       st.integers(0, 6), st.integers(0, 20))
+def test_order_r_cut_matches_full_recurrence(head, zeros, upto):
+    # any e_j, then zeros up to e_k: the recurrence cut to order r (the
+    # last nonzero e_r) must give the sums of the full order-k recurrence,
+    # past k as well
+    e = tuple(head) + (F(0),) * zeros
+    assume(any(e))
+    scale, ints = integer_power_sums(e, upto)
+    assert tuple(F(v, scale**i) for i, v in enumerate(ints, 1)) == _fraction_power_sums(e, upto)
