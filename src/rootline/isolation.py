@@ -17,6 +17,16 @@ integer arithmetic:
 * multiplicities come from the square-free decomposition, which first
   deflates the zero root (p = x^j f with f(0) != 0), runs Yun's loop on
   f alone and gives x back to the factor of multiplicity j;
+* the walk starts on (-2^h, 2^h) for the least h that passes an exact
+  Fujiwara-type test, sum_i |c_(d-i)| 2^(-hi) < |c_d|, never above the
+  Cauchy bound's h and for Chebyshev-like coefficients far below it (7
+  against 38 for T_32(3/2 - x)); below width 2^h the Descartes tree is
+  the same aligned dyadic tree whatever the starting bound, and
+  refinement reaches the same aligned cell from any wider aligned cell
+  that holds the root, so an enclosure refined below the width it started
+  at is the same from any bound;
+* the Descartes test runs the Taylor shift pass by pass and stops at the
+  second sign variation, since the walk only tells 0, 1 and >= 2 apart;
 * refinement is sign bisection, so certified width bounds are a loop,
   not an estimate; it walks the bisection grid and lands on the same
   cell as step-by-step bisection;
@@ -158,19 +168,6 @@ def _sign_at_ratio(c: Sequence[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(c: Sequence[int]) -> int:
-    count = 0
-    prev = 0
-    for v in c:
-        if v == 0:
-            continue
-        s = 1 if v > 0 else -1
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
 def _shift1(c: Sequence[int]) -> List[int]:
     """Taylor shift p(x) -> p(x+1), Ruffini-Horner scheme."""
     c = list(c)
@@ -210,9 +207,29 @@ def _to_unit_interval(c: Sequence[int], lo: int, hi: int, den: int) -> List[int]
 
 
 def _variations01(c: Sequence[int]) -> int:
-    """Sign variations bounding the number of roots in the open (0,1)."""
-    rev = list(reversed(c))
-    return _variations(_shift1(_trim(rev)))
+    """min(2, V), V the sign variations of (x+1)^d c(1/(x+1)), which bound
+    the number of roots of c in the open (0,1).
+
+    The shift is ``_shift1`` on the reversal, run pass by pass: pass i
+    finalises coefficient i and the lead never moves, so the variations
+    seen in the finished prefix are a lower bound on V, and the walk
+    stops at the second one.  ``_descartes01`` tells only 0, 1 and >= 2
+    apart.
+    """
+    c = _trim(list(reversed(c)))
+    d = len(c) - 1
+    count = prev = 0
+    for i in range(d + 1):
+        for j in range(d - 1, i - 1, -1):
+            c[j] += c[j + 1]
+        if c[i]:
+            s = 1 if c[i] > 0 else -1
+            if s == -prev:
+                count += 1
+                if count == 2:
+                    return 2
+            prev = s
+    return count
 
 
 def _deflate_root(c: Sequence[int], num: int, den: int) -> IntPoly:
@@ -222,12 +239,29 @@ def _deflate_root(c: Sequence[int], num: int, den: int) -> IntPoly:
     return _primitive(_divide_exact(c, (-num // g, den // g)))
 
 
-def cauchy_bound_pow2(c: Sequence[int]) -> int:
-    """Power-of-two h with all real roots strictly inside (-2^h, 2^h)."""
-    lead = abs(c[-1])
-    top = max(abs(v) for v in c[:-1]) if len(c) > 1 else 0
-    bound = 1 + (top + lead - 1) // lead  # ceil(top/lead) + 1 > cauchy bound
-    return max(1, bound).bit_length()
+def root_bound_pow2(c: Sequence[int]) -> int:
+    """The least h >= 1 with sum_(i=1..d) |c_(d-i)| 2^(-hi) < |c_d|, so that
+    every real root lies strictly inside (-2^h, 2^h).
+
+    At |x| >= 2^h the terms below the lead sum to less than |c_d x^d|.
+    The test is exact, on integers: sum_(j<d) |c_j| 2^(hj) < |c_d| 2^(hd),
+    by Horner in 2^h.  Its sum falls as h grows, so the scan starts at the
+    least h that no single term rules out, |c_(d-i)| < |c_d| 2^(hi) by bit
+    lengths; Fujiwara's per-term rule |c_(d-i)| < |c_d| 2^((h-1)i) passes
+    the test within two steps of that start, and so does Cauchy's
+    1 + max|c_j/c_d| <= 2^h, so h is never above either.
+    """
+    d, lead = len(c) - 1, abs(c[-1])
+    top = lead.bit_length()
+    h = max([1] + [-((top - abs(v).bit_length()) // i)
+                   for i, v in enumerate(reversed(c[:-1]), 1) if v])
+    while True:
+        acc = 0
+        for v in reversed(c[:-1]):
+            acc = (acc << h) + abs(v)
+        if acc < lead << (h * d):
+            return h
+        h += 1
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +359,7 @@ def _squarefree_roots(q: IntPoly, multiplicity: int) -> Iterator[RootInterval]:
         yield RootInterval(q, -q[0], -q[0], multiplicity, den=q[1])
     if len(q) <= 2:
         return
-    h = cauchy_bound_pow2(q)
+    h = root_bound_pow2(q)
     for c, k, exact, path in _descartes01(_to_unit_interval(q, -1 << h, 1 << h, 1)):
         poly = q
         for num, j in path:
@@ -562,7 +596,7 @@ def _open_roots(q: IntPoly, lo: int, hi: int, den: int) -> Iterator[Tuple]:
 def _roots_leq(factors: List[Tuple[IntPoly, int]], a: Fraction) -> bool:
     """Every real root of the square-free factors is <= a."""
     for factor, _ in factors:
-        bound = 1 << cauchy_bound_pow2(factor)
+        bound = 1 << root_bound_pow2(factor)
         if a < bound and any(_open_roots(factor, a.numerator, bound * a.denominator,
                                          a.denominator)):
             return False

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from rootline.chebyshev import cheb_eval, cheb_poly
+from rootline.chebyshev import _cheb_coeffs, cheb_eval, cheb_poly
 from rootline.graphs import (
     EXHAUSTION_CAP,
     Graph,
@@ -38,6 +38,8 @@ from rootline.graphs import (
     signed_adjacency,
 )
 from rootline.isolation import (
+    PolyLike,
+    _shift_int,
     compare_roots,
     max_root,
     max_root_geq,
@@ -107,14 +109,14 @@ class LowerBoundPair:
         )
 
 
-def _max_root_bounds(p: ExactPolynomial) -> Tuple[Fraction, Fraction]:
+def _max_root_bounds(p: PolyLike) -> Tuple[Fraction, Fraction]:
     r = max_root(p, _RATIO_WIDTH)
     if r is None:
         raise ValueError("polynomial has no real roots")
     return r.lo, r.hi
 
 
-def certified_ratio_lower(p: ExactPolynomial, q: ExactPolynomial) -> Fraction:
+def certified_ratio_lower(p: PolyLike, q: PolyLike) -> Fraction:
     """Rational r with lambda_max(q)/lambda_max(p) >= r, from isolation."""
     _, p_hi = _max_root_bounds(p)
     q_lo, _ = _max_root_bounds(q)
@@ -134,6 +136,24 @@ def matched_coefficient_count(p: ExactPolynomial, q: ExactPolynomial) -> int:
     return n
 
 
+def _cheb_affine(k: int, u: int, v: int, den: int = 1) -> List[int]:
+    """Ascending integer coefficients of den^k T_k((u + v x)/den).
+
+    With T_k(y) = sum_i a_i y^i this is g(u + v x) for the integer
+    polynomial g(z) = sum_i a_i den^(k-i) z^i: scale, Taylor-shift by u,
+    then multiply the coefficient of x^j by v^j.
+    """
+    g = [a * den ** (k - i) for i, a in enumerate(_cheb_coeffs(k))]
+    return [c * v**j for j, c in enumerate(_shift_int(g, u))]
+
+
+def _monic(c: List[int], pad: int = 0) -> ExactPolynomial:
+    """x^pad c(x) / lead(c), the one place the integer coefficients become
+    Fractions."""
+    lead = c[-1]
+    return ExactPolynomial([Fraction(0)] * pad + [Fraction(v, lead) for v in c])
+
+
 # ---------------------------------------------------------------------------
 # weak pair: T_n(x-1) +- 1
 # ---------------------------------------------------------------------------
@@ -145,17 +165,21 @@ def weak_pair(n: int) -> LowerBoundPair:
     p has roots 1 + cos((pi + 2 pi i)/n) with largest 1 + cos(pi/n);
     q has roots 1 + cos(2 pi i/n) with largest exactly 2.  The certified
     ratio is 2 / (1 + cos(pi/n)) = 1 + Omega(1/n^2).
+
+    Both are built on integers, T_n(x - 1) as the Taylor shift of T_n's
+    coefficients by -1, and divided by the lead 2^(n-1) once at the end.
     """
     if n < 2:
         raise ValueError("weak pair needs n >= 2")
-    shifted = cheb_poly(n).compose(ExactPolynomial.from_coeffs([-1, 1]))
-    p = (shifted + ExactPolynomial.one()).monic()
-    q = (shifted - ExactPolynomial.one()).monic()
+    shifted = _cheb_affine(n, -1, 1)
+    p_int = [shifted[0] + 1] + shifted[1:]
+    q_int = [shifted[0] - 1] + shifted[1:]
 
     # lambda_max(q) = 2 exactly: 2 is a root and T_n(1+x) > 1 for x > 0
-    if q(Fraction(2)) != 0 or not max_root_leq(q, Fraction(2)):
+    if sum(c << i for i, c in enumerate(q_int)) != 0 or not max_root_leq(q_int, Fraction(2)):
         raise AssertionError("weak pair: top root of q is not 2")
-    p_lo, p_hi = _max_root_bounds(p)
+    p, q = _monic(p_int), _monic(q_int)
+    p_lo, p_hi = _max_root_bounds(p_int)
     ratio = Fraction(2) / p_hi
     cert = {
         "kind": "weak",
@@ -287,23 +311,27 @@ def noisy_pair(k: int, n: int) -> LowerBoundPair:
     constant 1 (the identity 2 T_k^2 - T_2k = 1), padded by x^(n-2k) to
     degree n and normalized monic.  s carries the larger top root:
     3/2 + cos(pi/4k) versus 3/2 + cos(pi/2k) for r.
+
+    Both are built on integers: A = 2^k T_k(3/2 - x) and
+    B = 2^(2k) T_2k(3/2 - x), so that 2 A^2 - B = 2^(2k), and p and q are
+    A^2 and B over their leads, 2^(4k-2) and 2^(4k-1).
     """
     if k <= 1:
         raise ValueError("noisy pair needs k >= 2")
     if 2 * k > n:
         raise ValueError(f"need 2k <= n, got k={k}, n={n}")
-    flip = ExactPolynomial.from_coeffs([Fraction(3, 2), -1])
-    tk = cheb_poly(k).compose(flip)
-    r = tk * tk * 2
-    s = cheb_poly(2 * k).compose(flip)
-    diff = r - s
-    if diff.degree != 0 or diff.coeff(0) != 1:
+    a = _cheb_affine(k, 3, -2, 2)
+    a2 = [0] * (2 * k + 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(a):
+            a2[i + j] += u * v
+    b = _cheb_affine(2 * k, 3, -2, 2)
+    if [2 * u - v for u, v in zip(a2, b)] != [1 << (2 * k)] + [0] * (2 * k):
         raise AssertionError("identity 2 T_k^2 - T_2k = 1 failed")
 
     pad = n - 2 * k
-    lead = r.leading  # 2^(2k-1), shared by construction
-    p = ExactPolynomial([Fraction(0)] * pad + [c / lead for c in r.coeffs])
-    q = ExactPolynomial([Fraction(0)] * pad + [c / lead for c in s.coeffs])
+    lead = Fraction(1 << (2 * k - 1))  # the lead of r = 2 T_k^2 and of s = T_2k
+    p, q = _monic(a2, pad), _monic(b, pad)
 
     tk32 = cheb_eval(k, Fraction(3, 2))
     coeff_p = 2 * tk32**2 / lead
@@ -313,7 +341,7 @@ def noisy_pair(k: int, n: int) -> LowerBoundPair:
     if coeff_ratio > bound:
         raise AssertionError("coefficient ratio exceeded 1 + 4/2^(2k)")
 
-    ratio = certified_ratio_lower(p, q)
+    ratio = certified_ratio_lower([0] * pad + a2, [0] * pad + b)
     cert = {
         "kind": "noisy",
         "cheb_k": k,

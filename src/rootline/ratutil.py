@@ -16,6 +16,7 @@ independent of platform or call history.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Tuple, Union
@@ -79,15 +80,29 @@ def decimal_render(x: Fraction, digits: int = 12) -> str:
 
 
 def iroot_floor(a: int, k: int) -> int:
-    """floor(a ** (1/k)) for a >= 0, k >= 1, by Newton iteration on ints."""
+    """floor(a ** (1/k)) for a >= 0, k >= 1, by Newton iteration on ints.
+
+    Newton descends monotonically from any start at or above the root.
+    The start is a float estimate of the root from a's bit length and top
+    53 bits, its log2 raised by 2^-40 (1 + log2 of the root), far above
+    the float error, and checked exactly: it overshoots by a relative
+    2^-40 times the root's bit length or so, and a few quadratic steps
+    finish.  Should the check fail, the start is the power of two above
+    the root, from which the descent takes about k ln 2 steps.
+    """
     if a < 0 or k < 1:
         raise ValueError("iroot_floor needs a >= 0, k >= 1")
     if a == 0:
         return 0
     if k == 1:
         return a
-    # initial guess from bit length, then monotone Newton descent
-    x = 1 << -(-a.bit_length() // k)
+    shift = max(0, a.bit_length() - 53)
+    log2_root = (math.log2(a >> shift) + shift) / k
+    log2_root += (log2_root + 1) * 2.0**-40
+    e = max(0, math.floor(log2_root) - 52)
+    x = math.ceil(2.0 ** (log2_root - e)) << e
+    if x**k < a:
+        x = 1 << -(-a.bit_length() // k)
     while True:
         y = ((k - 1) * x + a // x ** (k - 1)) // k
         if y >= x:

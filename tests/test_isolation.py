@@ -15,12 +15,14 @@ from rootline.isolation import (
     _open_roots,
     _sign_at_ratio,
     _separate,
+    _variations01,
     compare_roots,
     int_poly_gcd,
     isolate_real_roots,
     max_root,
     max_root_geq,
     max_root_leq,
+    root_bound_pow2,
     separated_roots,
     squarefree_decomposition,
 )
@@ -789,3 +791,69 @@ def test_compare_roots_matches_reference_property(args):
                 min_size=2, max_size=6, unique=True), st.data())
 def test_separate_matches_reference_property(roots, data):
     _assert_separate_like_reference([data.draw(_cell(f, x, [])) for f, x in roots])
+
+
+# ---------------------------------------------------------------------------
+# the root bound and the early-exit Descartes test
+# ---------------------------------------------------------------------------
+
+
+def _cauchy_h(c):
+    """The least h with 2^h > 1 + ceil(max |c_j / c_d|): Cauchy's bound as
+    a power of two."""
+    lead = abs(c[-1])
+    top = max(abs(v) for v in c[:-1])
+    return (1 + (top + lead - 1) // lead).bit_length()
+
+
+@st.composite
+def _bound_cases(draw):
+    """Integer polynomials: random rational roots, of any size and sign
+    and possibly repeated, times a random square-free factor."""
+    roots = [(draw(st.integers(-5000, 5000)), draw(st.integers(1, 40)))
+             for _ in range(draw(st.integers(0, 5)))]
+    factor = [draw(st.integers(-60, 60)) for _ in range(draw(st.integers(1, 4)))]
+    factor.append(draw(st.integers(1, 9)) * draw(st.sampled_from([-1, 1])))
+    assume(len(int_poly_gcd(factor, [i * factor[i] for i in range(1, len(factor))])) == 1)
+    return _mul(factor, *[(-num, den) for num, den in roots])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_bound_cases())
+def test_root_bound_holds_and_is_never_above_cauchy(c):
+    h = root_bound_pow2(c)
+    bound = 1 << h
+    assert 1 <= h <= _cauchy_h(c)
+    # every distinct real root inside (-2^h, 2^h): Sturm counts there and
+    # inside a wider Cauchy interval agree, and neither end is a root
+    wide = 1 + sum(F(abs(v), abs(c[-1])) for v in c)
+    assert sign_at(c, F(bound)) != 0 and sign_at(c, F(-bound)) != 0
+    assert _sturm_count(c, -bound, bound) == _sturm_count(c, -wide, wide)
+    # and h is the least h >= 1 passing the summed test
+    if h > 1:
+        d = len(c) - 1
+        assert sum(F(abs(c[d - i]), abs(c[-1])) / 2 ** ((h - 1) * i)
+                   for i in range(1, d + 1)) >= 1
+
+
+def test_root_bound_of_the_noisy_pair():
+    q = _int_poly(noisy_pair(16, 32).q)
+    assert (root_bound_pow2(q), _cauchy_h(q)) == (7, 38)
+    assert root_bound_pow2((6, -5, 1)) == 3  # Fujiwara's per-term rule gives 4
+
+
+def _shifted_reversal_variations(c):
+    """Sign variations of (x+1)^d c(1/(x+1)), by binomial expansion."""
+    rev = list(reversed(c))
+    while rev and rev[-1] == 0:
+        rev.pop()
+    shifted = [sum(v * math.comb(i, j) for i, v in enumerate(rev) if i >= j)
+               for j in range(len(rev))]
+    signs = [v > 0 for v in shifted if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-50, 50)), max_size=14))
+def test_early_exit_variations_match_the_full_count(c):
+    assert _variations01(c) == min(2, _shifted_reversal_variations(c))

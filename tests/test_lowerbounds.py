@@ -136,6 +136,31 @@ def test_noisy_certified_ratio_safe_constant(k):
     assert pair.ratio_lower <= 1 + F(1, 2 * k * k)
 
 
+def _compose_weak(n):
+    """The weak pair's polynomials built on Fractions, by composition."""
+    shifted = cheb_poly(n).compose(P.from_coeffs([-1, 1]))
+    return (shifted + P.one()).monic(), (shifted - P.one()).monic()
+
+
+def _compose_noisy(k, n):
+    """The noisy pair's polynomials built on Fractions, by composition."""
+    flip = P.from_coeffs([F(3, 2), -1])
+    tk = cheb_poly(k).compose(flip)
+    r, s = tk * tk * 2, cheb_poly(2 * k).compose(flip)
+    pad = [F(0)] * (n - 2 * k)
+    return P(pad + [c / r.leading for c in r.coeffs]), P(pad + [c / r.leading for c in s.coeffs])
+
+
+def test_integer_builders_match_composition():
+    for n in range(2, 65):
+        pair = weak_pair(n)
+        assert (pair.p, pair.q) == _compose_weak(n), n
+    for k in range(2, 17):
+        for n in (2 * k, 2 * k + 3):
+            pair = noisy_pair(k, n)
+            assert (pair.p, pair.q) == _compose_noisy(k, n), (k, n)
+
+
 def test_noisy_pair_guards():
     with pytest.raises(ValueError):
         noisy_pair(1, 4)

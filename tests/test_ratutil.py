@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from rootline import ratutil
 from rootline.ratutil import (
     cos_pi_bounds,
     decimal_render,
@@ -53,6 +55,57 @@ def test_iroot_floor():
     big = 12345678901234567890
     r = iroot_floor(big, 7)
     assert r**7 <= big < (r + 1) ** 7
+
+
+class _CountingInt(int):
+    """An int that counts the floor divisions it is the dividend of: one
+    per Newton step of ``iroot_floor``."""
+
+    steps = 0
+
+    def __floordiv__(self, other):
+        _CountingInt.steps += 1
+        return int(self) // other
+
+
+def _iroot_bisect(a, k):
+    lo, hi = 0, 1 << (a.bit_length() // k + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= a:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _radicands():
+    """(a, k, floor(a^(1/k))): seeded radicands of up to 20,000 bits, each
+    with the exact power just below it and the neighbours of both."""
+    rng = random.Random(20)
+    for bits in (1, 2, 52, 53, 54, 64, 200, 1000, 5000, 20000):
+        for k in (2, 3, 5, 16, 63, 64, 255, 256):
+            a = rng.getrandbits(bits) | 1 << (bits - 1)
+            r = _iroot_bisect(a, k)
+            yield a, k, r
+            yield r**k, k, r
+            yield r**k - 1, k, r - 1
+            yield (r + 1) ** k - 1, k, r
+
+
+def test_iroot_floor_matches_bisection_in_few_steps():
+    for a, k, root in _radicands():
+        _CountingInt.steps = 0
+        assert iroot_floor(_CountingInt(a), k) == root, (a.bit_length(), k)
+        assert _CountingInt.steps <= 12, (a.bit_length(), k, _CountingInt.steps)
+
+
+def test_iroot_floor_without_a_usable_estimate(monkeypatch):
+    # a float estimate far below the root fails the exact check and the
+    # power-of-two start takes over
+    monkeypatch.setattr(ratutil.math, "log2", lambda v: 0.0)
+    for a, k in [(2**100 - 1, 10), (3**500, 7), (12345678901234567890, 2)]:
+        assert iroot_floor(a, k) == _iroot_bisect(a, k)
 
 
 def test_nth_root_bounds_direction():
