@@ -134,14 +134,20 @@ def _cmd_approx_root(params: Dict, seed: Optional[int]) -> dict:
 
 def _cmd_gen_pair(params: Dict, seed: Optional[int]) -> dict:
     kind = params.get("kind")
+
+    def needed(name: str):
+        if name not in params:
+            raise CliError(f"gen-pair --kind {kind} needs the parameter {name!r}")
+        return params[name]
+
     if kind == "weak":
-        pair = weak_pair(int(params["n"]))
+        pair = weak_pair(int(needed("n")))
     elif kind == "girth":
-        pair = girth_pair(_load_graph(params["graph"]), int(params.get("power", 2)))
+        pair = girth_pair(_load_graph(needed("graph")), int(params.get("power", 2)))
     elif kind == "noisy":
-        pair = noisy_pair(int(params["k"]), int(params["n"]))
+        pair = noisy_pair(int(needed("k")), int(needed("n")))
     else:  # boosted: dispatch has checked kind against the choices
-        base = LowerBoundPair.from_json_dict(_load_json(params["base"]))
+        base = LowerBoundPair.from_json_dict(_load_json(needed("base")))
         pair = boosted_pair(base, int(params.get("t", 2)))
     return pair.to_json_dict()
 

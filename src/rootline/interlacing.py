@@ -13,18 +13,30 @@ Two concrete oracles are provided: independent finite-support random
 rank-one sums (``KSInstance``) and subset distributions given by a
 dense probability table with fixed vectors (``SRInstance``).  Leaf
 polynomials carry their probability as a factor, so a prefix's
-polynomial is literally the sum of its children's, exactly.
+polynomial is literally the sum of its children's, exactly.  Both take
+their Gram determinants from one integer table, each bordered in
+O(d^2) from the determinant one row shorter; the KS oracle reads every
+prefix's expected minors off one tree per subset of coordinates.  The
+walk depends on eps only through the coefficient budget k, so both
+oracles keep it per k and a second eps only certifies again.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from rootline.isolation import IntPoly, compare_roots, isolate_real_roots, max_root
+from rootline.isolation import (
+    IntPoly,
+    RootInterval,
+    compare_roots,
+    isolate_real_roots,
+    max_root,
+)
 from rootline.maxroot import approx_max_root
 from rootline.poly import ExactPolynomial, char_poly_int_rows
 from rootline.ratutil import (
@@ -133,32 +145,6 @@ class FamilyOracle:
                 raise ValueError(f"choice {c} at coordinate {i} is not in 0..{spec.sizes[i] - 1}")
 
 
-def _bareiss_det(mat: List[List[int]]) -> int:
-    """Fraction-free exact integer determinant (Bareiss)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if mat[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        pkk = mat[k][k]
-        for i in range(k + 1, n):
-            mik = mat[i][k]
-            row_i = mat[i]
-            row_k = mat[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pkk - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
-    return sign * mat[n - 1][n - 1]
-
-
 class _GramKernel:
     """The exact integer kernel both oracles run on.
 
@@ -178,9 +164,10 @@ class _GramKernel:
     P_i Q_i over T and S = S_[m]: it brings per-subset integers to the
     one denominator S.
 
-    Simultaneous row and column permutations leave a determinant alone,
-    so ``det`` runs Bareiss once per distinct set of rows (with
-    repeats), memoized on the sorted row tuple for the oracle's life.
+    Determinants grow one row at a time (``border``): both oracles walk
+    their row sets as paths that add a row, so every determinant extends
+    its parent's in O(d^2) exact steps, and a zero leading minor ends a
+    path, since a Gram matrix of dependent vectors stays singular.
     """
 
     def __init__(self, choices: Sequence[Sequence[Tuple[Fraction, ...]]],
@@ -208,16 +195,30 @@ class _GramKernel:
         self.total = math.prod(self.scales)
         self.dim = max(map(len, ints), default=0)  # rank bound on every Gram matrix
         self.gram = [[sum(x * y for x, y in zip(u, w)) for w in ints] for u in ints]
-        self._dets: Dict[Tuple[int, ...], int] = {}
 
-    def det(self, rows: Sequence[int]) -> int:
-        """Determinant of the integer Gram sub-table on ``rows``."""
-        key = tuple(sorted(rows))
-        hit = self._dets.get(key)
-        if hit is None:
-            g = self.gram
-            hit = self._dets[key] = _bareiss_det([[g[a][b] for b in key] for a in key])
-        return hit
+    def border(self, rows: Sequence[int], reduced: Sequence[Sequence[int]],
+               pivots: Sequence[int], a: int) -> Tuple[int, List[int]]:
+        """The Gram sub-table on ``rows`` bordered by table row ``a``.
+
+        Symmetric fraction-free (Bareiss) elimination, one row at a time:
+        ``pivots`` are the leading principal minors p_0 = 1, p_1, ..., p_d
+        of the sub-table on the d ``rows``, none of them zero, and
+        ``reduced[c]`` is row c's entries x_c[i], i < c, as elimination
+        step i met them.  Returns p_(d+1), the determinant with row a
+        added, and a's own reduced row.  Step i sets
+        x[c] <- (x[c] p_(i+1) - x[i] reduced[c][i]) / p_i for c > i and
+        the new pivot <- (pivot p_(i+1) - x[i]^2) / p_i; Sylvester's
+        identity makes every division exact.
+        """
+        g = self.gram[a]
+        x = [g[b] for b in rows]
+        top = g[a]
+        for i, xi in enumerate(x):  # x[i] is final once the steps before i have run
+            p, q = pivots[i + 1], pivots[i]
+            for c in range(i + 1, len(x)):
+                x[c] = (x[c] * p - xi * reduced[c][i]) // q
+            top = (top * p - xi * xi) // q
+        return top, x
 
     def cofactor(self, subset: Sequence[int]) -> int:
         s_t = 1
@@ -289,6 +290,10 @@ class KSInstance:
         return cls(d["n"], sups)
 
 
+#: a node under a zero leading minor: its value and every value below it are 0
+_ZERO_NODE = (0, None)
+
+
 class KSOracle(FamilyOracle):
     """Top-k coefficients via expected principal minors.
 
@@ -299,53 +304,69 @@ class KSOracle(FamilyOracle):
     Everything runs on one integer table built in the constructor
     (``_GramKernel``): each distinct support vector v is scaled once by
     L_v, the lcm of its entry denominators, and all integer inner products
-    are stored, so a Gram determinant is Bareiss on a sub-table.  With
-    P_i the lcm of coordinate i's probability denominators and Q_i the lcm
-    of L_v^2 over its support, N_T = E_T * prod_{i in T} P_i Q_i is an
-    integer; it is memoized per subset and the choices fixed inside it.
-    Each coefficient is then the one Fraction
-    (-1)^j weight * (sum_T N_T * S / S_T) / S, with S_T = prod_{i in T} P_i Q_i
-    and S = S_[m].  The j-subsets T with their cofactors S / S_T are
-    listed once per j, the first time a call reads that j.
+    are stored.  With P_i the lcm of coordinate i's probability
+    denominators and Q_i the lcm of L_v^2 over its support,
+    N_T = E_T * prod_{i in T} P_i Q_i is an integer.  Each coefficient is
+    the one Fraction (-1)^j weight * (sum_T N_T * S / S_T) / S, with
+    S_T = prod_{i in T} P_i Q_i and S = S_[m].
+
+    A prefix of length l fixes exactly T's leading elements, those below
+    l, so N_T under every prefix is a node of one tree over T's outcomes
+    (``_tree``): the node c_1..c_f holds the choices of T's first f
+    coordinates, its U is the Gram determinant at a leaf and
+    sum_c (free weight of c) * U(child c) above, and
+    N(T; c_1..c_f) = (product of the fixed weights of c_1..c_f) * U.  One
+    depth-first pass builds the whole tree, each determinant bordered from
+    its parent's.  The trees of the j-subsets are built the first time a
+    call reads j; a call then sums one node per subset.
     """
 
     def __init__(self, inst: KSInstance):
         self.inst = inst
         self.spec = inst.spec()
-        self._memo: Dict = {}
-        self._subsets: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
+        self._walks: Dict = {}  # round_family's walks, by (spec, k)
+        self._trees: Dict[int, List[Tuple[Tuple[int, ...], tuple]]] = {}
         prob_scales = [math.lcm(*(p.denominator for _, p in sup)) for sup in inst.supports]
         kernel = self._kernel = _GramKernel(
             [[v for v, _ in sup] for sup in inst.supports], prob_scales)
-        # per coordinate, (table row, integer weight) of each outcome: a free
-        # coordinate weighs p P_i Q_i / L_v^2 (zero-probability outcomes left
-        # out), a fixed one P_i Q_i / L_v^2, its probability being in the prefix
-        self._free = []
-        self._fixed = []
-        for sup, P, rows, lift in zip(inst.supports, prob_scales, kernel.rows, kernel.lift):
-            self._free.append([(a, p.numerator * (P // p.denominator) * q)
-                               for (_, p), a, q in zip(sup, rows, lift) if p])
-            self._fixed.append([((a, P * q),) for a, q in zip(rows, lift)])
+        # per coordinate, (choice, table row, free weight, fixed weight) of each
+        # outcome of positive probability: a free coordinate weighs
+        # p P_i Q_i / L_v^2, a fixed one P_i Q_i / L_v^2, its probability being
+        # in the prefix's weight
+        self._options = [
+            [(c, a, p.numerator * (P // p.denominator) * q, P * q)
+             for c, ((_, p), a, q) in enumerate(zip(sup, rows, lift)) if p]
+            for sup, P, rows, lift in zip(inst.supports, prob_scales, kernel.rows, kernel.lift)]
 
-    def _expected_sigma(self, subset: Tuple[int, ...],
-                        fixed: Tuple[Tuple[int, int], ...]) -> int:
-        """N_T for T = subset, with the choices ``fixed`` inside T."""
-        key = (subset, fixed)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        fixed_map = dict(fixed)
-        options = [self._fixed[i][fixed_map[i]] if i in fixed_map else self._free[i]
-                   for i in subset]
-        det = self._kernel.det
-        total = 0
-        for outcome in product(*options):
-            weight = 1
-            for _, w in outcome:
-                weight *= w
-            total += weight * det([a for a, _ in outcome])
-        self._memo[key] = total
-        return total
+    def _tree(self, subset: Tuple[int, ...]) -> tuple:
+        """The tree of N_T * S / S_T over T's outcomes, T = ``subset``.
+
+        A node is (value, children), ``children`` indexed by the choices
+        of T's next coordinate; it is None at a leaf and at every node
+        under a zero leading minor, whose value and subtree are all 0.
+        """
+        kernel, options, sizes = self._kernel, self._options, self.spec.sizes
+        depth = len(subset)
+
+        def visit(rows, reduced, pivots, scale):
+            # (U, node) at the inner node whose path is ``rows``; ``scale``
+            # is S / S_T times the fixed weights along it
+            i = subset[len(rows)]
+            leaves = len(rows) + 1 == depth
+            children = [_ZERO_NODE] * sizes[i]
+            total = 0
+            for c, a, free, fixed in options[i]:
+                p, x = kernel.border(rows, reduced, pivots, a)
+                if not p:
+                    continue
+                if leaves:  # U at a leaf is its determinant
+                    u, children[c] = p, (scale * fixed * p, None)
+                else:
+                    u, children[c] = visit(rows + [a], reduced + [x], pivots + [p], scale * fixed)
+                total += free * u
+            return total, (scale * total, children)
+
+        return visit([], [], [1], kernel.cofactor(subset))[1]
 
     def coeffs(self, prefix: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
         self._check(prefix, k)
@@ -360,14 +381,17 @@ class KSOracle(FamilyOracle):
         ell = len(prefix)
         kernel = self._kernel
         for j in range(1, min(k, m, kernel.dim) + 1):
-            table = self._subsets.get(j)
-            if table is None:
-                table = self._subsets[j] = [(subset, kernel.cofactor(subset))
-                                            for subset in combinations(range(m), j)]
+            trees = self._trees.get(j)
+            if trees is None:
+                trees = self._trees[j] = [(subset, self._tree(subset))
+                                          for subset in combinations(range(m), j)]
             acc = 0
-            for subset, cofactor in table:
-                fixed = tuple((i, prefix[i]) for i in subset if i < ell)
-                acc += self._expected_sigma(subset, fixed) * cofactor
+            for subset, node in trees:
+                for i in subset:  # down the choices the prefix fixes
+                    if i >= ell or node[1] is None:
+                        break
+                    node = node[1][prefix[i]]
+                acc += node[0]
             out[j] = Fraction((-1) ** j * weight.numerator * acc,
                               weight.denominator * kernel.total)
         return tuple(out)
@@ -533,25 +557,40 @@ class SROracle(FamilyOracle):
 
     Runs on the same integer kernel as ``KSOracle``, over the m fixed
     vectors: N_T = det Gram(v_i : i in T) * prod_{i in T} L_i^2 is the
-    Bareiss determinant of the sub-table, memoized per subset, and the
-    table's probabilities are taken over their one common denominator, so
-    each coefficient is formed as one Fraction.
+    determinant of the sub-table, bordered from that of T without its
+    last element and memoized per subset, and the table's probabilities
+    are taken over their one common denominator, so each coefficient is
+    formed as one Fraction.
     """
 
     def __init__(self, inst: SRInstance):
         self.inst = inst
         self.spec = inst.spec()
-        self._memo: Dict[Tuple[int, ...], int] = {}
+        self._walks: Dict = {}  # round_family's walks, by (spec, k)
         self._kernel = _GramKernel([[v] for v in inst.vectors], [1] * inst.m)
+        self._row = [rows[0] for rows in self._kernel.rows]
+        self._memo: Dict[Tuple[int, ...], Optional[tuple]] = {(): ([1], [])}
         self._denom = math.lcm(*(p.denominator for p in inst.table))
         self._weights = [p.numerator * (self._denom // p.denominator) for p in inst.table]
 
+    def _bordered(self, subset: Tuple[int, ...]) -> Optional[tuple]:
+        """(leading minors, reduced rows) of the Gram sub-table on
+        ``subset``, bordered from that of ``subset[:-1]``; None once a
+        leading minor is 0."""
+        if subset not in self._memo:
+            head, state = self._bordered(subset[:-1]), None
+            if head is not None:
+                pivots, reduced = head
+                p, x = self._kernel.border([self._row[i] for i in subset[:-1]], reduced,
+                                           pivots, self._row[subset[-1]])
+                if p:
+                    state = (pivots + [p], reduced + [x])
+            self._memo[subset] = state
+        return self._memo[subset]
+
     def _sigma(self, subset: Tuple[int, ...]) -> int:
-        hit = self._memo.get(subset)
-        if hit is None:
-            kernel = self._kernel
-            hit = self._memo[subset] = kernel.det([kernel.rows[i][0] for i in subset])
-        return hit
+        state = self._bordered(subset)
+        return 0 if state is None else state[0][-1]
 
     def coeffs(self, prefix: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
         self._check(prefix, k)
@@ -595,7 +634,7 @@ def sr_brute_force_poly(inst: SRInstance, prefix: Tuple[int, ...] = ()) -> Exact
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepLog:
     prefix_length: int
     group: Tuple[int, ...]
@@ -672,15 +711,10 @@ def _poly_from_raw(n: int, raw: Sequence[Fraction]) -> ExactPolynomial:
     return ExactPolynomial(coeffs)
 
 
-def round_family(spec: FamilySpec, oracle: FamilyOracle,
-                 epsilon: RationalLike) -> RoundingResult:
-    """Round an interlacing family to one leaf with a certified bound.
-
-    Walks ceil(m/M) groups of M coordinates; in each group all
-    not-identically-zero extensions are scored by approx_max_root on
-    their top-k profile and the lexicographically-first argmin wins.
-    The returned leaf's largest root is then certified, by exact root
-    comparison, to be at most (1+eps) times the root polynomial's.
+def _walk(spec: FamilySpec, oracle: FamilyOracle, M: int, k: int
+          ) -> Tuple[Tuple[int, ...], List[StepLog], RootInterval, RootInterval]:
+    """The greedy walk at group size M and budget k: the assignment, the
+    step log, and the leaf's and the root's top roots to 2^-40.
 
     Every step also re-checks the oracle's refinement consistency: the
     children's coefficient vectors must sum exactly to the vector scored
@@ -688,17 +722,9 @@ def round_family(spec: FamilySpec, oracle: FamilyOracle,
     parent comes from the oracle, every later group's parent is the
     chosen child of the group before it (the same prefix at the same k),
     and when k = n the leaf and the root are the last chosen child and
-    the first parent.  The certificate compares the leaf's top
-    enclosure with the root's scaled by 1 + eps
-    (:meth:`~rootline.isolation.RootInterval.scaled`), the same exact
-    order as isolating the rescaled root polynomial.
+    the first parent.
     """
-    eps = to_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
     m, n = spec.m, spec.n
-    M, k = rounding_coefficient_budget(n, m, eps)
-
     prefix: Tuple[int, ...] = ()
     steps: List[StepLog] = []
     first = parent = oracle.coeffs(prefix, k)
@@ -738,6 +764,38 @@ def round_family(spec: FamilySpec, oracle: FamilyOracle,
         leaf_raw, root_raw = oracle.coeffs(prefix, n), oracle.coeffs((), n)
     lam_leaf = max_root(_poly_from_raw(n, leaf_raw), Fraction(1, 2**40))
     lam_root = max_root(_poly_from_raw(n, root_raw), Fraction(1, 2**40))
+    return prefix, steps, lam_leaf, lam_root
+
+
+def round_family(spec: FamilySpec, oracle: FamilyOracle,
+                 epsilon: RationalLike) -> RoundingResult:
+    """Round an interlacing family to one leaf with a certified bound.
+
+    Walks ceil(m/M) groups of M coordinates; in each group all
+    not-identically-zero extensions are scored by approx_max_root on
+    their top-k profile and the lexicographically-first argmin wins
+    (``_walk``, which also checks that children sum to their parent).
+    The returned leaf's largest root is then certified, by exact root
+    comparison, to be at most (1+eps) times the root polynomial's: the
+    leaf's top enclosure is compared with the root's scaled by 1 + eps
+    (:meth:`~rootline.isolation.RootInterval.scaled`), the same exact
+    order as isolating the rescaled root polynomial.
+
+    The walk depends on eps only through k, so a ``KSOracle`` or
+    ``SROracle`` keeps it, by (spec, k), and a second eps with the same k
+    only certifies again; any other oracle is walked on every call.
+    """
+    eps = to_fraction(epsilon)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    M, k = rounding_coefficient_budget(spec.n, spec.m, eps)
+    walks = getattr(oracle, "_walks", {})  # a throwaway dict for any other oracle
+    if (spec, k) not in walks:
+        walks[(spec, k)] = _walk(spec, oracle, M, k)
+    prefix, steps, lam_leaf, lam_root = walks[(spec, k)]
+    # compare_roots refines in place: a copy keeps the kept leaf at 2^-40,
+    # and the root is only read through its scaled copy
+    lam_leaf = copy.copy(lam_leaf)
     # exact decision lambda(leaf) <= (1+eps) * lambda(root)
     certified = compare_roots(lam_leaf, lam_root.scaled(1 + eps)) <= 0
     return RoundingResult(
@@ -748,5 +806,5 @@ def round_family(spec: FamilySpec, oracle: FamilyOracle,
         epsilon=eps,
         k_used=k,
         group_size=M,
-        steps=steps,
+        steps=list(steps),
     )

@@ -229,6 +229,31 @@ def test_verify_invariance_rejects_k_below_1(k, tmp_path):
     assert "k >= 1" in json.loads(res.stderr)["error"]
 
 
+@pytest.mark.parametrize("args, missing", [
+    (["--kind", "noisy", "--k", "3"], "n"),
+    (["--kind", "noisy", "--n", "8"], "k"),
+    (["--kind", "weak"], "n"),
+    (["--kind", "girth"], "graph"),
+    (["--kind", "boosted"], "base"),
+])
+def test_gen_pair_names_the_missing_parameter(args, missing, tmp_path):
+    res = run_cli(["gen-pair", *args], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    error = json.loads(res.stderr)["error"]
+    assert error == f"gen-pair --kind {args[1]} needs the parameter {missing!r}"
+
+
+def test_gen_pair_missing_parameter_in_manifest_exits_2(tmp_path, monkeypatch, capsys):
+    (tmp_path / "m.json").write_text(json.dumps({"subcommand": "gen-pair",
+                                                 "parameters": {"kind": "weak"}}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["manifest", "m.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "gen-pair --kind weak needs the parameter 'n'"}
+
+
 def test_unknown_subcommand_exits_2(tmp_path):
     res = run_cli(["no-such-command"], tmp_path)
     assert res.returncode == 2

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootline.interlacing import (
     FamilySpec,
     KSInstance,
+    KSOracle,
     OracleInconsistencyError,
     SRInstance,
+    _GramKernel,
     check_common_interlacing,
     ks_brute_force_poly,
     ks_leaf_poly,
@@ -131,8 +135,11 @@ def test_round_family_m1_picks_smaller_root():
     assert res.certified
 
 
+_IDENTICAL_LEAVES = KSInstance(2, ((((F(1), F(1)), F(1)),), (((F(1), F(-1)), F(1)),)))
+
+
 def test_round_family_identical_leaves():
-    inst = KSInstance(2, ((((F(1), F(1)), F(1)),), (((F(1), F(-1)), F(1)),)))
+    inst = _IDENTICAL_LEAVES
     res = round_family(inst.spec(), ks_oracle(inst), F(1, 8))
     assert res.assignment == (0, 0)
     assert res.certified
@@ -219,6 +226,70 @@ def test_round_family_asks_for_leaf_and_root_when_k_is_below_n():
     assert [c for c in counting.calls if c[1] != k] == [(res.assignment, inst.n), ((), inst.n)]
 
 
+def _count_ks_coeffs(monkeypatch):
+    """Record the (prefix, k) of every ``KSOracle.coeffs`` call from now on."""
+    calls = []
+    coeffs = KSOracle.coeffs
+
+    def counted(self, prefix, k):
+        calls.append((prefix, k))
+        return coeffs(self, prefix, k)
+
+    monkeypatch.setattr(KSOracle, "coeffs", counted)
+    return calls
+
+
+_TINY = F(1, 2**30)
+# four identical leaves s^2 [[2, 1], [1, 1]], top root s^2 (3 + sqrt 5) / 2:
+# the leaf's and the scaled root's 2^-40 enclosures overlap, so the
+# certificate refines the leaf's enclosure in place
+_TINY_IDENTICAL_LEAVES = KSInstance(2, (_coin((_TINY, F(0)), (_TINY, F(0))),
+                                        _coin((_TINY, _TINY), (_TINY, _TINY))))
+
+
+@pytest.mark.parametrize("inst", [two_block_ks_instance(random.Random(7), 8, 2, 16),
+                                  _IDENTICAL_LEAVES, _TINY_IDENTICAL_LEAVES],
+                         ids=["two-block", "identical-leaves", "tiny-identical-leaves"])
+@pytest.mark.parametrize("order", [(F(1, 2), F(1, 8)), (F(1, 8), F(1, 2))],
+                         ids=["coarse-first", "fine-first"])
+def test_round_family_reuses_its_walk_across_epsilons(inst, order, monkeypatch):
+    # both epsilons give k = n, so the second rounding on one oracle walks
+    # nothing again; each result is still what a fresh oracle gives, also
+    # where compare_roots refines the leaf's enclosure (identical leaves)
+    spec = inst.spec()
+    assert {rounding_coefficient_budget(inst.n, inst.m, eps)[1] for eps in order} == {inst.n}
+    fresh = [round_family(spec, ks_oracle(inst), eps).to_json_dict() for eps in order]
+    calls = _count_ks_coeffs(monkeypatch)
+    shared = ks_oracle(inst)
+    first = round_family(spec, shared, order[0]).to_json_dict()
+    assert calls
+    del calls[:]
+    second = round_family(spec, shared, order[1]).to_json_dict()
+    assert calls == []
+    assert [first, second] == fresh
+    assert round_family(spec, shared, order[0]).to_json_dict() == fresh[0]
+    assert calls == []
+
+
+def test_round_family_walks_again_when_epsilon_changes_k(monkeypatch):
+    # the k < n instance of the test above: eps = 1/8 lifts k to n, so it
+    # is a second walk; repeating either eps walks nothing
+    inst = KSInstance(1000, (_coin((F(2), F(0)), E2), _coin(E1, (F(0), F(3)))))
+    spec, coarse, fine = inst.spec(), F(1, 2), F(1, 8)
+    k_coarse = rounding_coefficient_budget(inst.n, inst.m, coarse)[1]
+    assert k_coarse < rounding_coefficient_budget(inst.n, inst.m, fine)[1] == inst.n
+    fresh = {eps: round_family(spec, ks_oracle(inst), eps).to_json_dict()
+             for eps in (coarse, fine)}
+    calls = _count_ks_coeffs(monkeypatch)
+    shared = ks_oracle(inst)
+    walked = []
+    for eps in (coarse, fine, coarse, fine):
+        del calls[:]
+        assert round_family(spec, shared, eps).to_json_dict() == fresh[eps]
+        walked.append(sorted({k for _, k in calls}))
+    assert walked == [[k_coarse, inst.n], [inst.n], [], []]
+
+
 def test_round_family_detects_a_lie_in_a_later_group():
     # m = 4 walks two groups of two; only children of the second group lie
     inst = KSInstance(2, (_coin(E1, E2),) * 4)
@@ -287,8 +358,6 @@ def test_sr_homogeneous_marginals_sum():
     for mask, w in zip(masks, weights):
         table[mask] = w / total
     inst = SRInstance(3, m, vectors, tuple(table))
-    from itertools import combinations
-
     marg = F(0)
     for subset in combinations(range(m), 2):
         mask_s = sum(1 << i for i in subset)
@@ -306,6 +375,21 @@ def test_sr_rounding():
     assert res.certified
     # the leaf {2 e_1} has root 4; {e_2} has root 1; rounding must avoid 4
     assert res.assignment == (0, 1)
+
+
+def test_sr_oracle_past_a_singular_leading_pair():
+    # v_0 and v_1 are parallel: every subset starting with both is singular,
+    # and its four-element extensions must be read as 0, not bordered on
+    vectors = ((F(1), F(0), F(0), F(0)), (F(2, 3), F(0), F(0), F(0)),
+               (F(0), F(1), F(0), F(0)), (F(0), F(0), F(1), F(0)), (F(0), F(0), F(0), F(1)))
+    table = [F(0)] * 32
+    for mask, w in ((0b11111, 3), (0b01111, 2), (0b11101, 1), (0b00011, 1)):
+        table[mask] = F(w, 7)
+    inst = SRInstance(4, 5, vectors, tuple(table))
+    orc = sr_oracle(inst)
+    for prefix in _all_prefixes(inst.spec().sizes):
+        assert orc.coeffs(prefix, inst.n) == padded_coeffs(sr_brute_force_poly(inst, prefix),
+                                                           inst.n), prefix
 
 
 def test_sr_json_round_trip():
@@ -386,39 +470,87 @@ def test_ks_oracle_matches_brute_force_at_every_prefix(seed):
         assert orc.coeffs(prefix, 1) == want[:2], prefix
 
 
-def test_gram_determinant_runs_once_per_row_set(monkeypatch):
-    # a seeded instance whose coordinates share vectors: across every
-    # prefix, Bareiss runs once per distinct multiset of table rows, and a
-    # row set's determinant does not depend on the order of its rows
-    import rootline.interlacing as interlacing
+def _bareiss_det(mat):
+    """Reference: fraction-free Gaussian elimination with row pivoting."""
+    mat = [list(row) for row in mat]
+    n, sign, prev = len(mat), 1, 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if mat[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+        prev = mat[k][k]
+    return sign * mat[n - 1][n - 1] if n else 1
 
+
+@st.composite
+def _gram_paths(draw):
+    """A Gram table over d-dimensional vectors and a path of its rows:
+    drawn vectors, repeats of them, multiples and sums of two (so leading
+    minors vanish), and the zero vector, with optional denominators."""
+    d = draw(st.sampled_from([3, 2, 4, 1]))
+    den = draw(st.sampled_from([1, 1, 2, 3]))
+    pool = [tuple(F(draw(st.sampled_from(range(-3, 4))), den) for _ in range(d))
+            for _ in range(draw(st.integers(1, 5)))]
+    for _ in range(draw(st.integers(0, 2))):
+        u, w = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        c = draw(st.sampled_from([F(0), F(1), F(-2), F(1, 3)]))
+        pool.append(tuple(a + c * b for a, b in zip(u, w)))
+    kernel = _GramKernel([pool], [1])
+    path = list(draw(st.permutations(kernel.rows[0])))
+    if draw(st.booleans()):  # a repeated row
+        path.insert(draw(st.integers(1, len(path))), draw(st.sampled_from(path)))
+    return kernel, path[:len(path) - draw(st.integers(0, len(path) - 1))]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_gram_paths())
+def test_bordered_determinants_match_bareiss(case):
+    kernel, path = case
+    g = kernel.gram
+
+    def reference(rows):
+        return _bareiss_det([[g[a][b] for b in rows] for a in rows])
+
+    rows, reduced, pivots = [], [], [1]
+    for step, a in enumerate(path):
+        p, x = kernel.border(rows, reduced, pivots, a)
+        assert p == reference(rows + [a]), (rows, a)
+        assert len(x) == len(rows)
+        if p == 0:
+            # dependent vectors: every longer path on them stays singular
+            assert all(reference(path[:end]) == 0 for end in range(step + 1, len(path) + 1))
+            break
+        rows, reduced, pivots = rows + [a], reduced + [x], pivots + [p]
+
+
+def test_each_subset_tree_is_built_once_per_oracle(monkeypatch):
+    # across every prefix at k = n and k = 1, each subset T of at most
+    # min(n, m, dim) coordinates gets its outcome tree built exactly once
     rng = random.Random(2)
     inst = _mixed_ks_instance(rng, 5, 2)
     orc = ks_oracle(inst)
-    kernel = orc._kernel
-    assert len(kernel.gram) < sum(inst.spec().sizes)  # repeated vectors
-    asked, runs = [], []
-    memo_det, bareiss = kernel.det, interlacing._bareiss_det
+    assert len(orc._kernel.gram) < sum(inst.spec().sizes)  # repeated vectors
+    built = []
+    tree = KSOracle._tree
 
-    def det(rows):
-        asked.append(tuple(sorted(rows)))
-        return memo_det(rows)
+    def counted(self, subset):
+        built.append(subset)
+        return tree(self, subset)
 
-    def counted_bareiss(mat):
-        runs.append(len(mat))
-        return bareiss(mat)
-
-    monkeypatch.setattr(kernel, "det", det)
-    monkeypatch.setattr(interlacing, "_bareiss_det", counted_bareiss)
+    monkeypatch.setattr(KSOracle, "_tree", counted)
     for prefix in _all_prefixes(inst.spec().sizes):
-        orc.coeffs(prefix, inst.n)
-    assert len(runs) == len(set(asked)) < len(asked)
-    g = kernel.gram
-    for key in sorted(set(asked)):
-        rows = list(key)
-        rng.shuffle(rows)
-        assert memo_det(rows) == bareiss([[g[a][b] for b in rows] for a in rows]), rows
-    assert len(runs) == len(set(asked))  # the shuffled queries all hit the memo
+        want = padded_coeffs(ks_brute_force_poly(inst, prefix), inst.n)
+        assert orc.coeffs(prefix, inst.n) == want, prefix
+        assert orc.coeffs(prefix, 1) == want[:2], prefix
+    top = min(inst.n, inst.m, orc._kernel.dim)
+    assert sorted(built) == sorted(subset for j in range(1, top + 1)
+                                   for subset in combinations(range(inst.m), j))
 
 
 @pytest.mark.parametrize("seed", range(6))

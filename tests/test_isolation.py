@@ -429,6 +429,41 @@ def test_refine_below_non_dyadic_endpoints():
     assert got.exact and got.lo == F(11, 21)
 
 
+@st.composite
+def _level_switch_cases(draw):
+    """(poly, lo, hi, widths): one real root in (lo, hi), with ends over
+    any denominator, and widths at, just below and just above a level
+    boundary (hi - lo) / 2^s, where refine_below's level choice switches."""
+    if draw(st.booleans()):  # a rational root, possibly on the grid: (b x - a)(x^2 + 1)
+        root = draw(st.fractions(min_value=-4, max_value=4, max_denominator=64))
+        poly = (-root.numerator, root.denominator, -root.numerator, root.denominator)
+    else:  # an irrational one, sqrt(D), by an interval about isqrt(D)
+        D = draw(st.sampled_from([2, 3, 5, 7, 10, 11]))
+        poly, root = (-D, 0, 1), F(math.isqrt(D))
+    below = draw(st.fractions(min_value=F(1, 40), max_value=1, max_denominator=40))
+    above = draw(st.fractions(min_value=F(1, 40), max_value=1, max_denominator=40))
+    lo, hi = root - below, root + above
+    assume(sign_at(poly, lo) * sign_at(poly, hi) < 0)
+    widths = []
+    for _ in range(draw(st.integers(1, 3))):
+        edge = (hi - lo) / 2 ** draw(st.integers(0, 45))
+        nudge = draw(st.sampled_from([F(0), F(0), F(1, 2**80), F(-1, 2**80), F(1, 3)]))
+        widths.append(edge * (1 + nudge))
+    return poly, lo, hi, sorted(widths, reverse=True)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(_level_switch_cases())
+def test_refine_below_level_choice_matches_bisection(case):
+    poly, lo, hi, widths = case
+    for width in widths:
+        _assert_refines_like_bisection(poly, lo, hi, width)
+    r = RootInterval(poly, lo, hi)
+    for width in widths:  # narrowing one enclosure step by step lands alike
+        r.refine_below(width)
+        assert (r.lo, r.hi) == _bisect(poly, lo, hi, width)
+
+
 def test_refine_below_leaves_wide_enough_and_exact_intervals():
     r = RootInterval((-2, 0, 1), F(1), F(3, 2))
     for width in (F(1, 2), F(1), F(7)):
