@@ -36,7 +36,7 @@ def cheb_poly(k: int) -> ExactPolynomial:
     """The k-th Chebyshev polynomial as an exact integer polynomial."""
     if k < 0:
         raise ValueError("Chebyshev index must be >= 0")
-    return ExactPolynomial.from_coeffs(_cheb_coeffs(k))
+    return ExactPolynomial(_cheb_coeffs(k))
 
 
 def cheb_eval(k: int, x: RationalLike) -> Fraction:

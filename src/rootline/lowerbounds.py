@@ -24,9 +24,9 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from rootline.chebyshev import _cheb_coeffs, cheb_eval, cheb_poly
+from rootline.chebyshev import _cheb_coeffs, cheb_eval
 from rootline.graphs import (
     EXHAUSTION_CAP,
     Graph,
@@ -39,6 +39,7 @@ from rootline.graphs import (
 )
 from rootline.isolation import (
     PolyLike,
+    _int_poly,
     _shift_int,
     compare_roots,
     max_root,
@@ -51,6 +52,10 @@ from rootline.ratutil import cos_pi_bounds, format_rational, to_fraction
 from rootline.symfuncs import SymmetricProfile, profile_from_polynomial, profiles_equal_up_to_k
 
 _RATIO_WIDTH = Fraction(1, 2**48)
+
+#: the largest degree a generator builds; a larger one is refused before
+#: anything is allocated
+DEGREE_BUDGET = 1024
 
 PROVENANCES = ("weak", "girth", "boosted", "noisy")
 
@@ -147,6 +152,20 @@ def _cheb_affine(k: int, u: int, v: int, den: int = 1) -> List[int]:
     return [c * v**j for j, c in enumerate(_shift_int(g, u))]
 
 
+def _mul_int(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The product of two ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _check_degree(degree: int) -> None:
+    if degree > DEGREE_BUDGET:
+        raise ValueError(f"degree {degree} is above the pair degree budget {DEGREE_BUDGET}")
+
+
 def _monic(c: List[int], pad: int = 0) -> ExactPolynomial:
     """x^pad c(x) / lead(c), the one place the integer coefficients become
     Fractions."""
@@ -171,6 +190,7 @@ def weak_pair(n: int) -> LowerBoundPair:
     """
     if n < 2:
         raise ValueError("weak pair needs n >= 2")
+    _check_degree(n)
     shifted = _cheb_affine(n, -1, 1)
     p_int = [shifted[0] + 1] + shifted[1:]
     q_int = [shifted[0] - 1] + shifted[1:]
@@ -248,9 +268,9 @@ def girth_pair(g: Graph, power: int, cap: int = EXHAUSTION_CAP) -> LowerBoundPai
 # ---------------------------------------------------------------------------
 
 
-def _min_root_geq(p: ExactPolynomial, a: Fraction) -> bool:
-    reflected = ExactPolynomial([c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
-    return max_root_leq(reflected, -to_fraction(a))
+def _min_root_geq(c: List[int], a: Fraction) -> bool:
+    """Every real root of the integer polynomial c is >= a."""
+    return max_root_leq([v if i % 2 == 0 else -v for i, v in enumerate(c)], -a)
 
 
 def boosted_pair(base: LowerBoundPair, t: int) -> LowerBoundPair:
@@ -261,26 +281,41 @@ def boosted_pair(base: LowerBoundPair, t: int) -> LowerBoundPair:
     t, verified here by direct comparison rather than trusted.  When the
     scaled p stays below 1/2 the classical ratio 2/(1 + cos(pi/3t)) is
     certified; otherwise the ratio comes from root isolation alone.
+
+    Built on integers: for lambda = u/v the rescaled c(x) is
+    sum_i c_i u^i v^(n-i) x^i, composed by Horner with the integer
+    T_t(x - 1) and divided by its lead once.
     """
     if t < 1:
         raise ValueError("need t >= 1")
+    _check_degree(max(base.p.degree, base.q.degree) * t)
     top = max_root(base.q, Fraction(1, 2**20))
     if top is None or not top.exact:
         raise ValueError("boosted pair needs an exact rational lambda_max(q) to rescale")
     lam = top.lo
     if lam <= 0:
         raise ValueError("boosted pair needs lambda_max(q) > 0")
-    ps = base.p.shift_scale(1 / lam, 0)
-    qs = base.q.shift_scale(1 / lam, 0)
-    for name, poly in (("p", ps), ("q", qs)):
-        if not (max_root_leq(poly, Fraction(1)) and _min_root_geq(poly, Fraction(0))):
+    u, v = lam.numerator, lam.denominator
+    scaled = []
+    for name, poly in (("p", base.p), ("q", base.q)):
+        c = _int_poly(poly)
+        n = len(c) - 1
+        c = [a * u**i * v ** (n - i) for i, a in enumerate(c)]
+        if not (max_root_leq(c, Fraction(1)) and _min_root_geq(c, Fraction(0))):
             raise ValueError(f"rescaled {name} has roots outside [0,1]; cannot compose")
+        scaled.append(c)
 
-    inner = cheb_poly(t)
-    P = ps.compose(inner).monic().shift_scale(1, 1)
-    Q = qs.compose(inner).monic().shift_scale(1, 1)
+    inner = _cheb_affine(t, -1, 1)
+    composed = []
+    for c in scaled:
+        acc = [c[-1]]
+        for a in reversed(c[:-1]):
+            acc = _mul_int(acc, inner)
+            acc[0] += a
+        composed.append(acc)
+    P, Q = _monic(composed[0]), _monic(composed[1])
     k_new = matched_coefficient_count(P, Q)
-    ratio = certified_ratio_lower(P, Q)
+    ratio = certified_ratio_lower(*composed)
     cert: Dict = {
         "kind": "boosted",
         "t": t,
@@ -288,7 +323,7 @@ def boosted_pair(base: LowerBoundPair, t: int) -> LowerBoundPair:
         "base_k": base.k,
         "scale": format_rational(1 / lam),
     }
-    if max_root_leq(ps, Fraction(1, 2)):
+    if max_root_leq(scaled[0], Fraction(1, 2)):
         # q's top root maps to 2 while p's stays below 1 + cos(pi/3t)
         _, cos_hi = cos_pi_bounds(Fraction(1, 3 * t))
         formula = Fraction(2) / (1 + cos_hi)
@@ -320,11 +355,9 @@ def noisy_pair(k: int, n: int) -> LowerBoundPair:
         raise ValueError("noisy pair needs k >= 2")
     if 2 * k > n:
         raise ValueError(f"need 2k <= n, got k={k}, n={n}")
+    _check_degree(n)
     a = _cheb_affine(k, 3, -2, 2)
-    a2 = [0] * (2 * k + 1)
-    for i, u in enumerate(a):
-        for j, v in enumerate(a):
-            a2[i + j] += u * v
+    a2 = _mul_int(a, a)
     b = _cheb_affine(2 * k, 3, -2, 2)
     if [2 * u - v for u, v in zip(a2, b)] != [1 << (2 * k)] + [0] * (2 * k):
         raise AssertionError("identity 2 T_k^2 - T_2k = 1 failed")

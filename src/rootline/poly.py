@@ -1,9 +1,12 @@
 """Dense univariate polynomials over exact rationals.
 
 ``ExactPolynomial`` stores coefficients in ascending degree order and is
-the common currency of the package: characteristic polynomials, Chebyshev
-polynomials and every generated lower-bound instance flow through it.
-The zero polynomial is the empty coefficient list and has degree -1.
+the value the package hands across its interfaces: characteristic
+polynomials, Chebyshev polynomials and every generated lower-bound
+instance leave as one.  It does no polynomial arithmetic; the
+constructions build integer coefficient lists and divide by the lead
+once.  The zero polynomial is the empty coefficient list and has degree
+-1.
 
 Characteristic polynomials are taken of integer matrices, given as rows,
 by the Samuelson-Berkowitz scheme: it is division free, so every
@@ -14,58 +17,30 @@ Callers with rational entries scale them to integers first.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
 from rootline.ratutil import RationalLike, format_rational, to_fraction
 
-Coeff = Union[int, Fraction]
-
 
 class ExactPolynomial:
-    """Immutable dense polynomial with Fraction coefficients.
+    """Immutable dense polynomial with Fraction coefficients, a value type:
+    it holds, compares, hashes and serializes coefficients and does no
+    arithmetic.  Constructions run on integers and become Fractions once.
 
-    >>> p = ExactPolynomial.from_coeffs([-1, 0, 1])   # x^2 - 1
+    >>> p = ExactPolynomial([-2, 0, 2])   # 2x^2 - 2
     >>> p.degree
     2
-    >>> p(Fraction(3))
-    Fraction(8, 1)
+    >>> p.monic().coeffs
+    (Fraction(-1, 1), Fraction(0, 1), Fraction(1, 1))
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coeff]):
+    def __init__(self, coeffs: Iterable[RationalLike]):
         cs = [to_fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: Tuple[Fraction, ...] = tuple(cs)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[RationalLike]) -> "ExactPolynomial":
-        return cls([to_fraction(c) for c in coeffs])
-
-    @classmethod
-    def zero(cls) -> "ExactPolynomial":
-        return cls([])
-
-    @classmethod
-    def one(cls) -> "ExactPolynomial":
-        return cls([1])
-
-    @classmethod
-    def x(cls) -> "ExactPolynomial":
-        return cls([0, 1])
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[RationalLike]) -> "ExactPolynomial":
-        """Monic polynomial with the given rational roots."""
-        p = cls.one()
-        for r in roots:
-            p = p * cls([-to_fraction(r), 1])
-        return p
-
-    # -- structure ----------------------------------------------------
 
     @property
     def degree(self) -> int:
@@ -89,90 +64,6 @@ class ExactPolynomial:
 
     def is_monic(self) -> bool:
         return not self.is_zero and self.leading == 1
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ExactPolynomial(out)
-
-    def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ExactPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ExactPolynomial.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-        return ExactPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: RationalLike) -> "ExactPolynomial":
-        c = to_fraction(c)
-        return ExactPolynomial([c * a for a in self.coeffs])
-
-    def __pow__(self, e: int) -> "ExactPolynomial":
-        if e < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = ExactPolynomial.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __call__(self, x: RationalLike) -> Fraction:
-        x = to_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose(self, inner: "ExactPolynomial") -> "ExactPolynomial":
-        """self(inner(x)), by Horner over polynomials."""
-        acc = ExactPolynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + ExactPolynomial([c])
-        return acc
-
-    def shift_scale(self, a: RationalLike, b: RationalLike) -> "ExactPolynomial":
-        """Map the root multiset mu -> a*mu + b, a != 0.
-
-        Substitutes x -> (x - b)/a and renormalizes by a^deg, which keeps
-        the leading coefficient exactly equal to the input's (so monic
-        stays monic and the sign is preserved).  For b = 0 that is the
-        coefficient-wise scaling q_i = a^(n-i) p_i.
-        """
-        a = to_fraction(a)
-        b = to_fraction(b)
-        if a == 0:
-            raise ValueError("shift_scale requires a != 0")
-        if self.is_zero:
-            return self
-        n = self.degree
-        if b == 0:
-            return ExactPolynomial([c * a ** (n - i) for i, c in enumerate(self.coeffs)])
-        inner = ExactPolynomial([-b / a, 1 / a])
-        return self.compose(inner).scale(a**n)
 
     def monic(self) -> "ExactPolynomial":
         if self.is_zero:
@@ -227,7 +118,7 @@ class ExactPolynomial:
     def from_json_dict(cls, d: dict) -> "ExactPolynomial":
         if not isinstance(d, dict) or not isinstance(d.get("coeffs"), list):
             raise ValueError('a polynomial is a JSON object {"coeffs": [...]}')
-        return cls.from_coeffs(d["coeffs"])
+        return cls(d["coeffs"])
 
 
 # ---------------------------------------------------------------------------

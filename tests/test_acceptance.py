@@ -16,10 +16,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from polyref import RefPolynomial
 from rootline.chebyshev import cheb_poly
 from rootline.interlacing import check_common_interlacing
 from rootline.lowerbounds import noisy_pair
-from rootline.poly import ExactPolynomial
 from rootline.ratutil import parse_rational
 from rootline.selftest import (
     CRITERIA,
@@ -72,9 +72,9 @@ def test_criterion_07_noisy_identity_coefficient_interlacing():
     failures = []
     for k in range(2, 17):
         pair = noisy_pair(k, 2 * k)
-        flip = ExactPolynomial.from_coeffs([F(3, 2), -1])
-        tk = cheb_poly(k).compose(flip)
-        if tk * tk * 2 - cheb_poly(2 * k).compose(flip) != ExactPolynomial.one():
+        flip = RefPolynomial([F(3, 2), -1])
+        tk = RefPolynomial.of(cheb_poly(k)).compose(flip)
+        if tk * tk * 2 - RefPolynomial.of(cheb_poly(2 * k)).compose(flip) != RefPolynomial.one():
             failures.append(f"k={k}: identity")
         ratio = parse_rational(pair.certificate["coeff_ratio"])
         if ratio > 1 + F(4, 2 ** (2 * k)):
@@ -94,12 +94,13 @@ def test_criterion_07_noisy_root_ratio_as_specified():
 
     The construction's largest roots are 3/2 + cos(pi/4k) versus
     3/2 + cos(pi/2k), whose ratio is 1 + (3 pi^2/80)/k^2 + O(k^-4)
-    ~ 1 + 0.37/k^2 < 1 + 0.5/k^2 for every k.  No shifted-Chebyshev
-    pair T_k(c - x) does better: keeping the coefficient ratio
-    1 + 1/T_2k(c) at or below 1 + 4/2^(2k) for all k needs c >= 5/4,
-    which caps the large-k gap near 3 pi^2/(32 (c+1))/k^2 ~ 0.41/k^2.
-    Whether another construction reaches 1/(2k^2) is open; the paper
-    states no constant.  Kept as stated rather than weakened.
+    ~ 1 + 0.37/k^2 < 1 + 0.5/k^2 for every k.  No pair of the family
+    (2 T_k(c - x)^2, T_2k(c - x)) does better: keeping the coefficient
+    ratio 1 + 1/T_2k(c) at or below 1 + 4/2^(2k) for all k needs
+    c >= 5/4, which caps the large-k gap near 3 pi^2/(32 (c+1))/k^2
+    ~ 0.41/k^2.  The pair T_2k(c - x) +- 1 at c = 13/10 does reach
+    1 + 1/(2k^2) for k = 2..16; ROADMAP item 3 weighs adopting it.
+    Kept as stated rather than weakened.
     """
     failures = []
     for k in range(2, 17):

@@ -11,7 +11,7 @@ import pytest
 import rootline
 from rootline.cli import RunManifest, dispatch, main
 from rootline.interlacing import KSInstance
-from rootline.lowerbounds import weak_pair
+from rootline.lowerbounds import DEGREE_BUDGET, noisy_pair, weak_pair
 from rootline.symfuncs import profile_of_roots
 
 # Absolute directory of the imported package: the child runs in `cwd`,
@@ -45,9 +45,9 @@ def test_approx_root_subcommand(profile_file, tmp_path):
 
 
 def test_approx_root_from_coefficients(tmp_path):
-    from rootline.poly import ExactPolynomial
+    from polyref import RefPolynomial
 
-    poly = ExactPolynomial.from_roots([1, 2, 3, 4])
+    poly = RefPolynomial.from_roots([1, 2, 3, 4])
     path = tmp_path / "poly.json"
     path.write_text(json.dumps(poly.to_json_dict()))
     res = run_cli(["approx-root", "--coeffs", str(path), "--k", "2"], tmp_path)
@@ -252,6 +252,25 @@ def test_gen_pair_missing_parameter_in_manifest_exits_2(tmp_path, monkeypatch, c
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": "gen-pair --kind weak needs the parameter 'n'"}
+
+
+def test_gen_pair_above_the_degree_budget_exits_2(tmp_path):
+    over = str(DEGREE_BUDGET + 1)
+    res = run_cli(["gen-pair", "--kind", "noisy", "--k", "2", "--n", over], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    assert json.loads(res.stderr) == {
+        "error": f"degree {over} is above the pair degree budget {DEGREE_BUDGET}"}
+
+
+def test_gen_pair_boosted_on_a_noisy_base_exits_2(tmp_path):
+    # the noisy q's top root 3/2 + cos(pi/8) is irrational: no rescaling
+    base = tmp_path / "noisy.json"
+    base.write_text(json.dumps(noisy_pair(2, 4).to_json_dict()))
+    res = run_cli(["gen-pair", "--kind", "boosted", "--base", str(base)], tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "exact rational lambda_max(q)" in json.loads(res.stderr)["error"]
 
 
 def test_unknown_subcommand_exits_2(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyref import RefPolynomial as P
 from rootline.interlacing import (
     FamilySpec,
     KSInstance,
@@ -25,7 +26,6 @@ from rootline.interlacing import (
 )
 from rootline.isolation import compare_roots, max_root
 from rootline.lowerbounds import noisy_pair
-from rootline.poly import ExactPolynomial as P
 from rootline.selftest import random_ks_instance, two_block_ks_instance
 
 E1 = (F(1), F(0))
@@ -52,7 +52,7 @@ def test_interlacing_noisy_pair():
 
 def test_interlacing_rejects_complex_roots():
     with pytest.raises(ValueError):
-        check_common_interlacing([P.from_coeffs([1, 0, 1])])
+        check_common_interlacing([P([1, 0, 1])])
 
 
 def test_interlacing_shifted_copies():
@@ -77,7 +77,7 @@ def test_ks_oracle_small_cross_check():
     brute = ks_brute_force_poly(inst)
     assert orc.coeffs((), 2) == tuple(reversed(brute.coeffs))
     # E det(xI - sum r r^T) = 1/2 (x-1)^2 + 1/2 (x-2)x = x^2 - 2x + 1/2
-    assert brute == P.from_coeffs([F(1, 2), -2, 1])
+    assert brute == P([F(1, 2), -2, 1])
 
 
 def test_ks_oracle_k1_is_minus_expected_trace():

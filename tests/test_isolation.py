@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polyref import RefPolynomial as P
 from rootline.chebyshev import cheb_poly
 from rootline.interlacing import KSInstance, ks_leaf_poly
 from rootline.isolation import (
@@ -27,7 +28,6 @@ from rootline.isolation import (
     squarefree_decomposition,
 )
 from rootline.lowerbounds import noisy_pair, weak_pair
-from rootline.poly import ExactPolynomial as P
 from rootline.selftest import two_block_ks_instance
 
 
@@ -36,7 +36,7 @@ def sign_at(poly, x):
 
 
 def test_sqrt2_isolation_width():
-    roots = isolate_real_roots(P.from_coeffs([-2, 0, 1]), F(1, 1000))
+    roots = isolate_real_roots(P([-2, 0, 1]), F(1, 1000))
     assert len(roots) == 2
     for r in roots:
         assert r.width <= F(1, 1000)
@@ -47,13 +47,13 @@ def test_sqrt2_isolation_width():
 
 
 def test_double_root_at_zero():
-    roots = isolate_real_roots(P.from_coeffs([0, 0, 1]))
+    roots = isolate_real_roots(P([0, 0, 1]))
     assert len(roots) == 1
     assert roots[0].exact and roots[0].lo == 0 and roots[0].multiplicity == 2
 
 
 def test_t3_roots():
-    roots = isolate_real_roots(P.from_coeffs([0, -3, 0, 4]), F(1, 10**6))
+    roots = isolate_real_roots(P([0, -3, 0, 4]), F(1, 10**6))
     assert len(roots) == 3
     assert roots[1].exact and roots[1].lo == 0
     # +-sqrt(3)/2 ~ +-0.8660254
@@ -87,11 +87,11 @@ def test_integer_root_grid():
 def test_count_equals_degree_iff_real_rooted():
     real = P.from_roots([0, 1, 1, 2])
     assert sum(r.multiplicity for r in isolate_real_roots(real)) == real.degree
-    assert isolate_real_roots(P.from_coeffs([1, 0, 1])) == []
+    assert isolate_real_roots(P([1, 0, 1])) == []
 
 
 def test_product_of_real_rooted_factors_counts():
-    p = P.from_coeffs([-2, 0, 1]) * P.from_roots([F(1, 2)]) ** 3
+    p = P([-2, 0, 1]) * P.from_roots([F(1, 2)]) ** 3
     roots = isolate_real_roots(p)
     assert sum(r.multiplicity for r in roots) == p.degree
 
@@ -123,15 +123,15 @@ def test_count_distinct_in_interval():
 
 
 def test_compare_roots_equality_via_gcd():
-    a = P.from_coeffs([-2, 0, 1]) * P.from_roots([5])
-    b = P.from_coeffs([-2, 0, 1]) * P.from_roots([7])
+    a = P([-2, 0, 1]) * P.from_roots([5])
+    b = P([-2, 0, 1]) * P.from_roots([7])
     ra = [r for r in isolate_real_roots(a) if not r.exact and r.lo > 0][0]
     rb = [r for r in isolate_real_roots(b) if not r.exact and r.lo > 0 and r.hi < 2][0]
     assert compare_roots(ra, rb) == 0
 
 
 def test_compare_roots_close_values():
-    p = P.from_coeffs([-2, 0, 1]) * P.from_roots([F(1415, 1000)])
+    p = P([-2, 0, 1]) * P.from_roots([F(1415, 1000)])
     roots = isolate_real_roots(p, F(1, 10**9))
     vals = sorted(float(r) for r in roots)
     assert vals[1] < vals[2]
@@ -139,7 +139,7 @@ def test_compare_roots_close_values():
 
 
 def test_squarefree_decomposition_structure():
-    p = P.from_roots([F(1, 3)]) ** 2 * P.from_coeffs([-2, 0, 1])
+    p = P.from_roots([F(1, 3)]) ** 2 * P([-2, 0, 1])
     decomp = squarefree_decomposition(p)
     assert sorted((len(f) - 1, m) for f, m in decomp) == [(1, 2), (2, 1)]
 
@@ -258,7 +258,7 @@ def test_random_rational_root_recovery():
 
 
 def test_high_degree_chebyshev_pair_roots():
-    p = cheb_poly(64).compose(P.from_coeffs([-1, 1])) + P.one()
+    p = P.of(cheb_poly(64)).compose(P([-1, 1])) + P.one()
     roots = isolate_real_roots(p, F(1, 2**40))
     assert sum(r.multiplicity for r in roots) == 64
     assert all(r.multiplicity == 2 for r in roots)
@@ -497,11 +497,11 @@ def test_max_root_is_last_isolated_root():
         _top_matches(pair.p)
         _top_matches(pair.q)
     _top_matches(P.from_roots([1, 1, 2, 2, 2, F(1, 3)]))
-    _top_matches(P.from_roots([F(-1, 2)] * 3) * P.from_coeffs([-2, 0, 1]) ** 2)
+    _top_matches(P.from_roots([F(-1, 2)] * 3) * P([-2, 0, 1]) ** 2)
     _top_matches(P([0, 0, 0, F(3, 2)]))  # c x^j
     _top_matches(P([F(-7)]) * P.x() ** 5)
-    _top_matches(P.from_coeffs([1, 0, 1]))  # x^2 + 1: no real root
-    assert max_root(P.from_coeffs([1, 0, 1])) is None
+    _top_matches(P([1, 0, 1]))  # x^2 + 1: no real root
+    assert max_root(P([1, 0, 1])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +581,7 @@ def test_scaled_enclosure_on_exact_and_zero_roots():
     for c in (F(3, 7), F(-5, 2)):
         scaled = top.scaled(c)
         assert scaled.exact and scaled.lo == c
-    zero = max_root(P.from_coeffs([-2, 0, 1])).scaled(F(0))
+    zero = max_root(P([-2, 0, 1])).scaled(F(0))
     assert zero.exact and zero.lo == 0
     assert compare_roots(zero, max_root(P.from_roots([-1, 0]))) == 0
 

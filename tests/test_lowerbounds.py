@@ -1,11 +1,15 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from polyref import RefPolynomial as P
 from rootline.chebyshev import cheb_poly
 from rootline.graphs import cycle_graph, heawood_graph
+from rootline.isolation import max_root, max_root_leq
 from rootline.lowerbounds import (
+    DEGREE_BUDGET,
     LowerBoundPair,
     boosted_pair,
     certified_ratio_lower,
@@ -16,7 +20,7 @@ from rootline.lowerbounds import (
     weak_pair,
 )
 from rootline.maxroot import approx_max_root
-from rootline.poly import ExactPolynomial as P
+from rootline.ratutil import cos_pi_bounds, format_rational
 from rootline.symfuncs import profiles_equal_up_to_k
 
 
@@ -41,7 +45,7 @@ def test_weak_pair_n2():
 def test_weak_pair_constant_gap():
     for n in (2, 5, 9):
         pair = weak_pair(n)
-        diff = pair.q - pair.p
+        diff = P.of(pair.q) - pair.p
         assert diff.degree == 0
         assert diff.coeff(0) == -F(2, 2 ** (n - 1))
 
@@ -84,7 +88,7 @@ def test_boosted_identity_t1():
     assert out.k == base.k
     assert out.degree == base.degree
     # roots shifted by +1
-    assert out.q == base.q.shift_scale(F(1, 2), 1)
+    assert out.q == P.of(base.q).shift_scale(F(1, 2), 1)
 
 
 def test_boosted_weak3_t2():
@@ -122,9 +126,9 @@ def test_noisy_pair_k2():
 
 @pytest.mark.parametrize("k", range(2, 17))
 def test_noisy_identity_all_k(k):
-    flip = P.from_coeffs([F(3, 2), -1])
-    tk = cheb_poly(k).compose(flip)
-    assert tk * tk * 2 - cheb_poly(2 * k).compose(flip) == P.one()
+    flip = P([F(3, 2), -1])
+    tk = P.of(cheb_poly(k)).compose(flip)
+    assert tk * tk * 2 - P.of(cheb_poly(2 * k)).compose(flip) == P.one()
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 12, 16])
@@ -138,17 +142,35 @@ def test_noisy_certified_ratio_safe_constant(k):
 
 def _compose_weak(n):
     """The weak pair's polynomials built on Fractions, by composition."""
-    shifted = cheb_poly(n).compose(P.from_coeffs([-1, 1]))
+    shifted = P.of(cheb_poly(n)).compose(P([-1, 1]))
     return (shifted + P.one()).monic(), (shifted - P.one()).monic()
 
 
 def _compose_noisy(k, n):
     """The noisy pair's polynomials built on Fractions, by composition."""
-    flip = P.from_coeffs([F(3, 2), -1])
-    tk = cheb_poly(k).compose(flip)
-    r, s = tk * tk * 2, cheb_poly(2 * k).compose(flip)
+    flip = P([F(3, 2), -1])
+    tk = P.of(cheb_poly(k)).compose(flip)
+    r, s = tk * tk * 2, P.of(cheb_poly(2 * k)).compose(flip)
     pad = [F(0)] * (n - 2 * k)
     return P(pad + [c / r.leading for c in r.coeffs]), P(pad + [c / r.leading for c in s.coeffs])
+
+
+def _compose_boosted(base, t):
+    """The boosted pair built on Fractions: rescale so lambda_max(q) = 1,
+    compose with T_t, make monic and shift the roots by +1."""
+    lam = max_root(base.q, F(1, 2**20)).lo
+    ps, qs = P.of(base.p).shift_scale(1 / lam, 0), P.of(base.q).shift_scale(1 / lam, 0)
+    inner = cheb_poly(t)
+    p = ps.compose(inner).monic().shift_scale(1, 1)
+    q = qs.compose(inner).monic().shift_scale(1, 1)
+    ratio = certified_ratio_lower(p, q)
+    cert = {"kind": "boosted", "t": t, "base_provenance": base.provenance,
+            "base_k": base.k, "scale": format_rational(1 / lam), "chebyshev_ratio": None}
+    if max_root_leq(ps, F(1, 2)):
+        formula = 2 / (1 + cos_pi_bounds(F(1, 3 * t))[1])
+        cert["chebyshev_ratio"] = format_rational(formula)
+        ratio = max(ratio, formula)
+    return LowerBoundPair(p, q, matched_coefficient_count(p, q), ratio, "boosted", cert)
 
 
 def test_integer_builders_match_composition():
@@ -159,6 +181,52 @@ def test_integer_builders_match_composition():
         for n in (2 * k, 2 * k + 3):
             pair = noisy_pair(k, n)
             assert (pair.p, pair.q) == _compose_noisy(k, n), (k, n)
+    for b in range(2, 13):
+        base = weak_pair(b)
+        for t in range(1, 5):
+            got, want = boosted_pair(base, t), _compose_boosted(base, t)
+            assert (got.p, got.q, got.k) == (want.p, want.q, want.k), (b, t)
+            assert got.ratio_lower == want.ratio_lower, (b, t)
+            assert got.certificate == want.certificate, (b, t)
+
+
+def _base(p_roots, q_roots):
+    """A base pair as a JSON file gives it: nothing checked on the way in."""
+    return LowerBoundPair(P.from_roots(p_roots), P.from_roots(q_roots), 0, F(1), "weak", {})
+
+
+@pytest.mark.parametrize("base, t, message", [
+    (weak_pair(3), 0, "need t >= 1"),
+    (noisy_pair(2, 4), 2, "exact rational lambda_max(q)"),
+    (_base([-3, -2], [-2, -1]), 2, "lambda_max(q) > 0"),
+    (_base([-1, 0], [-1, 0]), 2, "lambda_max(q) > 0"),
+    (_base([0, 3], [0, 2]), 2, "rescaled p has roots outside [0,1]"),
+    (_base([-1, 1], [0, 2]), 2, "rescaled p has roots outside [0,1]"),
+    (_base([0, 1], [-1, 2]), 2, "rescaled q has roots outside [0,1]"),
+])
+def test_boosted_pair_refusals(base, t, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        boosted_pair(base, t)
+
+
+def test_generators_refuse_degrees_above_the_budget(monkeypatch):
+    # each generator refuses before it builds anything: the integer
+    # Chebyshev builder and the root engine must not be reached
+    def unreachable(*args):
+        raise AssertionError("built past the degree budget")
+
+    monkeypatch.setattr("rootline.lowerbounds._cheb_affine", unreachable)
+    monkeypatch.setattr("rootline.lowerbounds.max_root", unreachable)
+    over = DEGREE_BUDGET + 1
+    cases = [
+        (weak_pair, (over,)),
+        (noisy_pair, (2, over)),
+        (boosted_pair, (_base([F(1, 2)], [1]), over)),
+    ]
+    for make, args in cases:
+        with pytest.raises(ValueError, match=f"degree {over} is above the pair degree "
+                                             f"budget {DEGREE_BUDGET}"):
+            make(*args)
 
 
 def test_noisy_pair_guards():
@@ -238,7 +306,7 @@ def test_verify_pair_negative_ratio_scales_the_top_root():
 def test_verify_pair_ratio_at_an_irrational_tie():
     # sqrt(8) = 2 sqrt(2): equality is decided through the gcd of x^2 - 8
     # and the scaled factor of x^2 - 2
-    p, q = P.from_coeffs([-2, 0, 1]), P.from_coeffs([-8, 0, 1])
+    p, q = P([-2, 0, 1]), P([-8, 0, 1])
     for ratio, certified in ((F(2), True), (2 + F(1, 2**60), False), (2 - F(1, 2**60), True)):
         assert _ratio_check(LowerBoundPair(p, q, 1, ratio, "weak", {})).passed == certified
 

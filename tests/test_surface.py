@@ -20,7 +20,8 @@ BENCH = SRC.parent.parent / "bench"
 
 #: qualified name -> why it stays without a caller in src/ or bench/
 KEEP = {
-    "poly.ExactPolynomial.from_roots": "constructor from rational roots; tests build inputs with it",
+    "chebyshev.cheb_poly": "named in bench/spans.py's TRACED list, whose probe test fails on a "
+                           "name it has to skip",
     "graphs.sample_sign_invariance": "uncertified fallback named by the exhaustion-cap error",
     "symfuncs.extended_power_sums": "named in bench/spans.py's TRACED list, whose probe test "
                                     "fails on a name it has to skip",
