@@ -4,6 +4,11 @@ All numeric output carries the exact rational string (authoritative)
 plus a decimal rendering for humans.  Every subcommand is internally a
 RunManifest dispatch, so identical manifests produce identical output
 bytes; `rootline manifest FILE` replays a saved manifest directly.
+A manifest's parameters are the subcommand's options by dest name
+(`--exhaustive-check` is `exhaustive_check`); a key that no option
+declares exits 2.  `sign-search` and `verify-invariance` enumerate every
+signing and refuse a graph with more edges than `graphs.EXHAUSTION_CAP`
+(24).
 
 Exit codes: 0 success, 1 certificate or verification failure,
 2 usage / malformed input.
@@ -108,21 +113,16 @@ def _load_graph(name_or_path: str) -> Graph:
 
 
 def _cmd_approx_root(params: Dict, seed: Optional[int]) -> dict:
-    k = params.get("k")
-    if params.get("profile"):
+    k = params["k"]
+    if params["profile"]:
         prof = SymmetricProfile.from_json_dict(_load_json(params["profile"]))
-        if params.get("n") and int(params["n"]) != prof.n:
-            raise CliError("--n disagrees with the profile file")
         if k is not None:
-            prof = prof.truncate(int(k))
-    elif params.get("coeffs"):
+            prof = prof.truncate(k)
+    elif params["coeffs"]:
         poly = ExactPolynomial.from_json_dict(_load_json(params["coeffs"]))
         if poly.is_zero or not poly.is_monic():
             raise CliError("--coeffs requires a monic nonzero polynomial")
-        n = int(params["n"]) if params.get("n") else poly.degree
-        if n != poly.degree:
-            raise CliError("--n disagrees with the polynomial degree")
-        prof = profile_from_polynomial(poly, int(k) if k is not None else n)
+        prof = profile_from_polynomial(poly, poly.degree if k is None else k)
     else:
         raise CliError("approx-root needs --profile or --coeffs")
     res = approx_max_root(prof)
@@ -133,22 +133,22 @@ def _cmd_approx_root(params: Dict, seed: Optional[int]) -> dict:
 
 
 def _cmd_gen_pair(params: Dict, seed: Optional[int]) -> dict:
-    kind = params.get("kind")
+    kind = params["kind"]
 
     def needed(name: str):
-        if name not in params:
+        if params[name] is None:
             raise CliError(f"gen-pair --kind {kind} needs the parameter {name!r}")
         return params[name]
 
     if kind == "weak":
-        pair = weak_pair(int(needed("n")))
+        pair = weak_pair(needed("n"))
     elif kind == "girth":
-        pair = girth_pair(_load_graph(needed("graph")), int(params.get("power", 2)))
+        pair = girth_pair(_load_graph(needed("graph")), params["power"])
     elif kind == "noisy":
-        pair = noisy_pair(int(needed("k")), int(needed("n")))
+        pair = noisy_pair(needed("k"), needed("n"))
     else:  # boosted: dispatch has checked kind against the choices
         base = LowerBoundPair.from_json_dict(_load_json(needed("base")))
-        pair = boosted_pair(base, int(params.get("t", 2)))
+        pair = boosted_pair(base, params["t"])
     return pair.to_json_dict()
 
 
@@ -170,7 +170,7 @@ def _cmd_girth(params: Dict, seed: Optional[int]) -> dict:
 
 def _cmd_sign_search(params: Dict, seed: Optional[int]) -> dict:
     g = _load_graph(params["graph"])
-    best = best_signing_search(g, cap=int(params.get("cap", 24)))
+    best = best_signing_search(g)
     out = {
         "signing": list(best.signing.signs),
         "classes_searched": best.classes_searched,
@@ -183,14 +183,14 @@ def _cmd_sign_search(params: Dict, seed: Optional[int]) -> dict:
 
 def _cmd_verify_invariance(params: Dict, seed: Optional[int]) -> dict:
     g = _load_graph(params["graph"])
-    k = int(params["k"])
+    k = params["k"]
     diag = None
-    if params.get("diag"):
+    if params["diag"]:
         data = _load_json(params["diag"])
         if not (isinstance(data, dict) and isinstance(data.get("diag"), list)):
             raise CliError('a diagonal is a JSON object {"diag": ["p/q", ...]}')
         diag = [to_fraction(v) for v in data["diag"]]
-    rep = sign_invariance_report(g, diag, k, cap=int(params.get("cap", 24)))
+    rep = sign_invariance_report(g, diag, k)
     return {
         "k": k,
         "agree": rep.agree,
@@ -213,10 +213,10 @@ def _cmd_round(params: Dict, seed: Optional[int]) -> dict:
         brute = sr_brute_force_poly
     else:
         raise CliError("family file is neither a KS nor an SR instance")
-    eps = parse_rational(str(params["epsilon"]))
+    eps = parse_rational(params["epsilon"])
     res = round_family(inst.spec(), oracle, eps)
     out = res.to_json_dict()
-    if params.get("exhaustive_check"):
+    if params["exhaustive_check"]:
         got = oracle.coeffs((), inst.n)
         out["exhaustive_root_match"] = padded_coeffs(brute(inst), inst.n) == got
         if not out["exhaustive_root_match"]:
@@ -227,13 +227,14 @@ def _cmd_round(params: Dict, seed: Optional[int]) -> dict:
 
 
 def _cmd_selftest(params: Dict, seed: Optional[int]) -> dict:
-    numbers = params.get("criteria")
+    numbers = params["criteria"]
     if numbers is not None:
         numbers = [int(x) for x in numbers]
-    results = run_criteria(numbers, seed if seed is not None else DEFAULT_SEED)
+    seed = DEFAULT_SEED if seed is None else seed
+    results = run_criteria(numbers, seed)
     for res in results:
         print(res.line(), file=sys.stderr)
-    out = {"seed": seed if seed is not None else DEFAULT_SEED,
+    out = {"seed": seed,
            "results": [r.to_json_dict() for r in results],
            "all_passed": all(r.passed for r in results)}
     if not out["all_passed"]:
@@ -262,21 +263,27 @@ def _is_int(value) -> bool:
 
 
 def _typed_parameters(subcommand: str, params: Dict) -> Dict:
-    """The parameters, null ones dropped as not given, after checking each
-    against the subcommand's option of that name: an int for ``type=int``,
-    a bool for a flag, a string otherwise, one of the choices where there
-    are choices, and a list of criterion numbers for ``--criteria``."""
+    """Every option of the subcommand, by dest name: the manifest's value
+    checked against the option (an int for ``type=int``, a bool for a
+    flag, a string otherwise, one of the choices where there are choices,
+    and a list of criterion numbers for ``--criteria``), or the option's
+    default where the value is missing or null.  A key that no option
+    declares is refused."""
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     actions = {a.dest: a for a in sub.choices[subcommand]._actions
                if a.dest not in _NOT_PARAMETERS}
-    params = {k: v for k, v in params.items() if v is not None}
+    undeclared = sorted(set(params) - set(actions))
+    if undeclared:
+        raise CliError(f"{subcommand} has no parameter " + ", ".join(map(repr, undeclared)))
+    typed = {}
     for dest, action in actions.items():
-        if dest not in params:
+        value = params.get(dest)
+        if value is None:
             if action.required:
                 raise CliError(f"{subcommand} needs the parameter {dest!r}")
+            typed[dest] = action.default
             continue
-        value = params[dest]
         if action.nargs == 0:
             ok, kind = isinstance(value, bool), "true or false"
         elif action.type is int:
@@ -291,7 +298,8 @@ def _typed_parameters(subcommand: str, params: Dict) -> Dict:
         if not ok:
             raise CliError(f"parameter {dest!r} of {subcommand} must be {kind}, "
                            f"not {json.dumps(value)}")
-    return params
+        typed[dest] = value
+    return typed
 
 
 def dispatch(manifest: RunManifest) -> Tuple[int, dict]:
@@ -330,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx-root", help="estimate the largest root from a profile")
     p.add_argument("--profile", help="SymmetricProfile JSON file")
     p.add_argument("--coeffs", help="monic polynomial JSON file (alternative input)")
-    p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
 
     p = sub.add_parser("gen-pair", help="generate a coefficient-matched pair")
@@ -350,13 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sign-search", help="signing minimizing lambda_max")
     p.add_argument("--graph", required=True)
-    p.add_argument("--cap", type=int, default=24)
 
     p = sub.add_parser("verify-invariance", help="trace powers across all signings")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--diag", help='JSON file {"diag": ["p/q", ...]}')
-    p.add_argument("--cap", type=int, default=24)
 
     p = sub.add_parser("round", help="round an interlacing family")
     p.add_argument("--family", required=True, help="KS or SR instance JSON")
@@ -379,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     """The subcommand's options, by dest name, as manifest parameters."""
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("subcommand", "seed", "out") and v is not None}
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     return RunManifest(args.subcommand, params, seed=getattr(args, "seed", None),
                        output=args.out)
 

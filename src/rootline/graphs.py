@@ -41,7 +41,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from rootline.isolation import RootInterval, compare_roots, max_root, max_root_leq
+from rootline.isolation import RootInterval, compare_roots, max_root
 from rootline.poly import ExactPolynomial, char_poly_int_rows
 from rootline.ratutil import RationalLike, to_fraction
 
@@ -50,6 +50,12 @@ EXHAUSTION_CAP = 24
 
 class ExhaustionCapError(ValueError):
     """Raised when an exact enumeration would exceed the signing cap."""
+
+
+def _check_cap(g: Graph) -> None:
+    if g.num_edges > EXHAUSTION_CAP:
+        raise ExhaustionCapError(
+            f"{g.num_edges} edges exceeds the exhaustion cap {EXHAUSTION_CAP}")
 
 
 @dataclass(frozen=True)
@@ -398,8 +404,8 @@ def _scaled_diag(g: Graph, D: Optional[Sequence[RationalLike]]) -> Tuple[List[in
     return [f.numerator * (L // f.denominator) for f in fracs], L
 
 
-def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]], k: int,
-                           cap: int = EXHAUSTION_CAP) -> InvarianceReport:
+def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]],
+                           k: int) -> InvarianceReport:
     """Decide trace((D+A_s)^i) = trace((D+A)^i), i = 1..k, for ALL 2^|E| signings.
 
     The scan forms one matrix per switching class, its least member in
@@ -426,40 +432,10 @@ def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]], k: int
     """
     if k < 1:
         raise ValueError(f"need k >= 1 trace powers, got k={k}")
-    m = g.num_edges
-    if m > cap:
-        raise ExhaustionCapError(
-            f"{m} edges exceeds the exhaustion cap {cap}; "
-            "use sample_sign_invariance for an uncertified check")
+    _check_cap(g)
     diag, L = _scaled_diag(g, D)
     rho = max(abs(d) + L * deg for d, deg in zip(diag, g.degrees()))
     return _scan_numpy(g, diag, L, k, _exact_dtype(g.n * rho ** k))
-
-
-def sample_sign_invariance(g: Graph, D: Optional[Sequence[RationalLike]], k: int,
-                           samples: int, seed: int = 0) -> bool:
-    """Uncertified sampling fallback for graphs beyond the cap."""
-    import random
-
-    rng = random.Random(seed)
-    diag, L = _scaled_diag(g, D)
-    ref = _traces_exact(signed_adjacency(g, Signing.all_plus(g), diag, L), k)
-    for _ in range(samples):
-        s = Signing.from_bits(g, rng.getrandbits(g.num_edges))
-        if _traces_exact(signed_adjacency(g, s, diag, L), k) != ref:
-            return False
-    return True
-
-
-def _traces_exact(rows: List[List[int]], k: int) -> List[int]:
-    """trace(M^i), i = 1..k, on Python integers, without numpy."""
-    out = []
-    power = rows
-    for i in range(k):
-        if i:
-            power = _matmul(power, rows)
-        out.append(sum(power[a][a] for a in range(len(rows))))
-    return out
 
 
 def _scan_numpy(g: Graph, diag: List[int], L: int, k: int, dtype) -> InvarianceReport:
@@ -533,7 +509,7 @@ def switching_class_char_polys(g: Graph) -> List[Tuple[Tuple[int, ...], int]]:
     return out
 
 
-def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP) -> BestSigning:
+def best_signing_search(g: Graph) -> BestSigning:
     """The signing minimizing lambda_max(A_s), ties broken lexicographically.
 
     Groups the switching classes by their exact characteristic
@@ -542,9 +518,8 @@ def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP) -> BestSigning:
     of every argmin polynomial by a GF(2) coset reduction.  Output is
     identical to brute force over all 2^|E| signings.
     """
+    _check_cap(g)
     m = g.num_edges
-    if m > cap:
-        raise ExhaustionCapError(f"{m} edges exceeds the exhaustion cap {cap}")
     by_char: Dict[Tuple[int, ...], List[int]] = {}
     for coeffs, bits in switching_class_char_polys(g):
         by_char.setdefault(coeffs, []).append(bits)
@@ -578,14 +553,16 @@ def best_signing_search(g: Graph, cap: int = EXHAUSTION_CAP) -> BestSigning:
 def ramanujan_bound_holds(g: Graph, s: Signing) -> bool:
     """Exact check lambda_max(A_s) <= 2*sqrt(deg_max - 1), no slack.
 
-    Decided on the squared matrix: eigenvalues of A_s^2 are the squares,
-    so the bound becomes the rational threshold 4*(deg_max - 1).
+    2*sqrt(deg_max - 1) is the top root of x^2 - 4*(deg_max - 1), so the
+    two top roots are compared exactly (equality by ``compare_roots``'
+    gcd fallback).  Only the top eigenvalue is bounded: the spectrum of
+    A_s need not be symmetric.
     """
     d = g.max_degree()
     if d < 2:
         raise ValueError("bound is vacuous for max degree < 2")
-    A2 = matrix_power(signed_adjacency(g, s), 2)
-    return max_root_leq(char_poly_int_rows(A2)[::-1], Fraction(4 * (d - 1)))
+    lam = max_root(char_poly_int_rows(signed_adjacency(g, s))[::-1])
+    return compare_roots(lam, max_root([-4 * (d - 1), 0, 1])) <= 0
 
 
 # ---------------------------------------------------------------------------

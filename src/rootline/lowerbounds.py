@@ -28,7 +28,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from rootline.chebyshev import _cheb_coeffs, cheb_eval
 from rootline.graphs import (
-    EXHAUSTION_CAP,
     Graph,
     Signing,
     avg_degree_bound,
@@ -216,7 +215,7 @@ def weak_pair(n: int) -> LowerBoundPair:
 # ---------------------------------------------------------------------------
 
 
-def girth_pair(g: Graph, power: int, cap: int = EXHAUSTION_CAP) -> LowerBoundPair:
+def girth_pair(g: Graph, power: int) -> LowerBoundPair:
     """nu = spectrum(A_+1^t) vs mu = spectrum(A_best^t), t = power (even).
 
     Trace powers below the girth are signing-independent, so the two
@@ -235,7 +234,7 @@ def girth_pair(g: Graph, power: int, cap: int = EXHAUSTION_CAP) -> LowerBoundPai
     if k < 1:
         raise ValueError(f"power {power} leaves no matched statistics below girth {gi}")
 
-    best = best_signing_search(g, cap)
+    best = best_signing_search(g)
     q = char_poly(matrix_power(signed_adjacency(g, Signing.all_plus(g)), power))
     p = char_poly(matrix_power(signed_adjacency(g, best.signing), power))
 

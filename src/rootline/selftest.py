@@ -16,15 +16,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from rootline.chebyshev import cheb_eval
 from rootline.graphs import (
+    EXHAUSTION_CAP,
     Graph,
     Signing,
-    _traces_exact,
     best_signing_search,
     catalog_entries,
     cube_graph,
     cycle_graph,
     girth,
     heawood_graph,
+    matrix_power,
     ramanujan_bound_holds,
     sign_invariance_report,
     signed_adjacency,
@@ -273,7 +274,8 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def _exact_trace_power(g: Graph, bits: int, power: int) -> int:
     """trace(A_s^power) on Python integers, independent of the scan's batches."""
-    return _traces_exact(signed_adjacency(g, Signing.from_bits(g, bits)), power)[-1]
+    rows = matrix_power(signed_adjacency(g, Signing.from_bits(g, bits)), power)
+    return sum(rows[i][i] for i in range(g.n))
 
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -333,7 +335,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     checked = []
     for entry in catalog_entries():
         g = entry.graph
-        if g.num_edges > 24 or not g.is_bipartite() or g.max_degree() < 2:
+        if g.num_edges > EXHAUSTION_CAP or not g.is_bipartite() or g.max_degree() < 2:
             continue
         best = best_signing_search(g)
         checked.append(entry.name)

@@ -14,8 +14,6 @@ version is covered in test_lowerbounds.py.
 
 from fractions import Fraction as F
 
-import pytest
-
 from polyref import RefPolynomial
 from rootline.chebyshev import cheb_poly
 from rootline.interlacing import check_common_interlacing
@@ -25,7 +23,6 @@ from rootline.selftest import (
     CRITERIA,
     DEFAULT_SEED,
     CriterionResult,
-    run_bracket_corpus,
 )
 
 
@@ -35,22 +32,17 @@ def _assert_passed(res: CriterionResult):
     assert res.passed, "\n".join([res.details] + res.failures[:10])
 
 
-@pytest.fixture(scope="module")
-def bracket_outcome():
-    return run_bracket_corpus(DEFAULT_SEED)
-
-
-def test_criterion_01_bracket(bracket_outcome):
+def test_criterion_01_bracket():
     res = CRITERIA[1](DEFAULT_SEED)
     _assert_passed(res)
 
 
-def test_criterion_02_power_sum_chain(bracket_outcome):
+def test_criterion_02_power_sum_chain():
     res = CRITERIA[2](DEFAULT_SEED)
     _assert_passed(res)
 
 
-def test_criterion_03_iteration_bound(bracket_outcome):
+def test_criterion_03_iteration_bound():
     res = CRITERIA[3](DEFAULT_SEED)
     _assert_passed(res)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import rootline
-from rootline.cli import RunManifest, dispatch, main
+from rootline.cli import RunManifest, _typed_parameters, dispatch, main
 from rootline.interlacing import KSInstance
 from rootline.lowerbounds import DEGREE_BUDGET, noisy_pair, weak_pair
 from rootline.symfuncs import profile_of_roots
@@ -197,28 +197,45 @@ def test_malformed_input_exits_2(args, data, tmp_path):
     assert "error" in json.loads(res.stderr)
 
 
-@pytest.mark.parametrize("subcommand, parameters", [
-    ("girth", {"graph": 5}),
-    ("approx-root", {"profile": ["a"]}),
-    ("round", {"family": None, "epsilon": "1/2"}),
-    ("verify-invariance", {"graph": "C_4", "k": [3]}),
-    ("verify-invariance", {"graph": "C_4", "k": True}),
-    ("gen-pair", {"kind": "cubic", "n": 5}),
-    ("gen-pair", {"kind": "weak", "n": "5"}),
-    ("round", {"family": "ks.json", "epsilon": "1/2", "exhaustive_check": "yes"}),
-    ("selftest", {"criteria": "4"}),
-    ("selftest", {"criteria": [4, None]}),
+@pytest.mark.parametrize("subcommand, parameters, key", [
+    ("girth", {"graph": 5}, "graph"),
+    ("approx-root", {"profile": ["a"]}, "profile"),
+    ("round", {"family": None, "epsilon": "1/2"}, "family"),
+    ("verify-invariance", {"graph": "C_4", "k": [3]}, "k"),
+    ("verify-invariance", {"graph": "C_4", "k": True}, "k"),
+    ("gen-pair", {"kind": "cubic", "n": 5}, "kind"),
+    ("gen-pair", {"kind": "weak", "n": "5"}, "n"),
+    ("round", {"family": "ks.json", "epsilon": "1/2", "exhaustive_check": "yes"},
+     "exhaustive_check"),
+    ("selftest", {"criteria": "4"}, "criteria"),
+    ("selftest", {"criteria": [4, None]}, "criteria"),
+    ("round", {"family": "ks.json", "epsilon": "1/2", "exhaustive-check": True},
+     "exhaustive-check"),
+    ("sign-search", {"graph": "C_4", "cap": 24}, "cap"),
+    ("approx-root", {"profile": "prof.json", "n": 4}, "n"),
+    ("selftest", {"criteria": [4], "seed": 7}, "seed"),
 ], ids=["graph-int", "profile-list", "family-null", "k-list", "k-bool", "kind-not-a-choice",
-        "n-string", "flag-string", "criteria-string", "criteria-null-item"])
-def test_manifest_parameter_types_exit_2(subcommand, parameters, tmp_path, monkeypatch, capsys):
+        "n-string", "flag-string", "criteria-string", "criteria-null-item",
+        "flag-spelling-undeclared", "cap-undeclared", "n-undeclared", "seed-undeclared"])
+def test_manifest_parameter_types_exit_2(subcommand, parameters, key, tmp_path, monkeypatch,
+                                         capsys):
     (tmp_path / "ks.json").write_text(json.dumps(INPUTS["ks"][0]))
+    (tmp_path / "prof.json").write_text(json.dumps(INPUTS["profile"][0]))
     (tmp_path / "m.json").write_text(json.dumps({"subcommand": subcommand,
                                                  "parameters": parameters}))
     monkeypatch.chdir(tmp_path)
     assert main(["manifest", "m.json"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "error" in json.loads(err)
+    assert repr(key) in json.loads(err)["error"]
+
+
+def test_repro_manifests_pass_the_parameter_check():
+    paths = sorted((Path(__file__).resolve().parent.parent / "repro").glob("*.json"))
+    assert paths
+    for path in paths:
+        manifest = RunManifest.from_json_dict(json.loads(path.read_text()))
+        _typed_parameters(manifest.subcommand, manifest.parameters)
 
 
 @pytest.mark.parametrize("k", [0, -2])

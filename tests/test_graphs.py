@@ -20,7 +20,6 @@ from rootline.graphs import (
     _gf2_echelon,
     _scaled_diag,
     _scan_numpy,
-    _traces_exact,
     avg_degree_bound,
     best_signing_search,
     catalog_entries,
@@ -32,7 +31,6 @@ from rootline.graphs import (
     high_girth_catalog,
     matrix_power,
     ramanujan_bound_holds,
-    sample_sign_invariance,
     sign_invariance_report,
     signed_adjacency,
     switching_class_char_polys,
@@ -328,6 +326,18 @@ def test_invariance_object_batches_hold_python_ints(monkeypatch):
         assert batches == [(object, True)], D
 
 
+def traces_exact(rows, k: int):
+    """trace(M^i), i = 1..k, on Python integers, without numpy: the batch
+    kernel's reference."""
+    out, power = [], rows
+    for i in range(k):
+        if i:
+            power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)]
+                     for row in power]
+        out.append(sum(power[a][a] for a in range(len(rows))))
+    return out
+
+
 def test_batch_traces_float64_exact_just_below_2_53():
     # C_8 with diagonal 139: rho = 139 + 2 = 141 and 8 * 141^7 < 2^53 <= 8 * 142^7,
     # and every signing's trace of M^7 is about 8 * 139^7, above 2^52
@@ -337,7 +347,7 @@ def test_batch_traces_float64_exact_just_below_2_53():
     rows = [signed_adjacency(g, Signing.from_bits(g, bits), diag) for bits in range(1 << 8)]
     got = _batch_traces(np.array(rows, dtype=np.float64), 7)
     assert got.dtype == np.int64
-    assert got.T.tolist() == [_traces_exact(r, 7) for r in rows]
+    assert got.T.tolist() == [traces_exact(r, 7) for r in rows]
     assert abs(got).max() > 2**52
 
 
@@ -394,7 +404,6 @@ def test_invariance_seeded_c8_below_girth_skips_exact_path(monkeypatch):
 def test_invariance_cap():
     with pytest.raises(ExhaustionCapError):
         sign_invariance_report(tutte_coxeter_graph(), None, 3)
-    assert sample_sign_invariance(tutte_coxeter_graph(), None, 3, samples=5, seed=1)
 
 
 def test_best_signing_matches_bruteforce():
@@ -462,6 +471,13 @@ def test_best_signing_cube_bound():
     g = cube_graph()
     best = best_signing_search(g)
     assert ramanujan_bound_holds(g, best.signing)  # lambda <= 2 sqrt(2)
+    # K_4 with every sign -1 has spectrum {-3, 1, 1, 1}: lambda_max = 1 <= 2 sqrt(2)
+    # though |-3| is not; all +1 gives lambda_max = 3 > 2 sqrt(2)
+    k4 = Graph(4, tuple(combinations(range(4), 2)))
+    assert ramanujan_bound_holds(k4, Signing((-1,) * 6))
+    assert not ramanujan_bound_holds(k4, Signing.all_plus(k4))
+    # equality: the all-plus C_4 has lambda_max = 2 = 2 sqrt(2 - 1)
+    assert ramanujan_bound_holds(cycle_graph(4), Signing.all_plus(cycle_graph(4)))
 
 
 def test_best_signing_cap():

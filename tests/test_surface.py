@@ -8,12 +8,21 @@ not calling it.  The only other way to pass is an entry in ``KEEP`` with
 its reason, and ``KEEP`` lists only names the guard would flag without
 it: an entry whose name has gained a caller fails.  Tests do not count
 as callers: a helper only the tests use belongs in the tests.
+
+A second guard holds the command line to the same rule: every option a
+subcommand declares is read by its handler, so no option is accepted
+and then ignored.
 """
 
+import argparse
 import ast
+import inspect
 from pathlib import Path
 
+import pytest
+
 import rootline
+from rootline import cli
 
 SRC = Path(rootline.__file__).resolve().parent
 BENCH = SRC.parent.parent / "bench"
@@ -22,7 +31,6 @@ BENCH = SRC.parent.parent / "bench"
 KEEP = {
     "chebyshev.cheb_poly": "named in bench/spans.py's TRACED list, whose probe test fails on a "
                            "name it has to skip",
-    "graphs.sample_sign_invariance": "uncertified fallback named by the exhaustion-cap error",
     "symfuncs.extended_power_sums": "named in bench/spans.py's TRACED list, whose probe test "
                                     "fails on a name it has to skip",
 }
@@ -85,3 +93,31 @@ def test_keep_entries_still_exist():
     names = {qualname for path in SRC.glob("*.py")
              for qualname, _, _ in _definitions(path.stem, ast.parse(path.read_text()))}
     assert set(KEEP) <= names
+
+
+def _read_keys(handler):
+    """Keys the handler reads as params[...], params.get(...) or needed(...)."""
+    keys = set()
+    for node in ast.walk(ast.parse(inspect.getsource(handler))):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "params"):
+            key = node.slice
+        elif isinstance(node, ast.Call) and node.args and (
+                isinstance(node.func, ast.Name) and node.func.id == "needed"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "params"):
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            keys.add(key.value)
+    return keys
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli._HANDLERS))
+def test_every_option_is_read_by_its_handler(subcommand):
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    declared = {a.dest for a in sub.choices[subcommand]._actions
+                if not isinstance(a, argparse._HelpAction)} - {"out", "seed"}
+    assert _read_keys(cli._HANDLERS[subcommand]) == declared
