@@ -32,13 +32,12 @@ from rootline.graphs import (
 )
 from rootline.interlacing import (
     KSInstance,
+    KSOracle,
     SRInstance,
-    ks_brute_force_poly,
-    ks_oracle,
+    SROracle,
+    brute_force_poly,
     padded_coeffs,
     round_family,
-    sr_brute_force_poly,
-    sr_oracle,
 )
 from rootline.lowerbounds import (
     LowerBoundPair,
@@ -205,20 +204,19 @@ def _cmd_round(params: Dict, seed: Optional[int]) -> dict:
         raise CliError("a family file holds a JSON object (a KS or an SR instance)")
     if "supports" in data:
         inst = KSInstance.from_json_dict(data)
-        oracle = ks_oracle(inst)
-        brute = ks_brute_force_poly
+        oracle = KSOracle(inst)
     elif "table" in data:
         inst = SRInstance.from_json_dict(data)
-        oracle = sr_oracle(inst)
-        brute = sr_brute_force_poly
+        oracle = SROracle(inst)
     else:
         raise CliError("family file is neither a KS nor an SR instance")
     eps = parse_rational(params["epsilon"])
+    # before the walk, so that a family over the leaf budget is refused first
+    brute = padded_coeffs(brute_force_poly(inst), inst.n) if params["exhaustive_check"] else None
     res = round_family(inst.spec(), oracle, eps)
     out = res.to_json_dict()
-    if params["exhaustive_check"]:
-        got = oracle.coeffs((), inst.n)
-        out["exhaustive_root_match"] = padded_coeffs(brute(inst), inst.n) == got
+    if brute is not None:
+        out["exhaustive_root_match"] = brute == oracle.coeffs((), inst.n)
         if not out["exhaustive_root_match"]:
             raise CertificateFailure(json.dumps(out, sort_keys=True))
     if not res.certified:

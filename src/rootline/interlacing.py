@@ -14,11 +14,12 @@ rank-one sums (``KSInstance``) and subset distributions given by a
 dense probability table with fixed vectors (``SRInstance``).  Leaf
 polynomials carry their probability as a factor, so a prefix's
 polynomial is literally the sum of its children's, exactly.  Both take
-their Gram determinants from one integer table, each bordered in
-O(d^2) from the determinant one row shorter; the KS oracle reads every
-prefix's expected minors off one tree per subset of coordinates.  The
-walk depends on eps only through the coefficient budget k, so both
-oracles keep it per k and a second eps only certifies again.
+their Gram determinants from one integer table on one scale, each
+bordered in O(d^2) from the determinant one row shorter; the KS oracle
+reads every prefix's expected minors off one tree per subset of
+coordinates.  The walk depends on eps only through the coefficient
+budget k, so both oracles keep it per k and a second eps only certifies
+again.  One enumeration of either family's leaves cross-checks both.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from rootline.isolation import (
     IntPoly,
@@ -148,21 +149,15 @@ class FamilyOracle:
 class _GramKernel:
     """The exact integer kernel both oracles run on.
 
-    Coordinate i offers the vectors ``choices[i]`` and carries an integer
-    scale P_i for its probabilities (1 where the oracle keeps them
-    elsewhere).  Each distinct vector v is scaled once to the integer
-    vector L_v v, L_v the lcm of its entry denominators, and ``gram``
-    holds every integer inner product of the scaled vectors (shorter
-    vectors read as zero-padded).  With Q_i the lcm of L_v^2 over
-    coordinate i's vectors, Q_i / L_v^2 is the integer ``lift[i][c]``, so
-    for one choice c_i per coordinate of T
+    Coordinate i offers the vectors ``choices[i]``.  Every distinct vector
+    is scaled by one L, the lcm of the entry denominators of all of them,
+    and ``gram`` holds every integer inner product of the scaled vectors
+    (shorter vectors read as zero-padded).  ``rows[i][c]`` is the table
+    row of choice c of coordinate i, and for any rows of the table
 
-        det Gram(v_{i,c_i} : i in T) * prod_{i in T} Q_i
-            = det(rows) * prod_{i in T} lift[i][c_i],
+        det Gram(v_T) = det(Gram sub-table on T) / scale^|T|,
 
-    an integer.  ``cofactor(T)`` is S / S_T, with S_T the product of
-    P_i Q_i over T and S = S_[m]: it brings per-subset integers to the
-    one denominator S.
+    with ``scale`` = L^2.
 
     Determinants grow one row at a time (``border``): both oracles walk
     their row sets as paths that add a row, so every determinant extends
@@ -170,29 +165,15 @@ class _GramKernel:
     path, since a Gram matrix of dependent vectors stays singular.
     """
 
-    def __init__(self, choices: Sequence[Sequence[Tuple[Fraction, ...]]],
-                 prob_scales: Sequence[int]):
+    def __init__(self, choices: Sequence[Sequence[Tuple[Fraction, ...]]]):
         index: Dict[Tuple[Fraction, ...], int] = {}
-        ints: List[List[int]] = []
-        square: List[int] = []
-        self.rows: List[List[int]] = []  # rows[i][c]: table row of choice c of coordinate i
-        self.lift: List[List[int]] = []
-        self.scales: List[int] = []  # P_i Q_i
-        for vectors, P in zip(choices, prob_scales):
-            rows = []
+        for vectors in choices:
             for v in vectors:
-                a = index.get(v)
-                if a is None:
-                    a = index[v] = len(ints)
-                    L = math.lcm(*(x.denominator for x in v))
-                    ints.append([x.numerator * (L // x.denominator) for x in v])
-                    square.append(L * L)
-                rows.append(a)
-            Q = math.lcm(*(square[a] for a in rows))
-            self.rows.append(rows)
-            self.lift.append([Q // square[a] for a in rows])
-            self.scales.append(P * Q)
-        self.total = math.prod(self.scales)
+                index.setdefault(v, len(index))
+        L = math.lcm(*(x.denominator for v in index for x in v))
+        ints = [[x.numerator * (L // x.denominator) for x in v] for v in index]
+        self.rows = [[index[v] for v in vectors] for vectors in choices]
+        self.scale = L * L
         self.dim = max(map(len, ints), default=0)  # rank bound on every Gram matrix
         self.gram = [[sum(x * y for x, y in zip(u, w)) for w in ints] for u in ints]
 
@@ -219,12 +200,6 @@ class _GramKernel:
                 x[c] = (x[c] * p - xi * reduced[c][i]) // q
             top = (top * p - xi * xi) // q
         return top, x
-
-    def cofactor(self, subset: Sequence[int]) -> int:
-        s_t = 1
-        for i in subset:
-            s_t *= self.scales[i]
-        return self.total // s_t
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +237,18 @@ class KSInstance:
 
     def spec(self) -> FamilySpec:
         return FamilySpec(self.m, tuple(len(s) for s in self.supports), self.n)
+
+    @property
+    def dim(self) -> int:
+        """The longest vector's length, at least 1."""
+        return max([len(v) for sup in self.supports for v, _ in sup] + [1])
+
+    def leaves(self, prefix: Tuple[int, ...] = ()) -> Iterator[Tuple[Fraction, list]]:
+        """(probability, vectors) of every outcome extending ``prefix``, in
+        lexicographic order, those of probability zero included."""
+        for tail in product(*self.supports[len(prefix):]):
+            picked = [self.supports[i][c] for i, c in enumerate(prefix)] + list(tail)
+            yield math.prod(p for _, p in picked), [v for v, _ in picked]
 
     def to_json_dict(self) -> dict:
         return {
@@ -302,20 +289,19 @@ class KSOracle(FamilyOracle):
     and sigma_j of a rank-j sum is the Gram determinant of its vectors.
 
     Everything runs on one integer table built in the constructor
-    (``_GramKernel``): each distinct support vector v is scaled once by
-    L_v, the lcm of its entry denominators, and all integer inner products
-    are stored.  With P_i the lcm of coordinate i's probability
-    denominators and Q_i the lcm of L_v^2 over its support,
-    N_T = E_T * prod_{i in T} P_i Q_i is an integer.  Each coefficient is
-    the one Fraction (-1)^j weight * (sum_T N_T * S / S_T) / S, with
-    S_T = prod_{i in T} P_i Q_i and S = S_[m].
+    (``_GramKernel``), every support vector scaled by one L, and every
+    probability is taken over P, the lcm of all their denominators.  A
+    coordinate of T weighs p P while the prefix leaves it free and P once
+    the prefix fixes it (its probability is in the prefix's weight), so
+    N_T = sum over T's free outcomes of (product of weights) * det(rows)
+    is an integer, E_T = N_T / (P L^2)^j, and each coefficient is the one
+    Fraction (-1)^j weight * sum_T N_T / (P L^2)^j.
 
     A prefix of length l fixes exactly T's leading elements, those below
-    l, so N_T under every prefix is a node of one tree over T's outcomes
+    l, so N_T under every prefix is read off one tree over T's outcomes
     (``_tree``): the node c_1..c_f holds the choices of T's first f
     coordinates, its U is the Gram determinant at a leaf and
-    sum_c (free weight of c) * U(child c) above, and
-    N(T; c_1..c_f) = (product of the fixed weights of c_1..c_f) * U.  One
+    sum_c (p P of c) * U(child c) above, and N(T; c_1..c_f) = P^f * U.  One
     depth-first pass builds the whole tree, each determinant bordered from
     its parent's.  The trees of the j-subsets are built the first time a
     call reads j; a call then sums one node per subset.
@@ -326,47 +312,41 @@ class KSOracle(FamilyOracle):
         self.spec = inst.spec()
         self._walks: Dict = {}  # round_family's walks, by (spec, k)
         self._trees: Dict[int, List[Tuple[Tuple[int, ...], tuple]]] = {}
-        prob_scales = [math.lcm(*(p.denominator for _, p in sup)) for sup in inst.supports]
-        kernel = self._kernel = _GramKernel(
-            [[v for v, _ in sup] for sup in inst.supports], prob_scales)
-        # per coordinate, (choice, table row, free weight, fixed weight) of each
-        # outcome of positive probability: a free coordinate weighs
-        # p P_i Q_i / L_v^2, a fixed one P_i Q_i / L_v^2, its probability being
-        # in the prefix's weight
-        self._options = [
-            [(c, a, p.numerator * (P // p.denominator) * q, P * q)
-             for c, ((_, p), a, q) in enumerate(zip(sup, rows, lift)) if p]
-            for sup, P, rows, lift in zip(inst.supports, prob_scales, kernel.rows, kernel.lift)]
+        self._P = math.lcm(*(p.denominator for sup in inst.supports for _, p in sup))
+        kernel = self._kernel = _GramKernel([[v for v, _ in sup] for sup in inst.supports])
+        # per coordinate, (choice, table row, p P) of each outcome of positive probability
+        self._options = [[(c, a, p.numerator * (self._P // p.denominator))
+                          for c, ((_, p), a) in enumerate(zip(sup, rows)) if p]
+                         for sup, rows in zip(inst.supports, kernel.rows)]
 
     def _tree(self, subset: Tuple[int, ...]) -> tuple:
-        """The tree of N_T * S / S_T over T's outcomes, T = ``subset``.
+        """The tree of N_T over T's outcomes, T = ``subset``.
 
-        A node is (value, children), ``children`` indexed by the choices
-        of T's next coordinate; it is None at a leaf and at every node
-        under a zero leading minor, whose value and subtree are all 0.
+        A node is (N, children), ``children`` indexed by the choices of
+        T's next coordinate; it is None at a leaf and at every node under
+        a zero leading minor, whose value and subtree are all 0.
         """
-        kernel, options, sizes = self._kernel, self._options, self.spec.sizes
+        kernel, options, sizes, P = self._kernel, self._options, self.spec.sizes, self._P
         depth = len(subset)
 
         def visit(rows, reduced, pivots, scale):
-            # (U, node) at the inner node whose path is ``rows``; ``scale``
-            # is S / S_T times the fixed weights along it
+            # (U, node) at the inner node whose path is ``rows``, scale = P^len(rows)
             i = subset[len(rows)]
             leaves = len(rows) + 1 == depth
             children = [_ZERO_NODE] * sizes[i]
             total = 0
-            for c, a, free, fixed in options[i]:
+            for c, a, free in options[i]:
                 p, x = kernel.border(rows, reduced, pivots, a)
                 if not p:
                     continue
                 if leaves:  # U at a leaf is its determinant
-                    u, children[c] = p, (scale * fixed * p, None)
+                    u, children[c] = p, (scale * P * p, None)
                 else:
-                    u, children[c] = visit(rows + [a], reduced + [x], pivots + [p], scale * fixed)
+                    u, children[c] = visit(rows + [a], reduced + [x], pivots + [p], scale * P)
                 total += free * u
             return total, (scale * total, children)
 
-        return visit([], [], [1], kernel.cofactor(subset))[1]
+        return visit([], [], [1], 1)[1]
 
     def coeffs(self, prefix: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
         self._check(prefix, k)
@@ -393,7 +373,7 @@ class KSOracle(FamilyOracle):
                     node = node[1][prefix[i]]
                 acc += node[0]
             out[j] = Fraction((-1) ** j * weight.numerator * acc,
-                              weight.denominator * kernel.total)
+                              weight.denominator * (self._P * kernel.scale) ** j)
         return tuple(out)
 
 
@@ -423,49 +403,6 @@ def _rank_one_char_poly(vectors: Sequence[Sequence[Fraction]], d: int) -> Tuple[
     desc = char_poly_int_rows(rows)
     L2 = L * L
     return tuple(c * L2**k for k, c in enumerate(reversed(desc))), L2**d
-
-
-def _weighted_char_poly_sum(leaves: Sequence[Tuple[Fraction, IntPoly, int]],
-                            d: int, n: int) -> ExactPolynomial:
-    """x^(n-d) sum weight * c / scale over the (weight, c, scale) leaves,
-    c / scale a d x d characteristic polynomial as
-    :func:`_rank_one_char_poly` gives it, summed over one denominator.
-
-    x^(D-d) times the characteristic polynomial of a d x d matrix is that
-    of the D x D matrix bordered by zeros, so sums of characteristic
-    polynomials can be taken at any common D <= n and padded once.
-    """
-    leaves = [leaf for leaf in leaves if leaf[0]]
-    den = math.lcm(*(weight.denominator * scale for weight, _, scale in leaves))
-    total = [0] * (d + 1)
-    for weight, coeffs, scale in leaves:
-        f = weight.numerator * (den // (weight.denominator * scale))
-        total = [t + f * c for t, c in zip(total, coeffs)]
-    return ExactPolynomial([Fraction(0)] * (n - d) + [Fraction(t, den) for t in total])
-
-
-def ks_brute_force_leaves(inst: KSInstance, prefix: Tuple[int, ...] = ()
-                          ) -> Tuple[ExactPolynomial, List[IntPoly]]:
-    """The expected characteristic polynomial by full outcome enumeration,
-    and every leaf's unweighted characteristic polynomial padded to degree
-    n, as ascending integers (a positive multiple of it), each formed once.
-
-    Independent test oracle for the coefficient formulas; exponential in
-    the number of unfixed coordinates.
-    """
-    d = max([len(v) for sup in inst.supports for v, _ in sup] + [1])
-    weighted, leaves = [], []
-    for outcome in product(*[range(len(sup)) for sup in inst.supports[len(prefix):]]):
-        picked = [inst.supports[i][c] for i, c in enumerate(tuple(prefix) + outcome)]
-        coeffs, scale = _rank_one_char_poly([v for v, _ in picked], d)
-        weighted.append((math.prod(w for _, w in picked), coeffs, scale))
-        leaves.append((0,) * (inst.n - d) + coeffs)
-    return _weighted_char_poly_sum(weighted, d, inst.n), leaves
-
-
-def ks_brute_force_poly(inst: KSInstance, prefix: Tuple[int, ...] = ()) -> ExactPolynomial:
-    """Expected characteristic polynomial by full outcome enumeration."""
-    return ks_brute_force_leaves(inst, prefix)[0]
 
 
 def padded_coeffs(p: ExactPolynomial, n: int) -> Tuple[Fraction, ...]:
@@ -523,6 +460,20 @@ class SRInstance:
     def spec(self) -> FamilySpec:
         return FamilySpec(self.m, (2,) * self.m, self.n)
 
+    @property
+    def dim(self) -> int:
+        """The longest vector's length, at least 1."""
+        return max([len(v) for v in self.vectors] + [1])
+
+    def leaves(self, prefix: Tuple[int, ...] = ()) -> Iterator[Tuple[Fraction, list]]:
+        """(probability, vectors) of every subset of positive probability
+        that agrees with ``prefix``, by increasing bitmask."""
+        low = (1 << len(prefix)) - 1
+        bits = sum(c << i for i, c in enumerate(prefix))
+        for mask, p in enumerate(self.table):
+            if p and mask & low == bits:
+                yield p, [v for i, v in enumerate(self.vectors) if (mask >> i) & 1]
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -544,10 +495,11 @@ class SRInstance:
         if not 0 <= m <= SR_MAX_M:  # before the 2^m table is allocated
             raise ValueError(f"dense table needs 0 <= m <= {SR_MAX_M}, got m={m}")
         table = [Fraction(0)] * (1 << m)
-        for mask, p in d["table"].items():
-            if not mask.isdigit() or int(mask) >= 1 << m:
-                raise ValueError(f"table key {mask!r} is not a bitmask below 2^{m}")
-            table[int(mask)] = to_fraction(p)
+        for key, p in d["table"].items():
+            mask = int(key) if key.isascii() and key.isdigit() else -1
+            if not 0 <= mask < 1 << m or key != str(mask):  # one spelling per mask
+                raise ValueError(f"table key {key!r} is not a bitmask below 2^{m}")
+            table[mask] = to_fraction(p)
         vectors = tuple(tuple(to_fraction(x) for x in v) for v in d["vectors"])
         return cls(d["n"], m, vectors, tuple(table))
 
@@ -556,18 +508,18 @@ class SROracle(FamilyOracle):
     """Coefficients from subset marginals of the restricted table.
 
     Runs on the same integer kernel as ``KSOracle``, over the m fixed
-    vectors: N_T = det Gram(v_i : i in T) * prod_{i in T} L_i^2 is the
-    determinant of the sub-table, bordered from that of T without its
-    last element and memoized per subset, and the table's probabilities
-    are taken over their one common denominator, so each coefficient is
-    formed as one Fraction.
+    vectors: det Gram(v_i : i in T) is the determinant of the sub-table
+    over L^(2|T|), bordered from that of T without its last element and
+    memoized per subset.  The table's probabilities are taken over their
+    one common denominator, so the x^(n-j) coefficient is formed as one
+    Fraction over denom * L^(2j).
     """
 
     def __init__(self, inst: SRInstance):
         self.inst = inst
         self.spec = inst.spec()
         self._walks: Dict = {}  # round_family's walks, by (spec, k)
-        self._kernel = _GramKernel([[v] for v in inst.vectors], [1] * inst.m)
+        self._kernel = _GramKernel([[v] for v in inst.vectors])
         self._row = [rows[0] for rows in self._kernel.rows]
         self._memo: Dict[Tuple[int, ...], Optional[tuple]] = {(): ([1], [])}
         self._denom = math.lcm(*(p.denominator for p in inst.table))
@@ -588,10 +540,6 @@ class SROracle(FamilyOracle):
             self._memo[subset] = state
         return self._memo[subset]
 
-    def _sigma(self, subset: Tuple[int, ...]) -> int:
-        state = self._bordered(subset)
-        return 0 if state is None else state[0][-1]
-
     def coeffs(self, prefix: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
         self._check(prefix, k)
         m = self.inst.m
@@ -608,25 +556,51 @@ class SROracle(FamilyOracle):
             for j in range(1, min(top, len(members)) + 1):
                 acc = 0
                 for subset in combinations(members, j):
-                    acc += self._sigma(subset) * kernel.cofactor(subset)
+                    state = self._bordered(subset)
+                    acc += state[0][-1] if state else 0  # the sub-table's determinant
                 sums[j] += w * acc
         return (Fraction(sums[0], self._denom),) + tuple(
-            Fraction((-1) ** j * sums[j], self._denom * kernel.total) for j in range(1, k + 1))
+            Fraction((-1) ** j * sums[j], self._denom * kernel.scale**j) for j in range(1, k + 1))
 
 
-def sr_oracle(inst: SRInstance) -> SROracle:
-    return SROracle(inst)
+# ---------------------------------------------------------------------------
+# the cross-check: every leaf enumerated
+# ---------------------------------------------------------------------------
 
 
-def sr_brute_force_poly(inst: SRInstance, prefix: Tuple[int, ...] = ()) -> ExactPolynomial:
-    """Probability-weighted sum of exact characteristic polynomials."""
-    d = max([len(v) for v in inst.vectors] + [1])
-    ell = len(prefix)
-    leaves = [(p, *_rank_one_char_poly(
-                  [inst.vectors[i] for i in range(inst.m) if (mask >> i) & 1], d))
-              for mask, p in enumerate(inst.table)
-              if p and all(((mask >> i) & 1) == prefix[i] for i in range(ell))]
-    return _weighted_char_poly_sum(leaves, d, inst.n)
+def brute_force_leaves(inst: KSInstance | SRInstance, prefix: Tuple[int, ...] = ()
+                       ) -> Tuple[ExactPolynomial, List[IntPoly]]:
+    """The expected characteristic polynomial of either family under
+    ``prefix`` by full enumeration of its leaves, and every leaf's
+    unweighted characteristic polynomial padded to degree n, as ascending
+    integers (a positive multiple of it), each formed once.
+
+    Independent test oracle for the coefficient formulas.  It is
+    exponential in the unfixed coordinates, so it refuses more leaves than
+    the largest SR table holds, 2^SR_MAX_M, before forming any.
+    """
+    count = math.prod(inst.spec().sizes[len(prefix):])
+    if count > 1 << SR_MAX_M:
+        raise ValueError(f"{count} leaves exceed the exhaustive check's budget of 2^{SR_MAX_M}")
+    d, n = inst.dim, inst.n
+    weighted, leaves = [], []
+    for p, vectors in inst.leaves(prefix):
+        coeffs, scale = _rank_one_char_poly(vectors, d)
+        leaves.append((0,) * (n - d) + coeffs)
+        if p:
+            weighted.append((p, coeffs, scale))
+    den = math.lcm(*(p.denominator * scale for p, _, scale in weighted))
+    total = [0] * (d + 1)
+    for p, coeffs, scale in weighted:
+        f = p.numerator * (den // (p.denominator * scale))
+        total = [t + f * c for t, c in zip(total, coeffs)]
+    return ExactPolynomial([Fraction(0)] * (n - d) + [Fraction(t, den) for t in total]), leaves
+
+
+def brute_force_poly(inst: KSInstance | SRInstance,
+                     prefix: Tuple[int, ...] = ()) -> ExactPolynomial:
+    """Expected characteristic polynomial by full enumeration of the leaves."""
+    return brute_force_leaves(inst, prefix)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -704,13 +678,6 @@ def _profile_from_raw(n: int, raw: Sequence[Fraction]) -> Optional[SymmetricProf
     return SymmetricProfile(n, e)
 
 
-def _poly_from_raw(n: int, raw: Sequence[Fraction]) -> ExactPolynomial:
-    """Full polynomial from the n+1 leading coefficients, monic-normalized."""
-    lead = raw[0]
-    coeffs = [raw[n - i] / lead for i in range(n + 1)]
-    return ExactPolynomial(coeffs)
-
-
 def _walk(spec: FamilySpec, oracle: FamilyOracle, M: int, k: int
           ) -> Tuple[Tuple[int, ...], List[StepLog], RootInterval, RootInterval]:
     """The greedy walk at group size M and budget k: the assignment, the
@@ -762,8 +729,8 @@ def _walk(spec: FamilySpec, oracle: FamilyOracle, M: int, k: int
         leaf_raw, root_raw = parent, first
     else:
         leaf_raw, root_raw = oracle.coeffs(prefix, n), oracle.coeffs((), n)
-    lam_leaf = max_root(_poly_from_raw(n, leaf_raw), Fraction(1, 2**40))
-    lam_root = max_root(_poly_from_raw(n, root_raw), Fraction(1, 2**40))
+    lam_leaf = max_root(ExactPolynomial(reversed(leaf_raw)), Fraction(1, 2**40))
+    lam_root = max_root(ExactPolynomial(reversed(root_raw)), Fraction(1, 2**40))
     return prefix, steps, lam_leaf, lam_root
 
 

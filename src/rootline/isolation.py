@@ -626,10 +626,14 @@ def compare_roots(r1: RootInterval, r2: RootInterval) -> int:
     """Total-order comparison of two isolated roots: -1, 0 or +1.
 
     Refines both intervals; if they refuse to separate, decides equality
-    exactly through the gcd of the two defining polynomials once one of
-    them is narrower than 2^-256.  An exact root inside an open
-    enclosure equals its root iff it is a root of the enclosure's
-    polynomial, since the ends never are.
+    exactly through the gcd g of the two defining polynomials once one of
+    them is narrower than 2^-256.  g divides two square-free polynomials,
+    so it is square-free and nonzero at both ends of the overlap (each
+    an end of one enclosure), and its only possible root there is the
+    one both enclosures hold: the roots are equal iff g changes sign
+    across the overlap.  An exact root inside an open enclosure equals
+    its root iff it is a root of the enclosure's polynomial, since the
+    ends never are.
     """
     while True:
         d1, d2 = r1.den, r2.den
@@ -646,20 +650,8 @@ def compare_roots(r1: RootInterval, r2: RootInterval) -> int:
                 return 0
         elif (hi1 - lo1) << 256 < d1 * d2 or (hi2 - lo2) << 256 < d1 * d2:
             g = int_poly_gcd(r1.poly, r2.poly)
-            if len(g) > 1 and _has_root_in_closed(g, max(lo1, lo2), min(hi1, hi2), d1 * d2):
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if _sign_at_ratio(g, lo, d1 * d2) != _sign_at_ratio(g, hi, d1 * d2):
                 return 0
         r1.refine_step()
         r2.refine_step()
-
-
-def _has_root_in_closed(g: IntPoly, lo: int, hi: int, den: int) -> bool:
-    """g has a root in the closed [lo/den, hi/den]."""
-    if _sign_at_ratio(g, lo, den) == 0 or _sign_at_ratio(g, hi, den) == 0:
-        return True
-    return any(_open_roots(_squarefree_part(g), lo, hi, den))
-
-
-def _squarefree_part(g: IntPoly) -> IntPoly:
-    if len(g) <= 2:
-        return g
-    return _primitive(_divide_exact(g, int_poly_gcd(g, _deriv(g))))

@@ -32,9 +32,9 @@ from rootline.graphs import (
 )
 from rootline.interlacing import (
     KSInstance,
+    brute_force_leaves,
+    brute_force_poly,
     check_common_interlacing,
-    ks_brute_force_leaves,
-    ks_brute_force_poly,
     ks_oracle,
     padded_coeffs,
     round_family,
@@ -385,13 +385,13 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
         inst = random_ks_instance(rng)
         oracle = ks_oracle(inst)
         got = oracle.coeffs((), inst.n)
-        if got != padded_coeffs(ks_brute_force_poly(inst), inst.n):
+        if got != padded_coeffs(brute_force_poly(inst), inst.n):
             failures.append(f"trial {trial}: oracle != brute-force expectation")
         # one random prefix as well
         ell = rng.randint(1, inst.m)
         prefix = tuple(rng.randrange(len(inst.supports[i])) for i in range(ell))
         got_p = oracle.coeffs(prefix, inst.n)
-        if got_p != padded_coeffs(ks_brute_force_poly(inst, prefix), inst.n):
+        if got_p != padded_coeffs(brute_force_poly(inst, prefix), inst.n):
             failures.append(f"trial {trial}: prefix {prefix} mismatch")
     return CriterionResult(
         9, "KS oracle equals brute-force expected characteristic polynomials",
@@ -431,7 +431,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         spec = inst.spec()
         # exhaustive cross-checks, independent of the rounding path; each
         # leaf's characteristic polynomial feeds both the sum and the scan
-        brute_root, leaves = ks_brute_force_leaves(inst)
+        brute_root, leaves = brute_force_leaves(inst)
         if oracle.coeffs((), inst.n) != padded_coeffs(brute_root, inst.n):
             failures.append(f"trial {trial}: root polynomial mismatch vs enumeration")
             continue

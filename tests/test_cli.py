@@ -10,7 +10,8 @@ import pytest
 
 import rootline
 from rootline.cli import RunManifest, _typed_parameters, dispatch, main
-from rootline.interlacing import KSInstance
+from rootline import interlacing
+from rootline.interlacing import SR_MAX_M, KSInstance
 from rootline.lowerbounds import DEGREE_BUDGET, noisy_pair, weak_pair
 from rootline.symfuncs import profile_of_roots
 
@@ -167,8 +168,12 @@ def test_malformed_pair_exits_2(pair, tmp_path):
     {"kind": "ks", "n": 2, "supports": 5},
     {"n": 2, "m": 40, "table": {"0": "1/1"}, "vectors": []},
     {"n": 2, "m": 1, "table": {"2": "1/1"}, "vectors": [["1/1"]]},
+    {"n": 2, "m": 2, "table": {"1": "1/2", "01": "1/2", "2": "1/2"}, "vectors": [["1"], ["1"]]},
+    {"n": 2, "m": 2, "table": {"1": "1/2", "\u0661": "1/2", "2": "1/2"},
+     "vectors": [["1"], ["1"]]},
     5, None, True, "supports", [1],
 ], ids=["ks-supports-not-a-list", "sr-m-too-large", "sr-mask-out-of-range",
+        "sr-mask-leading-zero", "sr-mask-arabic-indic-digit",
         "int", "null", "bool", "string", "array"])
 def test_malformed_family_exits_2(family, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(family))
@@ -176,6 +181,24 @@ def test_malformed_family_exits_2(family, tmp_path):
     assert res.returncode == 2, res.stderr
     assert "Traceback" not in res.stderr
     assert "error" in json.loads(res.stderr)
+
+
+def test_exhaustive_check_refuses_more_leaves_than_its_budget(tmp_path, monkeypatch, capsys):
+    # 2^21 outcomes: refused before the first leaf's characteristic
+    # polynomial and before the rounding walk
+    coin = [{"vector": ["1", "0"], "prob": "1/2"}, {"vector": ["0", "1"], "prob": "1/2"}]
+    (tmp_path / "ks.json").write_text(json.dumps({"n": 2, "supports": [coin] * 21}))
+
+    def worked(*args):
+        raise AssertionError("the family was enumerated or walked")
+
+    monkeypatch.setattr(interlacing, "_rank_one_char_poly", worked)
+    monkeypatch.setattr(interlacing.KSOracle, "coeffs", worked)
+    monkeypatch.chdir(tmp_path)
+    status = main(["round", "--family", "ks.json", "--epsilon", "1/2", "--exhaustive-check"])
+    out, err = capsys.readouterr()
+    assert status == 2 and out == ""
+    assert f"budget of 2^{SR_MAX_M}" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("args, data", [

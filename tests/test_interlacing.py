@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -13,16 +15,15 @@ from rootline.interlacing import (
     KSOracle,
     OracleInconsistencyError,
     SRInstance,
+    SROracle,
     _GramKernel,
+    brute_force_poly,
     check_common_interlacing,
-    ks_brute_force_poly,
     ks_leaf_poly,
     ks_oracle,
     padded_coeffs,
     round_family,
     rounding_coefficient_budget,
-    sr_brute_force_poly,
-    sr_oracle,
 )
 from rootline.isolation import compare_roots, max_root
 from rootline.lowerbounds import noisy_pair
@@ -74,7 +75,7 @@ def test_ks_instance_validation():
 def test_ks_oracle_small_cross_check():
     inst = KSInstance(2, (_coin(E1, E2), _coin(E1, E2)))
     orc = ks_oracle(inst)
-    brute = ks_brute_force_poly(inst)
+    brute = brute_force_poly(inst)
     assert orc.coeffs((), 2) == tuple(reversed(brute.coeffs))
     # E det(xI - sum r r^T) = 1/2 (x-1)^2 + 1/2 (x-2)x = x^2 - 2x + 1/2
     assert brute == P([F(1, 2), -2, 1])
@@ -153,7 +154,7 @@ def test_round_family_exhaustive_optimality_gap():
     res = round_family(inst.spec(), orc, F(1, 2))
     assert res.certified
     # interlacing guarantee: min leaf required to sit below the root polynomial
-    root = ks_brute_force_poly(inst).monic()
+    root = brute_force_poly(inst).monic()
     lam_root = max_root(root, F(1, 2**30))
     best = None
     for bits in range(1 << inst.m):
@@ -319,7 +320,7 @@ def test_sr_point_mass():
     table = [F(0)] * 4
     table[0b11] = F(1)
     inst = SRInstance(2, 2, (E1, E2), tuple(table))
-    orc = sr_oracle(inst)
+    orc = SROracle(inst)
     # sum v v^T = I: char poly (x-1)^2
     assert orc.coeffs((), 2) == (F(1), F(-2), F(1))
 
@@ -329,8 +330,8 @@ def test_sr_uniform_singletons():
     table[0b01] = F(1, 2)
     table[0b10] = F(1, 2)
     inst = SRInstance(2, 2, (E1, E2), tuple(table))
-    orc = sr_oracle(inst)
-    brute = sr_brute_force_poly(inst)
+    orc = SROracle(inst)
+    brute = brute_force_poly(inst)
     assert orc.coeffs((), 2) == tuple(reversed(brute.coeffs))
 
 
@@ -338,7 +339,7 @@ def test_sr_zero_probability_conditioning():
     table = [F(0)] * 4
     table[0b01] = F(1)  # the support is exactly {coordinate 0}
     inst = SRInstance(2, 2, (E1, E2), tuple(table))
-    orc = sr_oracle(inst)
+    orc = SROracle(inst)
     assert orc.coeffs((1,), 2)[0] == 1  # conditioning 0 in: consistent
     zero = orc.coeffs((0,), 2)  # conditioning 0 out: probability-zero event
     assert all(c == 0 for c in zero)
@@ -371,7 +372,7 @@ def test_sr_rounding():
     table[0b01] = F(1, 2)
     table[0b10] = F(1, 2)
     inst = SRInstance(2, 2, ((F(2), F(0)), E2), tuple(table))
-    res = round_family(inst.spec(), sr_oracle(inst), F(1, 2))
+    res = round_family(inst.spec(), SROracle(inst), F(1, 2))
     assert res.certified
     # the leaf {2 e_1} has root 4; {e_2} has root 1; rounding must avoid 4
     assert res.assignment == (0, 1)
@@ -386,9 +387,9 @@ def test_sr_oracle_past_a_singular_leading_pair():
     for mask, w in ((0b11111, 3), (0b01111, 2), (0b11101, 1), (0b00011, 1)):
         table[mask] = F(w, 7)
     inst = SRInstance(4, 5, vectors, tuple(table))
-    orc = sr_oracle(inst)
+    orc = SROracle(inst)
     for prefix in _all_prefixes(inst.spec().sizes):
-        assert orc.coeffs(prefix, inst.n) == padded_coeffs(sr_brute_force_poly(inst, prefix),
+        assert orc.coeffs(prefix, inst.n) == padded_coeffs(brute_force_poly(inst, prefix),
                                                            inst.n), prefix
 
 
@@ -418,7 +419,7 @@ def test_ks_oracle_rejects_invalid_prefix(prefix):
 def test_sr_oracle_rejects_invalid_prefix(prefix):
     inst = SRInstance(2, 1, (E1,), (F(1, 2), F(1, 2)))
     with pytest.raises(ValueError):
-        sr_oracle(inst).coeffs(prefix, 2)
+        SROracle(inst).coeffs(prefix, 2)
 
 
 @pytest.mark.parametrize("k", [-1, 3])
@@ -426,7 +427,7 @@ def test_oracles_reject_k_outside_0_to_n(k):
     with pytest.raises(ValueError):
         ks_oracle(KSInstance(2, (_coin(E1, E2),))).coeffs((), k)
     with pytest.raises(ValueError):
-        sr_oracle(SRInstance(2, 1, (E1,), (F(1, 2), F(1, 2)))).coeffs((), k)
+        SROracle(SRInstance(2, 1, (E1,), (F(1, 2), F(1, 2)))).coeffs((), k)
 
 
 def _mixed_vector(rng, pool, d):
@@ -465,7 +466,7 @@ def test_ks_oracle_matches_brute_force_at_every_prefix(seed):
     inst = _mixed_ks_instance(rng, rng.randint(3, 5), 2)
     orc = ks_oracle(inst)
     for prefix in _all_prefixes(inst.spec().sizes):
-        want = padded_coeffs(ks_brute_force_poly(inst, prefix), inst.n)
+        want = padded_coeffs(brute_force_poly(inst, prefix), inst.n)
         assert orc.coeffs(prefix, inst.n) == want, prefix
         assert orc.coeffs(prefix, 1) == want[:2], prefix
 
@@ -501,7 +502,7 @@ def _gram_paths(draw):
         u, w = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
         c = draw(st.sampled_from([F(0), F(1), F(-2), F(1, 3)]))
         pool.append(tuple(a + c * b for a, b in zip(u, w)))
-    kernel = _GramKernel([pool], [1])
+    kernel = _GramKernel([pool])
     path = list(draw(st.permutations(kernel.rows[0])))
     if draw(st.booleans()):  # a repeated row
         path.insert(draw(st.integers(1, len(path))), draw(st.sampled_from(path)))
@@ -545,7 +546,7 @@ def test_each_subset_tree_is_built_once_per_oracle(monkeypatch):
 
     monkeypatch.setattr(KSOracle, "_tree", counted)
     for prefix in _all_prefixes(inst.spec().sizes):
-        want = padded_coeffs(ks_brute_force_poly(inst, prefix), inst.n)
+        want = padded_coeffs(brute_force_poly(inst, prefix), inst.n)
         assert orc.coeffs(prefix, inst.n) == want, prefix
         assert orc.coeffs(prefix, 1) == want[:2], prefix
     top = min(inst.n, inst.m, orc._kernel.dim)
@@ -564,8 +565,40 @@ def test_sr_oracle_matches_brute_force_at_every_prefix(seed):
         weights[-1] = 1
     total = sum(weights)
     inst = SRInstance(d + 1, m, vectors, tuple(F(w, total) for w in weights))
-    orc = sr_oracle(inst)
+    orc = SROracle(inst)
     for prefix in _all_prefixes(inst.spec().sizes):
-        want = padded_coeffs(sr_brute_force_poly(inst, prefix), inst.n)
+        want = padded_coeffs(brute_force_poly(inst, prefix), inst.n)
         assert orc.coeffs(prefix, inst.n) == want, prefix
         assert orc.coeffs(prefix, 1) == want[:2], prefix
+
+
+def _product_pair(rng):
+    """An SR table that is a product distribution, and the KS instance with
+    the same leaves: coordinate i takes v_i with probability p_i, else the
+    zero vector, all over denominators 1..3."""
+    m, d = rng.randint(1, 4), rng.randint(1, 3)
+    vectors = tuple(tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+                    for _ in range(m))
+    probs = [F(rng.randint(0, den), den) for den in (rng.randint(1, 3) for _ in range(m))]
+    table = tuple(math.prod(p if (mask >> i) & 1 else 1 - p for i, p in enumerate(probs))
+                  for mask in range(1 << m))
+    sups = tuple((((F(0),) * d, 1 - p), (v, p)) for v, p in zip(vectors, probs))
+    return SRInstance(d + 1, m, vectors, table), KSInstance(d + 1, sups)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_product_table_oracle_equals_the_ks_oracle(seed):
+    sr, ks = _product_pair(random.Random(300 + seed))
+    sr_orc, ks_orc = SROracle(sr), ks_oracle(ks)
+    for prefix in _all_prefixes(sr.spec().sizes):
+        for k in (0, 1, sr.n):
+            assert sr_orc.coeffs(prefix, k) == ks_orc.coeffs(prefix, k), (prefix, k)
+        assert brute_force_poly(sr, prefix) == brute_force_poly(ks, prefix), prefix
+
+
+@pytest.mark.parametrize("key", ["01", "١", "-1"])
+def test_sr_table_keys_are_spelled_one_way(key):
+    # "01" and the Arabic-Indic one both read as mask 1 through int()
+    table = {"1": "1/2", key: "1/2", "2": "1/2"}
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        SRInstance.from_json_dict({"n": 2, "m": 2, "table": table, "vectors": [["1"], ["1"]]})

@@ -12,8 +12,11 @@ from rootline.chebyshev import cheb_poly
 from rootline.interlacing import KSInstance, ks_leaf_poly
 from rootline.isolation import (
     RootInterval,
+    _deriv,
+    _divide_exact,
     _int_poly,
     _open_roots,
+    _primitive,
     _sign_at_ratio,
     _separate,
     _variations01,
@@ -892,3 +895,71 @@ def _shifted_reversal_variations(c):
 @given(st.lists(st.one_of(st.just(0), st.integers(-50, 50)), max_size=14))
 def test_early_exit_variations_match_the_full_count(c):
     assert _variations01(c) == min(2, _shifted_reversal_variations(c))
+
+
+# ---------------------------------------------------------------------------
+# the gcd fallback: one sign test against the Descartes walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def _old_compare_roots(r1, r2):
+    """compare_roots as it decided equality before the sign test: the gcd
+    has a root in the closed overlap, found by a Descartes walk on its
+    square-free part."""
+
+    def has_root_in_closed(g, lo, hi, den):
+        if _sign_at_ratio(g, lo, den) == 0 or _sign_at_ratio(g, hi, den) == 0:
+            return True
+        if len(g) > 2:
+            g = _primitive(_divide_exact(g, int_poly_gcd(g, _deriv(g))))
+        return any(_open_roots(g, lo, hi, den))
+
+    while True:
+        d1, d2 = r1.den, r2.den
+        lo1, hi1, lo2, hi2 = r1.lo_num * d2, r1.hi_num * d2, r2.lo_num * d1, r2.hi_num * d1
+        if hi1 < lo2:
+            return -1
+        if hi2 < lo1:
+            return 1
+        if lo1 == hi1:
+            if lo2 == hi2 or _sign_at_ratio(r2.poly, r1.lo_num, d1) == 0:
+                return 0
+        elif lo2 == hi2:
+            if _sign_at_ratio(r1.poly, r2.lo_num, d2) == 0:
+                return 0
+        elif (hi1 - lo1) << 256 < d1 * d2 or (hi2 - lo2) << 256 < d1 * d2:
+            g = int_poly_gcd(r1.poly, r2.poly)
+            if len(g) > 1 and has_root_in_closed(g, max(lo1, lo2), min(hi1, hi2), d1 * d2):
+                return 0
+        r1.refine_step()
+        r2.refine_step()
+
+
+_NON_SQUARES = [2, 3, 5, 6, 7, 8, 10, 11]
+
+
+@st.composite
+def _close_top_roots(draw):
+    """Two polynomials whose top roots are equal or closer than 2^-256, and
+    whether they are equal.  p1 is (x^2 - t) and p2 is the same factor or
+    one with the root sqrt(t + 2^-gap); with ``shared`` both also carry
+    x^2 - s, whose root sqrt(s) is the top one when s > t."""
+    s, t = draw(st.lists(st.sampled_from(_NON_SQUARES), min_size=2, max_size=2, unique=True))
+    shared, gap = draw(st.booleans()), draw(st.sampled_from([None, 300, 600]))
+    b = (-t, 0, 1)
+    c = b if gap is None else (-(t << gap) - 1, 0, 1 << gap)
+    if shared:
+        return _mul((-s, 0, 1), b), _mul((-s, 0, 1), c), gap is None or s > t
+    return b, c, gap is None
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_close_top_roots())
+def test_compare_roots_gcd_fallback_matches_the_descartes_decision(case):
+    p1, p2, equal = case
+    r1, r2 = (max_root(p, F(1, 2**257)) for p in (p1, p2))
+    assert (r2.hi - r2.lo) * 2**256 < 1 and not r1.exact  # the fallback decides
+    for a, b in ((r1, r2), (r2, r1)):
+        got = compare_roots(copy(a), copy(b))
+        assert got == _old_compare_roots(copy(a), copy(b))
+        assert (got == 0) == equal
