@@ -16,10 +16,10 @@ polynomials carry their probability as a factor, so a prefix's
 polynomial is literally the sum of its children's, exactly.  Both take
 their Gram determinants from one integer table on one scale, each
 bordered in O(d^2) from the determinant one row shorter; the KS oracle
-reads every prefix's expected minors off one tree per subset of
-coordinates.  The walk depends on eps only through the coefficient
-budget k, so both oracles keep it per k and a second eps only certifies
-again.  One enumeration of either family's leaves cross-checks both.
+borders each path of (coordinate, choice) pairs once, in one trie, and
+reads every prefix's expected minors off the per-subset sums it leaves.
+The walk depends on eps only through the coefficient budget k, so both
+oracles keep it per k and a second eps only certifies again.  One enumeration of either family's leaves cross-checks both.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from rootline.isolation import (
     IntPoly,
@@ -277,10 +277,6 @@ class KSInstance:
         return cls(d["n"], sups)
 
 
-#: a node under a zero leading minor: its value and every value below it are 0
-_ZERO_NODE = (0, None)
-
-
 class KSOracle(FamilyOracle):
     """Top-k coefficients via expected principal minors.
 
@@ -298,20 +294,27 @@ class KSOracle(FamilyOracle):
     Fraction (-1)^j weight * sum_T N_T / (P L^2)^j.
 
     A prefix of length l fixes exactly T's leading elements, those below
-    l, so N_T under every prefix is read off one tree over T's outcomes
-    (``_tree``): the node c_1..c_f holds the choices of T's first f
-    coordinates, its U is the Gram determinant at a leaf and
-    sum_c (p P of c) * U(child c) above, and N(T; c_1..c_f) = P^f * U.  One
-    depth-first pass builds the whole tree, each determinant bordered from
-    its parent's.  The trees of the j-subsets are built the first time a
-    call reads j; a call then sums one node per subset.
+    l.  In the tree over T's outcomes the node c_1..c_f holds the choices
+    of T's first f coordinates; its U is the Gram determinant at a leaf
+    and sum_c (p P of c) * U(child c) above, and N(T; c_1..c_f) = P^f * U.
+    That node is a path of (coordinate, choice) pairs with increasing
+    coordinates, shared by every T that starts with its coordinates, so
+    ``_build`` walks the trie of these paths once, depth first, bordering
+    each determinant from its parent's, and on the way up adds each
+    child's U into its parent's node in every T through the child.  T's
+    tree is one flat list, the node c_1..c_f at sum_g (c_g + 1) W_(g-1),
+    W_g the product of the choice counts of T's first g coordinates (a
+    bijection onto the list's indices), so a call reads one entry per
+    subset.  The trie is as deep as the deepest call so far needs,
+    min(k, m, dim); a deeper call builds it again.
     """
 
     def __init__(self, inst: KSInstance):
         self.inst = inst
         self.spec = inst.spec()
         self._walks: Dict = {}  # round_family's walks, by (spec, k)
-        self._trees: Dict[int, List[Tuple[Tuple[int, ...], tuple]]] = {}
+        #: per j, (T, U at every node of T's tree) for every j-subset T
+        self._subsets: List[List[Tuple[Tuple[int, ...], List[int]]]] = []
         self._P = math.lcm(*(p.denominator for sup in inst.supports for _, p in sup))
         kernel = self._kernel = _GramKernel([[v for v, _ in sup] for sup in inst.supports])
         # per coordinate, (choice, table row, p P) of each outcome of positive probability
@@ -319,61 +322,75 @@ class KSOracle(FamilyOracle):
                           for c, ((_, p), a) in enumerate(zip(sup, rows)) if p]
                          for sup, rows in zip(inst.supports, kernel.rows)]
 
-    def _tree(self, subset: Tuple[int, ...]) -> tuple:
-        """The tree of N_T over T's outcomes, T = ``subset``.
+    def _build(self, depth: int) -> None:
+        """The trees of every subset of at most ``depth`` coordinates, from
+        one depth-first pass over the trie of (coordinate, choice) paths."""
+        kernel, options, sizes, m = self._kernel, self._options, self.spec.sizes, self.spec.m
+        # B -> the trees of every T that starts with B, that of T = B first
+        through: Dict[Tuple[int, ...], List[List[int]]] = {}
+        self._subsets = []
+        for j in range(1, depth + 1):
+            level = []
+            for subset in combinations(range(m), j):
+                width = size = 1
+                for i in subset:
+                    width *= sizes[i]
+                    size += width
+                tree = [0] * size
+                for f in range(1, j + 1):
+                    through.setdefault(subset[:f], []).append(tree)
+                level.append((subset, tree))
+            self._subsets.append(level)
 
-        A node is (N, children), ``children`` indexed by the choices of
-        T's next coordinate; it is None at a leaf and at every node under
-        a zero leading minor, whose value and subtree are all 0.
-        """
-        kernel, options, sizes, P = self._kernel, self._options, self.spec.sizes, self._P
-        depth = len(subset)
+        def visit(path, rows, reduced, pivots, pos, width):
+            # the trie node of ``path``, whose node in each tree through it is at ``pos``
+            for i in range(path[-1] + 1 if path else 0, m):
+                key = path + (i,)
+                below = through[key]
+                for c, a, free in options[i]:
+                    p, x = kernel.border(rows, reduced, pivots, a)
+                    if not p:
+                        continue
+                    child = pos + (c + 1) * width
+                    below[0][child] = p  # U at a leaf of T = key is its determinant
+                    if len(key) < depth:
+                        visit(key, rows + [a], reduced + [x], pivots + [p], child,
+                              width * sizes[i])
+                    for tree in below:
+                        tree[pos] += free * tree[child]
 
-        def visit(rows, reduced, pivots, scale):
-            # (U, node) at the inner node whose path is ``rows``, scale = P^len(rows)
-            i = subset[len(rows)]
-            leaves = len(rows) + 1 == depth
-            children = [_ZERO_NODE] * sizes[i]
-            total = 0
-            for c, a, free in options[i]:
-                p, x = kernel.border(rows, reduced, pivots, a)
-                if not p:
-                    continue
-                if leaves:  # U at a leaf is its determinant
-                    u, children[c] = p, (scale * P * p, None)
-                else:
-                    u, children[c] = visit(rows + [a], reduced + [x], pivots + [p], scale * P)
-                total += free * u
-            return total, (scale * total, children)
-
-        return visit([], [], [1], 1)[1]
+        visit((), [], [], [1], 0, 1)
+        # visit holds itself through its closure: drop it, so that the tables
+        # above are freed on return and not at the next cyclic collection
+        del visit
 
     def coeffs(self, prefix: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
         self._check(prefix, k)
         inst = self.inst
-        m = inst.m
         weight = Fraction(1)
         for i, c in enumerate(prefix):
             weight *= inst.supports[i][c][1]
         out = [weight] + [Fraction(0)] * k
         if weight == 0:
             return tuple(out)
-        ell = len(prefix)
-        kernel = self._kernel
-        for j in range(1, min(k, m, kernel.dim) + 1):
-            trees = self._trees.get(j)
-            if trees is None:
-                trees = self._trees[j] = [(subset, self._tree(subset))
-                                          for subset in combinations(range(m), j)]
-            acc = 0
-            for subset, node in trees:
+        ell, sizes, P = len(prefix), self.spec.sizes, self._P
+        top = min(k, inst.m, self._kernel.dim)
+        if top > len(self._subsets):
+            self._build(top)
+        for j in range(1, top + 1):
+            acc = [0] * (j + 1)  # sum of U over the subsets with f fixed coordinates
+            for subset, tree in self._subsets[j - 1]:
+                pos, width, f = 0, 1, 0
                 for i in subset:  # down the choices the prefix fixes
-                    if i >= ell or node[1] is None:
+                    if i >= ell:
                         break
-                    node = node[1][prefix[i]]
-                acc += node[0]
-            out[j] = Fraction((-1) ** j * weight.numerator * acc,
-                              weight.denominator * (self._P * kernel.scale) ** j)
+                    pos += (prefix[i] + 1) * width
+                    width *= sizes[i]
+                    f += 1
+                acc[f] += tree[pos]
+            total = sum(P**f * u for f, u in enumerate(acc))
+            out[j] = Fraction((-1) ** j * weight.numerator * total,
+                              weight.denominator * (P * self._kernel.scale) ** j)
         return tuple(out)
 
 
@@ -402,7 +419,9 @@ def _rank_one_char_poly(vectors: Sequence[Sequence[Fraction]], d: int) -> Tuple[
                         row[b] += wa * wb
     desc = char_poly_int_rows(rows)
     L2 = L * L
-    return tuple(c * L2**k for k, c in enumerate(reversed(desc))), L2**d
+    # from a list: tuple() of a generator resizes its tuple, and CPython's
+    # free lists then keep up to 2,000 such tuples across a leaf enumeration
+    return tuple([c * L2**k for k, c in enumerate(reversed(desc))]), L2**d
 
 
 def padded_coeffs(p: ExactPolynomial, n: int) -> Tuple[Fraction, ...]:
@@ -569,38 +588,46 @@ class SROracle(FamilyOracle):
 
 
 def brute_force_leaves(inst: KSInstance | SRInstance, prefix: Tuple[int, ...] = ()
-                       ) -> Tuple[ExactPolynomial, List[IntPoly]]:
-    """The expected characteristic polynomial of either family under
-    ``prefix`` by full enumeration of its leaves, and every leaf's
-    unweighted characteristic polynomial padded to degree n, as ascending
-    integers (a positive multiple of it), each formed once.
+                       ) -> Iterator[Tuple[Fraction, IntPoly, int]]:
+    """(probability, coefficients, scale) of every leaf extending
+    ``prefix``, in the order of ``inst.leaves``: the leaf's unweighted
+    characteristic polynomial is x^(n-d) sum_i c_i x^i / scale, d =
+    ``inst.dim``, with the c_i ascending integers.
 
     Independent test oracle for the coefficient formulas.  It is
     exponential in the unfixed coordinates, so it refuses more leaves than
-    the largest SR table holds, 2^SR_MAX_M, before forming any.
+    the largest SR table holds, 2^SR_MAX_M, before forming any; each leaf
+    is formed as it is read, so a reader holds only what it keeps.
     """
     count = math.prod(inst.spec().sizes[len(prefix):])
     if count > 1 << SR_MAX_M:
         raise ValueError(f"{count} leaves exceed the exhaustive check's budget of 2^{SR_MAX_M}")
-    d, n = inst.dim, inst.n
-    weighted, leaves = [], []
-    for p, vectors in inst.leaves(prefix):
-        coeffs, scale = _rank_one_char_poly(vectors, d)
-        leaves.append((0,) * (n - d) + coeffs)
-        if p:
-            weighted.append((p, coeffs, scale))
-    den = math.lcm(*(p.denominator * scale for p, _, scale in weighted))
-    total = [0] * (d + 1)
-    for p, coeffs, scale in weighted:
-        f = p.numerator * (den // (p.denominator * scale))
-        total = [t + f * c for t, c in zip(total, coeffs)]
-    return ExactPolynomial([Fraction(0)] * (n - d) + [Fraction(t, den) for t in total]), leaves
+    d = inst.dim
+    return ((p, *_rank_one_char_poly(vectors, d)) for p, vectors in inst.leaves(prefix))
+
+
+def expected_poly(n: int, leaves: Iterable[Tuple[Fraction, IntPoly, int]]) -> ExactPolynomial:
+    """sum p * leaf over ``leaves`` as :func:`brute_force_leaves` gives
+    them, padded to degree n: one integer sum over a common denominator
+    that grows as the leaves come in, so nothing per leaf is kept."""
+    den, total = 1, []
+    for p, coeffs, scale in leaves:
+        if not p:
+            continue
+        q = p.denominator * scale
+        if den % q:
+            grow = q // math.gcd(den, q)
+            den *= grow
+            total = [t * grow for t in total]
+        f = p.numerator * (den // q)
+        total = [t + f * c for t, c in zip(total or [0] * len(coeffs), coeffs)]
+    return ExactPolynomial([Fraction(0)] * (n + 1 - len(total)) + [Fraction(t, den) for t in total])
 
 
 def brute_force_poly(inst: KSInstance | SRInstance,
                      prefix: Tuple[int, ...] = ()) -> ExactPolynomial:
     """Expected characteristic polynomial by full enumeration of the leaves."""
-    return brute_force_leaves(inst, prefix)[0]
+    return expected_poly(inst.n, brute_force_leaves(inst, prefix))
 
 
 # ---------------------------------------------------------------------------
@@ -665,17 +692,28 @@ def rounding_coefficient_budget(n: int, m: int, eps: Fraction) -> Tuple[int, int
     return M, min(n, k)
 
 
-def _profile_from_raw(n: int, raw: Sequence[Fraction]) -> Optional[SymmetricProfile]:
-    """Monic-normalize oracle coefficients into a profile; None if zero."""
+def _support(raw: Sequence[Fraction], guess: int) -> int:
+    """1 + the index of the last nonzero entry of ``raw``, 0 if there is
+    none.  Once ``raw[guess:]`` is found all zero in one pass of ``any``,
+    the search steps down from ``guess``; otherwise from the end."""
+    top = guess if not any(raw[guess:]) else len(raw)
+    while top and not raw[top - 1]:
+        top -= 1
+    return top
+
+
+def _profile_from_raw(n: int, raw: Sequence[Fraction], top: int) -> Optional[SymmetricProfile]:
+    """Monic-normalize oracle coefficients into a profile; None if zero.
+    ``top`` is :func:`_support` of ``raw``: the entries from it on are 0."""
     lead = raw[0]
     if lead == 0:
-        if any(raw):
+        if top:
             raise OracleInconsistencyError("zero leading coefficient on a nonzero polynomial")
         return None
     zero = Fraction(0)
     e = tuple(zero if not c else c / lead if i % 2 == 0 else -c / lead
-              for i, c in enumerate(raw[1:], 1))
-    return SymmetricProfile(n, e)
+              for i, c in enumerate(raw[1:top], 1))
+    return SymmetricProfile(n, e + (zero,) * (len(raw) - top))
 
 
 def _walk(spec: FamilySpec, oracle: FamilyOracle, M: int, k: int
@@ -689,36 +727,42 @@ def _walk(spec: FamilySpec, oracle: FamilyOracle, M: int, k: int
     parent comes from the oracle, every later group's parent is the
     chosen child of the group before it (the same prefix at the same k),
     and when k = n the leaf and the root are the last chosen child and
-    the first parent.
+    the first parent.  Sums and profiles stop at each vector's last
+    nonzero coefficient (``_support``, searched from the parent's).
     """
     m, n = spec.m, spec.n
     prefix: Tuple[int, ...] = ()
     steps: List[StepLog] = []
     first = parent = oracle.coeffs(prefix, k)
+    parent_top = _support(parent, k + 1)
     while len(prefix) < m:
         group = tuple(range(len(prefix), min(len(prefix) + M, m)))
-        children = [(cand, oracle.coeffs(prefix + cand, k))
-                    for cand in product(*[range(spec.sizes[i]) for i in group])]
-        sums = [Fraction(0)] * (k + 1)
-        for _, raw in children:
-            for i, c in enumerate(raw):
-                if c:
-                    sums[i] += c
-        if tuple(sums) != tuple(parent):
+        children = []
+        for cand in product(*[range(spec.sizes[i]) for i in group]):
+            raw = oracle.coeffs(prefix + cand, k)
+            children.append((cand, raw, _support(raw, parent_top)))
+        sums = [Fraction(0)] * max(top for _, _, top in children)
+        for _, raw, top in children:
+            for i in range(top):
+                sums[i] += raw[i]
+        # the children vanish past len(sums), and the parent past parent_top
+        if parent_top > len(sums) or sums != list(parent[:len(sums)]):
+            sums += [Fraction(0)] * (k + 1 - len(sums))
             raise OracleInconsistencyError(
                 f"children of prefix {prefix} sum to {sums}, "
                 f"oracle reports {parent}")
         best_est: Optional[Fraction] = None
         best_cand: Optional[Tuple[int, ...]] = None
         count = 0
-        for cand, raw in children:
-            prof = _profile_from_raw(n, raw)
+        for cand, raw, top in children:
+            prof = _profile_from_raw(n, raw, top)
             if prof is None:
                 continue
             count += 1
             est = approx_max_root(prof).estimate
             if best_est is None or est < best_est:
-                best_est, best_cand, parent = est, cand, raw  # the next group's parent
+                # the next group's parent
+                best_est, best_cand, parent, parent_top = est, cand, raw, top
         if best_cand is None:
             raise OracleInconsistencyError(
                 f"every extension of prefix {prefix} is identically zero")

@@ -631,10 +631,12 @@ def compare_roots(r1: RootInterval, r2: RootInterval) -> int:
     so it is square-free and nonzero at both ends of the overlap (each
     an end of one enclosure), and its only possible root there is the
     one both enclosures hold: the roots are equal iff g changes sign
-    across the overlap.  An exact root inside an open enclosure equals
-    its root iff it is a root of the enclosure's polynomial, since the
-    ends never are.
+    across the overlap.  Neither polynomial changes while the enclosures
+    refine, so g is computed once, at the first such step.  An exact root
+    inside an open enclosure equals its root iff it is a root of the
+    enclosure's polynomial, since the ends never are.
     """
+    g = None
     while True:
         d1, d2 = r1.den, r2.den
         lo1, hi1, lo2, hi2 = r1.lo_num * d2, r1.hi_num * d2, r2.lo_num * d1, r2.hi_num * d1
@@ -649,7 +651,8 @@ def compare_roots(r1: RootInterval, r2: RootInterval) -> int:
             if _sign_at_ratio(r1.poly, r2.lo_num, d2) == 0:
                 return 0
         elif (hi1 - lo1) << 256 < d1 * d2 or (hi2 - lo2) << 256 < d1 * d2:
-            g = int_poly_gcd(r1.poly, r2.poly)
+            if g is None:
+                g = int_poly_gcd(r1.poly, r2.poly)
             lo, hi = max(lo1, lo2), min(hi1, hi2)
             if _sign_at_ratio(g, lo, d1 * d2) != _sign_at_ratio(g, hi, d1 * d2):
                 return 0

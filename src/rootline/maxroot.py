@@ -19,15 +19,26 @@ scaling the root vector by c > 0 scales the returned estimate by
 exactly c, bit for bit, with identical iteration count and factor.
 
 Passes whose answer is already known run no Horner.  Before the loop
-one dyadic u >= max_i |nu_i| over the normalized roots nu_i is seeded
-from floats on the even power sum p_j (j = k, or k - 1 for odd k) and
-verified exactly on integers, so no float reaches a decision.  At every
-threshold t >= u each |nu_i / t| <= 1, so each |T_k(nu_i / t)| <= 1 and
-the sum is at most n: the test is False, as Horner would find, and the
-pass only counts as an iteration.  For real roots of any sign
-sum_i nu_i^j >= max_i |nu_i|^j because j is even, so estimate, factor,
-iteration count and branch are those of the loop without the skip;
-where the exact check fails nothing is skipped.
+the even power sum p_j (j = k, or k - 1 for odd k) of the normalized
+roots nu_i gives two dyadic bounds, each seeded from floats and
+verified once, exactly, on integers, so no float reaches a decision:
+
+* an upper bound u >= max_i |nu_i|, since p_j >= max_i |nu_i|^j.  At
+  every threshold t >= u each |nu_i / t| <= 1, so each
+  |T_k(nu_i / t)| <= 1 and the sum is at most n: the test is False;
+* for even k, a lower bound l <= (p_k / n)^(1/k) <= max_i |nu_i|.  At
+  every threshold t with t (k^2 + 2n - 2) < l k^2 some |nu_i| / t
+  exceeds 1 + (2n - 2) / k^2, and T_k(x) >= 1 + k^2 (x - 1) for x >= 1
+  (T_k is convex there, with T_k(1) = 1 and T_k'(1) = k^2), so that
+  term exceeds 2n - 1.  T_k is even and at least -1 on the whole real
+  line, so the other n - 1 terms sum to at least -(n - 1): the test is
+  True.  For odd k, T_k(x) < -1 at x < -1, so no crossing is certified.
+
+Both need only real roots, of either sign, since j is even; so
+estimate, factor, iteration count and branch are those of the loop
+without them, and the Horner integers are built only for a pass that
+neither bound decides.  Where an exact check fails its bound is
+dropped and nothing more is decided.
 
 Irrational quantities never enter: ln n is replaced by a certified
 dyadic upper bound, k-th roots are certified rational lower bounds with
@@ -70,7 +81,7 @@ _ROOT_BITS = 65
 _T_BITS = 64
 #: slack factor absorbing root/threshold roundings inside alpha
 _GUARD = 1 + Fraction(1, 2**40)
-#: significand bits of the dyadic root bound the loop skips passes above
+#: significand bits of the dyadic root bounds that decide passes without Horner
 _BOUND_BITS = 32
 
 
@@ -156,28 +167,43 @@ def _threshold_coeffs(n: int, e1: Fraction, scale: int, psums: Tuple[int, ...]) 
         a[j] * psums[j - 1] * wpow[k - j] for j in range(1, k + 1))
 
 
-def _root_bound(e1: Fraction, scale: int, psums: Tuple[int, ...]) -> Optional[Fraction]:
-    """A dyadic u >= max_i |nu_i| over the e_1-normalized roots, or None.
+def _dyadic_root(num: int, den: int, j: int, up: bool) -> Optional[Fraction]:
+    """A dyadic r within about 2^-30 of (num / den)^(1/j), verified exactly:
+    den r^j >= num if ``up``, else den r^j <= num and r > 0.  The
+    candidate comes from floats (bit lengths and log2) with _BOUND_BITS
+    significant bits; None when the exact check refuses it."""
+    log_r = (math.log2(num) - math.log2(den)) / j
+    s = _BOUND_BITS - math.ceil(log_r)
+    x = 2.0 ** (log_r + s)
+    a = math.ceil(x * (1 + 2.0**-30)) + 1 if up else math.floor(x * (1 - 2.0**-30)) - 1
+    if a < 1:
+        return None
+    r = Fraction(a, 1 << s) if s >= 0 else Fraction(a << -s)
+    lhs, rhs = num * r.denominator**j, den * r.numerator**j
+    return r if (lhs <= rhs if up else rhs <= lhs) else None
 
-    Takes the even power sum of index j = k, or k - 1 for odd k, in the
-    integers of :func:`_threshold_coeffs`: P_j / w^j = sum_i nu_i^j, which
-    bounds every nu_i^j whatever the signs of the real nu_i.  The
-    candidate u = a/b comes from floats (bit lengths and log2), rounded
-    up, and is verified once, exactly, as P_j b^j <= (w a)^j.  None when
-    j < 2, P_j = 0, or the check fails.
+
+def _decided_thresholds(n: int, e1: Fraction, scale: int, psums: Tuple[int, ...]
+                        ) -> Tuple[Optional[Fraction], Optional[Fraction]]:
+    """(c, u): the loop's test is True at every threshold t < c and False
+    at every t >= u, for real roots of either sign (module docstring);
+    each is None where it is not certified.
+
+    In the integers of :func:`_threshold_coeffs`, P_j / w^j = sum_i nu_i^j
+    for the even j = k or k - 1.  u is checked as P_j <= w^j u^j and, for
+    even k, l as n w^k l^k <= P_k, with c = l k^2 / (k^2 + 2n - 2).
+    (None, None) when j < 2 or P_j = 0.
     """
-    j = len(psums) & ~1
+    k = len(psums)
+    j = k & ~1
     if j < 2 or psums[j - 1] <= 0:
-        return None
+        return None, None
     pj = psums[j - 1]
-    w = scale * e1.numerator // e1.denominator
-    log_u = math.log2(pj) / j - math.log2(w)
-    s = _BOUND_BITS - math.ceil(log_u)
-    a = math.ceil(2.0 ** (log_u + s) * (1 + 2.0**-30)) + 1
-    u = Fraction(a, 1 << s) if s >= 0 else Fraction(a << -s)
-    if pj * u.denominator**j > (w * u.numerator) ** j:
-        return None
-    return u
+    wj = (scale * e1.numerator // e1.denominator) ** j
+    upper = _dyadic_root(pj, wj, j, up=True)
+    lower = _dyadic_root(pj, n * wj, j, up=False) if j == k else None
+    cross = None if lower is None else lower * (k * k) / (k * k + 2 * n - 2)
+    return cross, upper
 
 
 def _cheb_sum_exceeds(coeffs: Tuple[int, ...], t: Fraction) -> bool:
@@ -247,17 +273,22 @@ def approx_max_root(prof: SymmetricProfile) -> ApproxResult:
         est = e1 * nth_root_lower(pk / n, k, _ROOT_BITS)
         return ApproxResult(est, alpha_factor(k, n), 0, POWER_SUM)
 
-    coeffs = _threshold_coeffs(n, e1, scale, psums)
-    bound = _root_bound(e1, scale, psums)
+    cross, upper = _decided_thresholds(n, e1, scale, psums)
+    coeffs: Tuple[int, ...] = ()  # built for the first pass neither bound decides
     f = shrink_factor(k, n)
     cap = 10 * k * k + 100
     t = Fraction(1)  # normalized e_1
     iterations = 0
     while iterations < cap:
         iterations += 1
-        # t >= bound puts every |nu_i / t| <= 1, so the sum is at most n
-        if (bound is None or t < bound) and _cheb_sum_exceeds(coeffs, t):
-            return ApproxResult(e1 * t, alpha_factor(k, n), iterations, CHEBYSHEV_LOOP)
+        # t >= upper: the test is False; t < cross: it is True
+        if upper is None or t < upper:
+            crosses = cross is not None and t < cross
+            if not crosses:
+                coeffs = coeffs or _threshold_coeffs(n, e1, scale, psums)
+                crosses = _cheb_sum_exceeds(coeffs, t)
+            if crosses:
+                return ApproxResult(e1 * t, alpha_factor(k, n), iterations, CHEBYSHEV_LOOP)
         t = dyadic_floor(t / f, _T_BITS)
     raise InconsistentProfileError(
         f"no threshold crossing within {cap} iterations; "

@@ -35,6 +35,7 @@ from rootline.interlacing import (
     brute_force_leaves,
     brute_force_poly,
     check_common_interlacing,
+    expected_poly,
     ks_oracle,
     padded_coeffs,
     round_family,
@@ -430,18 +431,25 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         oracle = ks_oracle(inst)
         spec = inst.spec()
         # exhaustive cross-checks, independent of the rounding path; each
-        # leaf's characteristic polynomial feeds both the sum and the scan
-        brute_root, leaves = brute_force_leaves(inst)
+        # leaf's characteristic polynomial, formed once, feeds both the
+        # scan for the least leaf root and the sum, and is then dropped
+        pad = (0,) * (inst.n - inst.dim)
+        min_leaf = None
+
+        def scanned(leaves):
+            nonlocal min_leaf
+            for leaf in leaves:
+                lam = max_root(pad + leaf[1], Fraction(1, 2**20))
+                if min_leaf is None or compare_roots(lam, min_leaf) < 0:
+                    min_leaf = lam
+                yield leaf
+
+        brute_root = expected_poly(inst.n, scanned(brute_force_leaves(inst)))
         if oracle.coeffs((), inst.n) != padded_coeffs(brute_root, inst.n):
             failures.append(f"trial {trial}: root polynomial mismatch vs enumeration")
             continue
         root_monic = brute_root.monic()
         lam_root = max_root(root_monic, Fraction(1, 2**30))
-        min_leaf = None
-        for leaf in leaves:
-            lam = max_root(leaf, Fraction(1, 2**20))
-            if min_leaf is None or compare_roots(lam, min_leaf) < 0:
-                min_leaf = lam
         if compare_roots(min_leaf, lam_root) > 0:
             failures.append(f"trial {trial}: min leaf above root (interlacing broken)")
         for eps in (Fraction(1, 2), Fraction(1, 8)):

@@ -12,8 +12,11 @@ where the scan stops at its witness. The ``round_*`` files pin rounding
 with the exhaustive root check on a KS family with integer vectors
 (``ks3_family.json``), on one with non-dyadic data (vector denominators
 3, 5 and 7, a zero-probability outcome, a zero vector and vectors of
-unequal lengths: ``ks_mixed_family.json``) and on an SR family
-(``sr4_family.json``). A golden file changes only together with a
+unequal lengths: ``ks_mixed_family.json``), on an SR family
+(``sr4_family.json``), and, without the exhaustive check, on a seeded
+(m, d) = (8, 3) two-block KS family in ambient dimension 256
+(``ks_two_block_8_3_family.json``), whose Gram matrices reach rank 6,
+so the KS oracle's expected minors go six coordinates deep. A golden file changes only together with a
 deliberate change of output.
 """
 
@@ -45,6 +48,9 @@ CASES = {
     "round_ks_mixed.json": (
         ["round", "--family", "family.json", "--epsilon", "1/8", "--exhaustive-check"],
         {"family.json": "ks_mixed_family.json"}),
+    "round_ks_two_block_8_3.json": (
+        ["round", "--family", "family.json", "--epsilon", "1/8"],
+        {"family.json": "ks_two_block_8_3_family.json"}),
     "round_sr4.json": (
         ["round", "--family", "family.json", "--epsilon", "1/8", "--exhaustive-check"],
         {"family.json": "sr4_family.json"}),

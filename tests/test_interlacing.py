@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -307,6 +309,21 @@ def test_round_family_detects_a_lie_in_a_later_group():
     assert any(len(prefix) == 4 for prefix, _ in liar.calls)
 
 
+def test_round_family_detects_a_lie_past_the_parents_last_coefficient():
+    # rank-2 leaves in n = 6: every coefficient past x^4 is 0, and the
+    # children's sums stop there; a leaf that lies only in its constant
+    # term must still be caught
+    inst = KSInstance(6, (_coin(E1, E2), _coin(E1, E2)))
+
+    class TailLiar(CountingOracle):
+        def coeffs(self, prefix, k):
+            out = super().coeffs(prefix, k)
+            return out[:-1] + (out[-1] + 1,) if prefix == (0, 0) else out
+
+    with pytest.raises(OracleInconsistencyError):
+        round_family(inst.spec(), TailLiar(ks_oracle(inst)), F(1, 2))
+
+
 def test_rounding_budget():
     M, k = rounding_coefficient_budget(256, 8, F(1, 2))
     assert M == 2
@@ -530,28 +547,42 @@ def test_bordered_determinants_match_bareiss(case):
         rows, reduced, pivots = rows + [a], reduced + [x], pivots + [p]
 
 
-def test_each_subset_tree_is_built_once_per_oracle(monkeypatch):
-    # across every prefix at k = n and k = 1, each subset T of at most
-    # min(n, m, dim) coordinates gets its outcome tree built exactly once
+def test_each_trie_path_is_bordered_once_per_oracle(monkeypatch):
+    # across every prefix at k = n and k = 1, the KS oracle borders each
+    # path of (coordinate, choice) pairs with increasing coordinates once:
+    # every path of at most min(n, m, dim) outcomes of positive
+    # probability whose proper prefixes have nonzero Gram determinants,
+    # and no other row sequence
     rng = random.Random(2)
     inst = _mixed_ks_instance(rng, 5, 2)
     orc = ks_oracle(inst)
-    assert len(orc._kernel.gram) < sum(inst.spec().sizes)  # repeated vectors
-    built = []
-    tree = KSOracle._tree
+    kernel = orc._kernel
+    assert len(kernel.gram) < sum(inst.spec().sizes)  # repeated vectors
+    bordered = []
+    border = _GramKernel.border
 
-    def counted(self, subset):
-        built.append(subset)
-        return tree(self, subset)
+    def counted(self, rows, reduced, pivots, a):
+        bordered.append(tuple(rows) + (a,))
+        return border(self, rows, reduced, pivots, a)
 
-    monkeypatch.setattr(KSOracle, "_tree", counted)
+    monkeypatch.setattr(_GramKernel, "border", counted)
     for prefix in _all_prefixes(inst.spec().sizes):
         want = padded_coeffs(brute_force_poly(inst, prefix), inst.n)
         assert orc.coeffs(prefix, inst.n) == want, prefix
         assert orc.coeffs(prefix, 1) == want[:2], prefix
-    top = min(inst.n, inst.m, orc._kernel.dim)
-    assert sorted(built) == sorted(subset for j in range(1, top + 1)
-                                   for subset in combinations(range(inst.m), j))
+
+    def det(rows):
+        return _bareiss_det([[kernel.gram[a][b] for b in rows] for a in rows])
+
+    paths = []
+    for j in range(1, min(inst.n, inst.m, kernel.dim) + 1):
+        for subset in combinations(range(inst.m), j):
+            for choice in product(*[range(inst.spec().sizes[i]) for i in subset]):
+                if all(inst.supports[i][c][1] for i, c in zip(subset, choice)):
+                    rows = [kernel.rows[i][c] for i, c in zip(subset, choice)]
+                    if all(det(rows[:g]) for g in range(1, j)):
+                        paths.append(tuple(rows))
+    assert sorted(bordered) == sorted(paths)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -570,6 +601,51 @@ def test_sr_oracle_matches_brute_force_at_every_prefix(seed):
         want = padded_coeffs(brute_force_poly(inst, prefix), inst.n)
         assert orc.coeffs(prefix, inst.n) == want, prefix
         assert orc.coeffs(prefix, 1) == want[:2], prefix
+
+
+def test_rounding_work_counts(monkeypatch):
+    # the exact work of one seeded rounding, the golden (m, d) = (8, 3)
+    # family at eps = 1/8 (k = n = 256): the trie borders each of its
+    # 4,340 paths once (one tree per subset made 9,016 border calls), and
+    # the power-sum bounds leave 2 of the 16 candidate scores to Horner
+    # (every one ran a Horner pass before)
+    import rootline.maxroot as maxroot
+
+    calls = {"border": 0, "horner": 0}
+    border, horner = _GramKernel.border, maxroot._cheb_sum_exceeds
+
+    def counted_border(self, *args):
+        calls["border"] += 1
+        return border(self, *args)
+
+    def counted_horner(*args):
+        calls["horner"] += 1
+        return horner(*args)
+
+    monkeypatch.setattr(_GramKernel, "border", counted_border)
+    monkeypatch.setattr(maxroot, "_cheb_sum_exceeds", counted_horner)
+    inst = two_block_ks_instance(random.Random(83), 8, 3, 256)
+    res = round_family(inst.spec(), ks_oracle(inst), F(1, 8))
+    assert (res.k_used, sum(s.candidates for s in res.steps)) == (256, 16)
+    assert calls == {"border": 4340, "horner": 2}
+
+
+def test_brute_force_poly_keeps_no_leaf():
+    # the leaf sum is folded as the leaves come, so the traced peak of
+    # brute_force_poly is the same for 2^8 and 2^12 leaves at n = 256
+    # (it was 0.6 and 9.7 MB when every padded leaf was kept)
+    peaks = []
+    for m in (8, 12):
+        inst = two_block_ks_instance(random.Random(m), m, 1, 256)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            poly = brute_force_poly(inst)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert padded_coeffs(poly, inst.n) == ks_oracle(inst).coeffs((), inst.n)
+    assert peaks[1] <= peaks[0] + 4096, peaks
 
 
 def _product_pair(rng):

@@ -963,3 +963,23 @@ def test_compare_roots_gcd_fallback_matches_the_descartes_decision(case):
         got = compare_roots(copy(a), copy(b))
         assert got == _old_compare_roots(copy(a), copy(b))
         assert (got == 0) == equal
+
+
+def test_compare_roots_takes_one_gcd_per_call(monkeypatch):
+    # sqrt(3) against sqrt(3 + 2^-600), both beside the shared factor
+    # x^2 - 2: below 2^-256 the enclosures refine about 340 more steps
+    # before they separate, on one gcd of the two unchanging polynomials
+    import rootline.isolation as isolation
+
+    p1 = _mul((-2, 0, 1), (-3, 0, 1))
+    p2 = _mul((-2, 0, 1), (-(3 << 600) - 1, 0, 1 << 600))
+    r1, r2 = (max_root(p, F(1, 2**257)) for p in (p1, p2))
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return int_poly_gcd(a, b)
+
+    monkeypatch.setattr(isolation, "int_poly_gcd", counted)
+    assert compare_roots(r1, r2) == -1
+    assert len(calls) == 1

@@ -12,7 +12,7 @@ from rootline.maxroot import (
     POWER_SUM,
     InconsistentProfileError,
     _cheb_sum_exceeds,
-    _root_bound,
+    _decided_thresholds,
     _threshold_coeffs,
     alpha_factor,
     approx_max_root,
@@ -278,10 +278,64 @@ def test_no_threshold_at_or_above_the_root_bound_crosses(case, above):
     n, roots, k = case
     prof = profile_of_roots(n, roots, k)
     e1 = prof.e[0]
-    u = _root_bound(e1, *integer_power_sums(prof.e, k))
+    u = _decided_thresholds(n, e1, *integer_power_sums(prof.e, k))[1]
     if k < 2:
         assert u is None
         return
     nu = [x / e1 for x in roots]
     assert u is not None and u >= max(abs(x) for x in nu)
     assert not _reference_exceeds(n, nu, k, u * (1 + above))
+
+
+@st.composite
+def _crossing_cases(draw):
+    """(n, roots, k): dense nonnegative roots, nonnegative roots of rank
+    <= 6 at k = n, or real roots of either sign.  The roots take few
+    values: the largest nonnegative one is often repeated, which puts the
+    true crossing close to the certified one, and the root of largest
+    magnitude is often negative, where an odd T_k falls below -1."""
+    kind = draw(st.sampled_from(["dense", "rank", "signed"]))
+    if kind == "signed":
+        n = draw(st.integers(2, 12))
+        roots = [F(draw(st.integers(-4, 4))) for _ in range(draw(st.integers(2, min(n, 5))))]
+        if sum(roots) < 0:
+            roots = [-x for x in roots]
+        if sum(roots) == 0:
+            roots[0] += 1
+        return n, roots + [F(0)] * (n - len(roots)), draw(st.integers(1, n))
+    if kind == "dense":
+        n = draw(st.integers(2, 10))
+        roots = [F(draw(st.integers(0, 4)), draw(st.sampled_from([1, 2])))
+                 for _ in range(n)]
+        k = draw(st.integers(1, n))
+    else:
+        n = draw(st.sampled_from([8, 16, 32, 64]))
+        r = draw(st.integers(1, 6))
+        top = r - draw(st.integers(0, r - 1))  # copies of the largest root
+        roots = [F(3)] * top + [F(draw(st.integers(1, 3))) for _ in range(r - top)]
+        roots += [F(0)] * (n - r)
+        k = n
+    if not any(roots):
+        roots[0] = F(1, 2)
+    return n, roots, k
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_crossing_cases(), st.integers(0, 72), st.integers(0, 3))
+def test_every_threshold_below_the_certified_crossing_crosses(case, bits, below):
+    # the loop returns at any t < c without Horner: there the sum must
+    # exceed n.  c is certified for every even k and for no odd k; t runs
+    # over the dyadics with ``bits`` fraction bits just below c, the
+    # loop's thresholds being dyadic
+    n, roots, k = case
+    prof = profile_of_roots(n, roots, k)
+    e1 = prof.e[0]
+    cross = _decided_thresholds(n, e1, *integer_power_sums(prof.e, k))[0]
+    if cross is None:
+        assert k % 2
+        return
+    num = -((-cross.numerator << bits) // cross.denominator) - 1 - below  # < c 2^bits
+    if num <= 0:
+        return
+    t = F(num, 1 << bits)
+    assert _reference_exceeds(n, [x / e1 for x in roots], k, t)
