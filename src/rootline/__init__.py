@@ -7,7 +7,6 @@ exact rational comparison or a certified interval.
 
 from rootline.poly import ExactPolynomial, char_poly
 from rootline.symfuncs import (
-    PowerSumProfile,
     SymmetricProfile,
     power_sums_from_elementary,
     profile_from_coefficients,
@@ -18,7 +17,6 @@ __all__ = [
     "ExactPolynomial",
     "char_poly",
     "SymmetricProfile",
-    "PowerSumProfile",
     "power_sums_from_elementary",
     "profile_from_coefficients",
     "ApproxResult",

@@ -45,7 +45,7 @@ from rootline.ratutil import (
     format_rational,
     iroot_floor,
     ln_bounds,
-    sqrt_upper,
+    nth_root_upper,
     to_fraction,
 )
 from rootline.symfuncs import SymmetricProfile
@@ -686,7 +686,7 @@ def rounding_coefficient_budget(n: int, m: int, eps: Fraction) -> Tuple[int, int
     r = iroot_floor(m, 3)
     M = r if r**3 == m else r + 1
     ln_hi = ln_bounds(Fraction(n))[1]
-    s_hi = sqrt_upper(2 / eps)
+    s_hi = nth_root_upper(2 / eps, 2)
     target = 20 * ln_hi * M * s_hi
     k = -((-target.numerator) // target.denominator)
     return M, min(n, k)

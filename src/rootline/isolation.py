@@ -353,10 +353,10 @@ def _squarefree_roots(q: IntPoly, multiplicity: int) -> Iterator[RootInterval]:
     c/2^k -> (c 2^(h+1) - 2^(h+k))/2^k.
     """
     if q[0] == 0:  # simple zero root (q square-free)
-        yield RootInterval(q, 0, 0, multiplicity, den=1)
+        yield RootInterval(q, 0, 0, 1, multiplicity)
         q = _primitive(q[1:])
     if len(q) == 2:
-        yield RootInterval(q, -q[0], -q[0], multiplicity, den=q[1])
+        yield RootInterval(q, -q[0], -q[0], q[1], multiplicity)
     if len(q) <= 2:
         return
     h = root_bound_pow2(q)
@@ -365,8 +365,7 @@ def _squarefree_roots(q: IntPoly, multiplicity: int) -> Iterator[RootInterval]:
         for num, j in path:
             poly = _deflate_root(poly, (num << (h + 1)) - (1 << (h + j)), 1 << j)
         lo = (c << (h + 1)) - (1 << (h + k))
-        yield RootInterval(poly, lo, lo if exact else lo + (1 << (h + 1)), multiplicity,
-                           den=1 << k)
+        yield RootInterval(poly, lo, lo if exact else lo + (1 << (h + 1)), 1 << k, multiplicity)
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +385,10 @@ class RootInterval:
 
     __slots__ = ("poly", "lo_num", "hi_num", "den", "multiplicity", "_sign_lo")
 
-    def __init__(self, poly: Optional[IntPoly], lo: Union[Fraction, int],
-                 hi: Union[Fraction, int], multiplicity: int = 1, *, den: Optional[int] = None):
-        """``lo`` and ``hi`` are rationals, or with ``den`` the integer
-        numerators of lo/den and hi/den."""
-        if den is None:
-            den = math.lcm(lo.denominator, hi.denominator)
-            lo = lo.numerator * (den // lo.denominator)
-            hi = hi.numerator * (den // hi.denominator)
-        elif den <= 0:
+    def __init__(self, poly: Optional[IntPoly], lo: int, hi: int, den: int, multiplicity: int):
+        """The root lies in [lo/den, hi/den], integer numerators over one
+        denominator."""
+        if den <= 0:
             raise ValueError("the common denominator must be positive")
         if lo > hi:
             raise ValueError("the lower end lies above the upper end")
@@ -487,13 +481,13 @@ class RootInterval:
         """
         a, b = r.numerator, r.denominator
         if a == 0:
-            return RootInterval((0, 1), 0, 0, self.multiplicity, den=1)
+            return RootInterval((0, 1), 0, 0, 1, self.multiplicity)
         poly = self.poly
         if poly is not None:  # a^d f(b x / a), term by term
             d = len(poly) - 1
             poly = _primitive([v * b**i * a ** (d - i) for i, v in enumerate(poly)])
         lo, hi = sorted((a * self.lo_num, a * self.hi_num))
-        return RootInterval(poly, lo, hi, self.multiplicity, den=b * self.den)
+        return RootInterval(poly, lo, hi, b * self.den, self.multiplicity)
 
     def __float__(self) -> float:
         return float(Fraction(self.lo_num + self.hi_num, 2 * self.den))

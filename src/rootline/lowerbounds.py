@@ -77,14 +77,9 @@ class LowerBoundPair:
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
-    @property
-    def degree(self) -> int:
-        return self.p.degree
-
-    def truncated_profiles(self, k: int = None) -> Tuple[SymmetricProfile, SymmetricProfile]:
+    def truncated_profiles(self) -> Tuple[SymmetricProfile, SymmetricProfile]:
         """The two top-k coefficient views; equal by construction."""
-        k = self.k if k is None else k
-        return (profile_from_polynomial(self.p, k), profile_from_polynomial(self.q, k))
+        return (profile_from_polynomial(self.p, self.k), profile_from_polynomial(self.q, self.k))
 
     def to_json_dict(self) -> dict:
         return {

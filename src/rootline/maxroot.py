@@ -118,7 +118,7 @@ def uses_power_sum_branch(k: int, n: int) -> bool:
 @lru_cache(maxsize=256)  # a constant of (k, n), asked for on every call
 def shrink_factor(k: int, n: int) -> Fraction:
     """The loop's threshold divisor 1 + (20 L / k)^2 with dyadic L >= ln n."""
-    L = ln_upper_dyadic(n, bits=24)
+    L = ln_upper_dyadic(n)
     return 1 + (Fraction(20) * L / k) ** 2
 
 
@@ -261,7 +261,7 @@ def approx_max_root(prof: SymmetricProfile) -> ApproxResult:
 
     power_sum = uses_power_sum_branch(k, n)
     if power_sum:
-        psums = power_sums_from_elementary(prof).p  # p_j
+        psums = power_sums_from_elementary(prof)  # p_j
     else:
         scale, psums = integer_power_sums(prof.e, k)  # D^j p_j
     if any(p < 0 for p in psums):

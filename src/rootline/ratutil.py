@@ -17,6 +17,7 @@ independent of platform or call history.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Tuple, Union
@@ -26,8 +27,15 @@ from mpmath.libmp import to_rational
 
 RationalLike = Union[int, str, Fraction]
 
-#: Interval endpoints below this width are considered decided for the
-#: transcendental comparison helpers.
+#: the one wire form of a rational: -?digits, optionally /digits
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+#: digits after the point in `decimal_render`
+_DECIMAL_DIGITS = 12
+
+#: the working precision, in bits, of the transcendental bounds; `le_ln`
+#: doubles it until the comparison is decided or it passes _MAX_PREC
+_PREC = 96
 _MAX_PREC = 1 << 14
 
 
@@ -35,24 +43,22 @@ def to_fraction(x: RationalLike) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` string to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:  # not bool: JSON true is no spelling of 1
         return Fraction(x)
     if isinstance(x, str):
         return parse_rational(x)
-    raise ValueError(f"not an exact rational: {x!r} (floats are refused)")
+    raise ValueError(f"not an exact rational: {x!r} (floats and booleans are refused)")
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (no decimal points allowed)."""
-    s = s.strip()
-    if "." in s or "e" in s.lower():
-        raise ValueError(f"decimal notation is not exact: {s!r}")
-    if "/" in s:
-        num, den = s.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {s!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    """Parse ``"p/q"`` or ``"p"``: ASCII digits, an optional leading minus
+    on p only, and a nonzero q; no other spelling is read."""
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f"not a rational of the form p/q or p: {s!r}")
+    num, _, den = s.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator: {s!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(x: Fraction) -> str:
@@ -61,16 +67,17 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def decimal_render(x: Fraction, digits: int = 12) -> str:
-    """Human-oriented decimal rendering; never authoritative."""
+def decimal_render(x: Fraction) -> str:
+    """Human-oriented decimal rendering, truncated to 12 digits after the
+    point; never authoritative."""
     if x == 0:
         return "0"
     sign = "-" if x < 0 else ""
     x = abs(x)
     ipart = x.numerator // x.denominator
     rem = x - ipart
-    scaled = (rem.numerator * 10**digits) // rem.denominator
-    frac_digits = str(scaled).rjust(digits, "0").rstrip("0")
+    scaled = (rem.numerator * 10**_DECIMAL_DIGITS) // rem.denominator
+    frac_digits = str(scaled).rjust(_DECIMAL_DIGITS, "0").rstrip("0")
     return f"{sign}{ipart}.{frac_digits}" if frac_digits else f"{sign}{ipart}"
 
 
@@ -145,10 +152,6 @@ def nth_root_upper(x: Fraction, k: int, bits: int = 64) -> Fraction:
     return Fraction(m, q * scale)
 
 
-def sqrt_upper(x: Fraction, bits: int = 64) -> Fraction:
-    return nth_root_upper(x, 2, bits)
-
-
 # ---------------------------------------------------------------------------
 # dyadic rounding
 # ---------------------------------------------------------------------------
@@ -212,7 +215,7 @@ def _with_prec(prec: int):
         ctx.prec = saved
 
 
-def ln_bounds(x: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:
+def ln_bounds(x: Fraction, prec: int = _PREC) -> Tuple[Fraction, Fraction]:
     """Certified rational (lo, hi) with lo <= ln(x) <= hi, x > 0."""
     if x <= 0:
         raise ValueError("ln_bounds needs x > 0")
@@ -220,7 +223,7 @@ def ln_bounds(x: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:
         return _iv_endpoints(ctx.log(_iv_from_fraction(ctx, x)))
 
 
-def cos_pi_bounds(r: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:
+def cos_pi_bounds(r: Fraction) -> Tuple[Fraction, Fraction]:
     """Certified rational (lo, hi) with lo <= cos(pi * r) <= hi.
 
     Angles are exact rational multiples of pi, so the only rounding is in
@@ -229,12 +232,12 @@ def cos_pi_bounds(r: Fraction, prec: int = 96) -> Tuple[Fraction, Fraction]:
     # reduce mod 2 first: cos(pi r) has period 2 and huge multiples of pi
     # would needlessly inflate the interval
     r = Fraction(r.numerator % (2 * r.denominator), r.denominator)
-    with _with_prec(prec) as ctx:
+    with _with_prec(_PREC) as ctx:
         lo, hi = _iv_endpoints(ctx.cos(ctx.pi * _iv_from_fraction(ctx, r)))
     return max(lo, Fraction(-1)), min(hi, Fraction(1))
 
 
-def le_ln(k: Fraction, n: int, prec: int = 96) -> bool:
+def le_ln(k: Fraction, n: int) -> bool:
     """Decide k <= ln(n) exactly (k rational, n >= 1 integer).
 
     Equality k == ln(n) is impossible for rational k != 0 and integer
@@ -245,6 +248,7 @@ def le_ln(k: Fraction, n: int, prec: int = 96) -> bool:
     if n == 1:
         return k <= 0
     k = Fraction(k)
+    prec = _PREC
     while prec <= _MAX_PREC:
         lo, hi = ln_bounds(Fraction(n), prec)
         if k <= lo:
@@ -255,7 +259,7 @@ def le_ln(k: Fraction, n: int, prec: int = 96) -> bool:
     raise ArithmeticError(f"could not separate {k} from ln({n})")  # pragma: no cover
 
 
-def ln_upper_dyadic(n: int, bits: int = 24) -> Fraction:
-    """Dyadic upper bound on ln(n), within 2**-bits of the true value."""
-    _, hi = ln_bounds(Fraction(n), prec=bits + 40)
-    return dyadic_ceil(hi, bits + 8)
+def ln_upper_dyadic(n: int) -> Fraction:
+    """Dyadic upper bound on ln(n), within 2**-24 of the true value."""
+    _, hi = ln_bounds(Fraction(n), prec=64)
+    return dyadic_ceil(hi, 32)

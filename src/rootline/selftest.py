@@ -16,15 +16,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from rootline.chebyshev import cheb_eval
 from rootline.graphs import (
+    CATALOG,
     EXHAUSTION_CAP,
     Graph,
     Signing,
     best_signing_search,
-    catalog_entries,
-    cube_graph,
-    cycle_graph,
     girth,
-    heawood_graph,
     matrix_power,
     ramanujan_bound_holds,
     sign_invariance_report,
@@ -224,14 +221,8 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         not failures, f"63 pairs checked, {len(failures)} failures", failures[:10])
 
 
-#: graphs for the exhaustive signing-invariance sweep
-INVARIANCE_GRAPHS: Tuple[Tuple[str, Callable[[], Graph]], ...] = (
-    ("C_4", lambda: cycle_graph(4)),
-    ("C_6", lambda: cycle_graph(6)),
-    ("C_8", lambda: cycle_graph(8)),
-    ("Q_3", cube_graph),
-    ("heawood", heawood_graph),
-)
+#: catalog graphs for the exhaustive signing-invariance sweep
+INVARIANCE_GRAPHS = ("C_4", "C_6", "C_8", "Q_3", "heawood")
 
 
 def _random_diag(rng: random.Random, n: int) -> List[Fraction]:
@@ -242,8 +233,8 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = random.Random(seed)
     failures: List[str] = []
     witness_found = False
-    for name, make in INVARIANCE_GRAPHS:
-        g = make()
+    for name in INVARIANCE_GRAPHS:
+        g = CATALOG[name]
         gi = girth(g)
         diags: List[Optional[List[Fraction]]] = [None]
         diags += [_random_diag(rng, g.n) for _ in range(3)]
@@ -281,7 +272,7 @@ def _exact_trace_power(g: Graph, bits: int, power: int) -> int:
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     failures: List[str] = []
-    pair = girth_pair(heawood_graph(), 2)
+    pair = girth_pair(CATALOG["heawood"], 2)
     if pair.k != 2:
         failures.append(f"matched count {pair.k} != 2")
     pp, pq = pair.truncated_profiles()
@@ -334,14 +325,13 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     failures: List[str] = []
     checked = []
-    for entry in catalog_entries():
-        g = entry.graph
+    for name, g in CATALOG.items():
         if g.num_edges > EXHAUSTION_CAP or not g.is_bipartite() or g.max_degree() < 2:
             continue
         best = best_signing_search(g)
-        checked.append(entry.name)
+        checked.append(name)
         if not ramanujan_bound_holds(g, best.signing):
-            failures.append(f"{entry.name}: best signing exceeds 2 sqrt(deg_max - 1)")
+            failures.append(f"{name}: best signing exceeds 2 sqrt(deg_max - 1)")
     return CriterionResult(
         8, "bipartite catalog signings reach lambda_max <= 2 sqrt(deg_max - 1)",
         not failures, f"graphs: {', '.join(checked)}; {len(failures)} failures",
@@ -467,8 +457,8 @@ def generated_pairs_for_indistinguishability() -> List[Tuple[str, LowerBoundPair
     pairs: List[Tuple[str, LowerBoundPair]] = []
     for n in (2, 3, 4, 5, 8, 12, 16, 32, 64):
         pairs.append((f"weak({n})", weak_pair(n)))
-    pairs.append(("girth(heawood,2)", girth_pair(heawood_graph(), 2)))
-    pairs.append(("girth(C_8,2)", girth_pair(cycle_graph(8), 2)))
+    pairs.append(("girth(heawood,2)", girth_pair(CATALOG["heawood"], 2)))
+    pairs.append(("girth(C_8,2)", girth_pair(CATALOG["C_8"], 2)))
     for k in (2, 3, 4, 6, 8):
         pairs.append((f"noisy({k},{2*k})", noisy_pair(k, 2 * k)))
     pairs.append(("boosted(weak(3),2)", boosted_pair(weak_pair(3), 2)))

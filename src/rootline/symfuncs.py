@@ -57,23 +57,6 @@ class SymmetricProfile:
         return cls(d["n"], tuple(to_fraction(v) for v in d["e"]))
 
 
-@dataclass(frozen=True)
-class PowerSumProfile:
-    """(n, p_1..p_k): the first k power sums of n roots."""
-
-    n: int
-    p: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("profile needs n >= 1")
-        object.__setattr__(self, "p", tuple(to_fraction(v) for v in self.p))
-
-    @property
-    def k(self) -> int:
-        return len(self.p)
-
-
 def _over_powers(scale: int, ints: Sequence[int]) -> Tuple[Fraction, ...]:
     """(ints[i-1] / scale^i for i = 1, 2, ...)."""
     out = []
@@ -84,8 +67,8 @@ def _over_powers(scale: int, ints: Sequence[int]) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def profile_of_roots(n: int, roots: Sequence[RationalLike], k: int = None) -> SymmetricProfile:
-    """Exact e_1..e_k of an explicit root vector (k defaults to n).
+def profile_of_roots(n: int, roots: Sequence[RationalLike]) -> SymmetricProfile:
+    """Exact e_1..e_n of an explicit root vector.
 
     Computed by expanding prod (x - mu_i) incrementally, which is the
     brute-force definition and therefore usable as a test oracle.  With
@@ -95,14 +78,12 @@ def profile_of_roots(n: int, roots: Sequence[RationalLike], k: int = None) -> Sy
     mus = [to_fraction(r) for r in roots]
     if len(mus) != n:
         raise ValueError("root count differs from n")
-    if k is None:
-        k = n
     d = lcm(*(mu.denominator for mu in mus))
-    e = [0] * (k + 1)
+    e = [0] * (n + 1)
     e[0] = 1
     for mu in mus:
         a = mu.numerator * (d // mu.denominator)
-        for i in range(k, 0, -1):
+        for i in range(n, 0, -1):
             e[i] += a * e[i - 1]
     return SymmetricProfile(n, _over_powers(d, e[1:]))
 
@@ -223,14 +204,14 @@ def integer_power_sums(e: Sequence[Fraction], upto: int) -> Tuple[int, Tuple[int
     return scale, tuple(p)
 
 
-def power_sums_from_elementary(prof: SymmetricProfile) -> PowerSumProfile:
+def power_sums_from_elementary(prof: SymmetricProfile) -> Tuple[Fraction, ...]:
     """p_1..p_k from e_1..e_k by the Newton recurrence, O(k r) for r the
     index of the last nonzero e_j.
 
     p_i = e_1 p_{i-1} - e_2 p_{i-2} + ... + (-1)^i i e_i  (signs alternating),
     run on integers by :func:`integer_power_sums`.
     """
-    return PowerSumProfile(prof.n, _over_powers(*integer_power_sums(prof.e, prof.k)))
+    return _over_powers(*integer_power_sums(prof.e, prof.k))
 
 
 def profile_from_coefficients(n: int, c: Sequence[RationalLike]) -> SymmetricProfile:

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import rootline
+from rootline import cli, interlacing
 from rootline.cli import RunManifest, _typed_parameters, dispatch, main
-from rootline import interlacing
+from rootline.graphs import EDGE_BUDGET, VERTEX_BUDGET, Graph
 from rootline.interlacing import SR_MAX_M, KSInstance
 from rootline.lowerbounds import DEGREE_BUDGET, noisy_pair, weak_pair
 from rootline.symfuncs import profile_of_roots
@@ -30,7 +31,7 @@ def run_cli(args, cwd):
 @pytest.fixture()
 def profile_file(tmp_path):
     path = tmp_path / "prof.json"
-    path.write_text(json.dumps(profile_of_roots(4, [1, 2, 3, 4], 2).to_json_dict()))
+    path.write_text(json.dumps(profile_of_roots(4, [1, 2, 3, 4]).truncate(2).to_json_dict()))
     return path
 
 
@@ -251,6 +252,70 @@ def test_manifest_parameter_types_exit_2(subcommand, parameters, key, tmp_path, 
     out, err = capsys.readouterr()
     assert out == ""
     assert repr(key) in json.loads(err)["error"]
+
+
+#: catalog spellings the old name parser read, each of a catalog graph;
+#: the one-name catalog refuses them
+RETIRED_GRAPH_NAMES = ["cube", "q3", "levi", "C8", "C_08", " Heawood ", "K_{3,3}"]
+
+#: rational spellings parse_rational used to read, each of a value the
+#: commands below accept
+RETIRED_RATIONALS = ["1_000/3", "\u0661/\u0662", " 3 / 4 ", "+3", "-1/-2"]
+
+
+def _refusal(argv, capsys):
+    status = main(argv)
+    out, err = capsys.readouterr()
+    assert status == 2 and out == ""
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("subcommand, name", [
+    *[("girth", name) for name in RETIRED_GRAPH_NAMES],
+    # levi is the Tutte-Coxeter graph, above the signing cap whatever its name
+    *[("sign-search", name) for name in RETIRED_GRAPH_NAMES if name != "levi"],
+])
+def test_retired_graph_spellings_exit_2(subcommand, name, capsys):
+    error = _refusal([subcommand, "--graph", name], capsys)
+    assert repr(name) in error and "unknown catalog graph" in error
+
+
+@pytest.mark.parametrize("value", RETIRED_RATIONALS)
+def test_retired_rational_spellings_exit_2(value, tmp_path, monkeypatch, capsys):
+    (tmp_path / "prof.json").write_text(json.dumps({"n": 4, "e": [value]}))
+    (tmp_path / "ks.json").write_text(json.dumps(INPUTS["ks"][0]))
+    monkeypatch.chdir(tmp_path)
+    for argv in (["approx-root", "--profile", "prof.json"],
+                 ["round", "--family", "ks.json", f"--epsilon={value}"]):
+        assert repr(value) in _refusal(argv, capsys)
+
+
+def test_boolean_rational_exits_2(tmp_path, monkeypatch, capsys):
+    # JSON true used to be read as the rational 1
+    (tmp_path / "prof.json").write_text(json.dumps({"n": 4, "e": [True]}))
+    monkeypatch.chdir(tmp_path)
+    assert "True" in _refusal(["approx-root", "--profile", "prof.json"], capsys)
+
+
+def test_graph_files_over_a_budget_exit_2(tmp_path, monkeypatch, capsys):
+    # refused before a graph is built: building or scanning one fails the test
+    def fail(*args):
+        raise AssertionError("an over-budget graph was built")
+
+    monkeypatch.setattr(cli, "girth", fail)
+    monkeypatch.setattr(Graph, "__post_init__", fail)
+    monkeypatch.chdir(tmp_path)
+    for data, budget in (({"n": VERTEX_BUDGET + 1, "edges": []}, "vertex budget"),
+                         ({"n": 4, "edges": [[0, 1]] * (EDGE_BUDGET + 1)}, "edge budget")):
+        (tmp_path / "g.json").write_text(json.dumps(data))
+        assert budget in _refusal(["girth", "--graph", "g.json"], capsys)
+
+
+def test_graph_file_at_the_vertex_budget_is_read(tmp_path, monkeypatch, capsys):
+    (tmp_path / "g.json").write_text(json.dumps({"n": VERTEX_BUDGET, "edges": []}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["girth", "--graph", "g.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["girth"] == "infinity"
 
 
 def test_repro_manifests_pass_the_parameter_check():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -20,9 +21,9 @@ from rootline.graphs import (
     _gf2_echelon,
     _scaled_diag,
     _scan_numpy,
+    CATALOG,
     avg_degree_bound,
     best_signing_search,
-    catalog_entries,
     complete_bipartite,
     cube_graph,
     cycle_graph,
@@ -85,27 +86,74 @@ def test_catalog():
     assert high_girth_catalog("K_3,3").num_edges == 9
     tc = high_girth_catalog("tutte-coxeter")
     assert tc.n == 30 and tc.num_edges == 45
-    with pytest.raises(ValueError):
-        high_girth_catalog("C_7")  # odd cycles are not bipartite
-    with pytest.raises(ValueError):
-        high_girth_catalog("petersen")
+
+
+#: name -> (girth, max degree, average degree) of every catalog graph
+CATALOG_METADATA = {
+    **{f"C_{n}": (n, 2, 2) for n in (4, 6, 8, 10, 12)},
+    "Q_3": (4, 3, 3),
+    **{f"K_{d},{d}": (4, d, d) for d in (2, 3, 4)},
+    "heawood": (6, 3, 3),
+    "tutte-coxeter": (8, 3, 3),
+}
 
 
 def test_catalog_metadata_verified():
-    for entry in catalog_entries():
-        assert girth(entry.graph) == entry.girth, entry.name
-        assert entry.graph.max_degree() == entry.deg_max, entry.name
-        assert avg_degree_bound(entry.graph) == entry.deg_avg, entry.name
-        assert entry.graph.is_bipartite(), entry.name
+    for name, (gi, deg_max, deg_avg) in CATALOG_METADATA.items():
+        g = high_girth_catalog(name)
+        assert girth(g) == gi, name
+        assert g.max_degree() == deg_max, name
+        assert avg_degree_bound(g) == deg_avg, name
+        assert g.is_bipartite(), name
+
+
+#: name -> (n, |E|, sha256 of repr(edges), first 16 hex digits) of every
+#: catalog graph, recorded from the name parser the registry replaced
+CATALOG_EDGES = {
+    "C_4": (4, 4, "385b33eb401b769b"),
+    "C_6": (6, 6, "4ba0f7abe652e66f"),
+    "C_8": (8, 8, "896c9db0cbfcbf4e"),
+    "C_10": (10, 10, "ea850e296a3ea23b"),
+    "C_12": (12, 12, "179b63c649d9845f"),
+    "Q_3": (8, 12, "0c16dfee5aaac729"),
+    "K_2,2": (4, 4, "31820d4b29651216"),
+    "K_3,3": (6, 9, "48774c010ff18a77"),
+    "K_4,4": (8, 16, "4c51dda837a5c248"),
+    "heawood": (14, 21, "98b2202b7ce854f2"),
+    "tutte-coxeter": (30, 45, "461a5018bbeab68d"),
+}
+
+
+def test_catalog_names_resolve_to_the_same_graphs():
+    assert list(CATALOG) == list(CATALOG_EDGES)
+    for name, (n, m, digest) in CATALOG_EDGES.items():
+        g = high_girth_catalog(name)
+        got = (g.n, g.num_edges, hashlib.sha256(repr(g.edges).encode()).hexdigest()[:16])
+        assert got == (n, m, digest), name
+
+
+@pytest.mark.parametrize("name", ["cube", "q3", "q_3", "levi", "tutte_coxeter", "C8", "C_08",
+                                  "c_8", " heawood", "Heawood", "K_{3,3}", "K3,3", "C_14",
+                                  "K_5,5", "C_7", "petersen"])
+def test_catalog_reads_one_spelling_per_graph(name):
+    with pytest.raises(ValueError, match="unknown catalog graph"):
+        high_girth_catalog(name)
+
+
+def signed_rows(g: Graph, s: Signing, diag, scale=1):
+    """Rows of diag + scale * A_s, the scan's batch matrices, built apart
+    from the batches."""
+    rows = [[scale * x for x in row] for row in signed_adjacency(g, s)]
+    for i, d in enumerate(diag):
+        rows[i][i] = d
+    return rows
 
 
 def test_signed_adjacency_single_edge():
     g = Graph(2, ((0, 1),))
     assert signed_adjacency(g, Signing((1,))) == [[0, 1], [1, 0]]
     assert signed_adjacency(g, Signing((-1,))) == [[0, -1], [-1, 0]]
-    assert signed_adjacency(g, Signing((-1,)), [3, -2], 5) == [[3, -5], [-5, -2]]
-    with pytest.raises(ValueError):
-        signed_adjacency(g, Signing((1,)), [3])
+    assert signed_rows(g, Signing((-1,)), [3, -2], 5) == [[3, -5], [-5, -2]]
 
 
 def test_signing_domain_mismatch():
@@ -187,7 +235,7 @@ def test_invariance_scans_literal_scaled_matrix():
     for bits in (0, 5, 31):
         s = Signing.from_bits(g, bits)
         expected = [[L * x for x in row] for row in _fraction_adjacency(g, s, D)]
-        assert signed_adjacency(g, s, diag, L) == expected
+        assert signed_rows(g, s, diag, L) == expected
 
 
 def _fraction_adjacency(g: Graph, s: Signing, D):
@@ -277,9 +325,9 @@ def _assert_class_polys_are_char_polys(g: Graph):
 
 
 def test_class_char_polys_equal_char_poly_on_catalog():
-    for entry in catalog_entries():
-        if entry.graph.num_edges <= 24:
-            _assert_class_polys_are_char_polys(entry.graph)
+    for g in CATALOG.values():
+        if g.num_edges <= 24:
+            _assert_class_polys_are_char_polys(g)
 
 
 def _record_batches(monkeypatch):
@@ -344,7 +392,7 @@ def test_batch_traces_float64_exact_just_below_2_53():
     g = cycle_graph(8)
     diag = [139] * 8
     assert 8 * 141**7 < 2**53 <= 8 * 142**7
-    rows = [signed_adjacency(g, Signing.from_bits(g, bits), diag) for bits in range(1 << 8)]
+    rows = [signed_rows(g, Signing.from_bits(g, bits), diag) for bits in range(1 << 8)]
     got = _batch_traces(np.array(rows, dtype=np.float64), 7)
     assert got.dtype == np.int64
     assert got.T.tolist() == [traces_exact(r, 7) for r in rows]
@@ -365,7 +413,7 @@ def test_scan_batches_hold_every_class_representative(monkeypatch):
         high = len(batches)
         for j in (0, 1, 4097, 8191):
             bits = _class_bits((high << 13) + j, free)
-            assert mats[j].tolist() == signed_adjacency(g, Signing.from_bits(g, bits), diag, L)
+            assert mats[j].tolist() == signed_rows(g, Signing.from_bits(g, bits), diag, L)
         batches.append(high)
         return batch_traces(mats, k)
 
@@ -493,38 +541,41 @@ def test_avg_degree_examples():
 
 
 def test_avg_degree_lower_bounds_top_eigenvalue():
-    for entry in catalog_entries():
-        g = entry.graph
+    for name, g in CATALOG.items():
         chi = char_poly(signed_adjacency(g, Signing.all_plus(g)))
-        assert max_root_geq(chi, avg_degree_bound(g)), entry.name
+        assert max_root_geq(chi, avg_degree_bound(g)), name
 
 
 def test_bipartite_char_poly_parity_all_signings():
     # bipartite signed adjacency: only terms sharing the parity of n
     # survive.  char polys are switching-class functions, so checking
     # one representative per class covers all 2^|E| signings exactly.
-    for entry in catalog_entries():
-        g = entry.graph
+    for name, g in CATALOG.items():
         if g.num_edges > 24:
             continue
         for desc, _bits in switching_class_char_polys(g):
             for j, c in enumerate(desc):  # desc[j] is the x^(n-j) coefficient
                 if j % 2 == 1:
-                    assert c == 0, entry.name
+                    assert c == 0, name
 
 
 def test_invariance_whole_catalog_below_girth():
     # every catalog graph within the cap, one random small-rational
     # diagonal, every power below the girth
     rng = random.Random(11)
-    for entry in catalog_entries():
-        g = entry.graph
+    for name, g in CATALOG.items():
         if g.num_edges > 24:
             continue
         D = [F(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(g.n)]
-        assert sign_invariance_report(g, D, girth(g) - 1).agree, entry.name
+        assert sign_invariance_report(g, D, girth(g) - 1).agree, name
 
 
 def test_graph_json_round_trip():
     g = heawood_graph()
     assert Graph.from_json_dict(g.to_json_dict()) == g
+
+
+@pytest.mark.parametrize("data", [{"n": True, "edges": []}, {"n": 4, "edges": [[True, 2]]}])
+def test_graph_json_refuses_booleans(data):
+    with pytest.raises(ValueError, match="a graph is a JSON object"):
+        Graph.from_json_dict(data)

@@ -38,6 +38,15 @@ def sign_at(poly, x):
     return _sign_at_ratio(poly, x.numerator, x.denominator)
 
 
+def cell(poly, lo, hi):
+    """The RootInterval with the rational ends lo and hi, put over their
+    common denominator."""
+    lo, hi = F(lo), F(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    return RootInterval(poly, lo.numerator * (den // lo.denominator),
+                        hi.numerator * (den // hi.denominator), den, 1)
+
+
 def test_sqrt2_isolation_width():
     roots = isolate_real_roots(P([-2, 0, 1]), F(1, 1000))
     assert len(roots) == 2
@@ -329,22 +338,22 @@ def test_integer_and_exact_forms_meet_at_one_boundary(forms, a):
 def test_root_interval_without_polynomial_raises():
     # a check that raises, not an assert, so it holds under python -O
     with pytest.raises(ValueError):
-        RootInterval(None, F(0), F(1))
-    assert RootInterval(None, F(1, 2), F(1, 2)).exact
+        cell(None, F(0), F(1))
+    assert cell(None, F(1, 2), F(1, 2)).exact
 
 
 def test_inverted_root_interval_raises():
     # an inverted enclosure used to be accepted with a negative width, and
     # compare_roots against its mirror image never returned
     with pytest.raises(ValueError):
-        RootInterval((-2, 0, 1), F(3, 2), F(1))
+        cell((-2, 0, 1), F(3, 2), F(1))
     with pytest.raises(ValueError):
-        RootInterval(None, F(1), F(0))
+        cell(None, F(1), F(0))
     with pytest.raises(ValueError):
-        RootInterval((-1, 1), 0, 1, den=0)
+        RootInterval((-1, 1), 0, 1, 0, 1)
     # an end that is a root certifies no root strictly inside: x - 1 on (0, 1)
     with pytest.raises(ValueError):
-        RootInterval((-1, 1), F(0), F(1))
+        cell((-1, 1), F(0), F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +378,7 @@ def _bisect(poly, lo, hi, width):
 
 
 def _assert_refines_like_bisection(poly, lo, hi, width):
-    got = RootInterval(poly, lo, hi).refine_below(width)
+    got = cell(poly, lo, hi).refine_below(width)
     want = _bisect(poly, lo, hi, width)
     assert (got.lo, got.hi) == want
     assert got.exact == (want[0] == want[1])
@@ -399,7 +408,7 @@ def test_refine_below_is_incremental():
     # refining to w1 and then to w2 < w1 lands where refining to w2 does
     rng = random.Random("refine-incremental")
     for poly, lo, hi in _random_squarefree_intervals(rng, 5):
-        r = RootInterval(poly, lo, hi)
+        r = cell(poly, lo, hi)
         for j in (3, 17, 40, 41, 60):
             r.refine_below(F(1, 2**j))
             assert (r.lo, r.hi) == _bisect(poly, lo, hi, F(1, 2**j))
@@ -461,18 +470,18 @@ def test_refine_below_level_choice_matches_bisection(case):
     poly, lo, hi, widths = case
     for width in widths:
         _assert_refines_like_bisection(poly, lo, hi, width)
-    r = RootInterval(poly, lo, hi)
+    r = cell(poly, lo, hi)
     for width in widths:  # narrowing one enclosure step by step lands alike
         r.refine_below(width)
         assert (r.lo, r.hi) == _bisect(poly, lo, hi, width)
 
 
 def test_refine_below_leaves_wide_enough_and_exact_intervals():
-    r = RootInterval((-2, 0, 1), F(1), F(3, 2))
+    r = cell((-2, 0, 1), F(1), F(3, 2))
     for width in (F(1, 2), F(1), F(7)):
         r.refine_below(width)
         assert (r.lo, r.hi) == (F(1), F(3, 2))
-    exact = RootInterval((-1, 2), F(1, 2), F(1, 2))
+    exact = cell((-1, 2), F(1, 2), F(1, 2))
     exact.refine_below(F(1, 2**60))
     assert exact.exact and exact.lo == F(1, 2)
     with pytest.raises(ValueError):
@@ -700,7 +709,7 @@ def _separate_reference(roots):
 def _assert_compare_like_reference(a, b):
     """a, b: (poly, lo, hi); checks both argument orders."""
     for (p1, lo1, hi1), (p2, lo2, hi2) in ((a, b), (b, a)):
-        r1, r2 = RootInterval(p1, lo1, hi1), RootInterval(p2, lo2, hi2)
+        r1, r2 = cell(p1, lo1, hi1), cell(p2, lo2, hi2)
         f1, f2 = _FractionEnclosure(p1, lo1, hi1), _FractionEnclosure(p2, lo2, hi2)
         assert compare_roots(r1, r2) == _compare_reference(f1, f2)
         assert (r1.lo, r1.hi, r2.lo, r2.hi) == (f1.lo, f1.hi, f2.lo, f2.hi)
@@ -708,7 +717,7 @@ def _assert_compare_like_reference(a, b):
 
 
 def _assert_separate_like_reference(cells):
-    got = _separate([RootInterval(p, lo, hi) for p, lo, hi in cells])
+    got = _separate([cell(p, lo, hi) for p, lo, hi in cells])
     want = _separate_reference([_FractionEnclosure(p, lo, hi) for p, lo, hi in cells])
     assert [(r.poly, r.lo, r.hi) for r in got] == [(r.poly, r.lo, r.hi) for r in want]
 

@@ -86,14 +86,14 @@ def test_boosted_identity_t1():
     base = weak_pair(4)
     out = boosted_pair(base, 1)
     assert out.k == base.k
-    assert out.degree == base.degree
+    assert out.p.degree == base.p.degree
     # roots shifted by +1
     assert out.q == P.of(base.q).shift_scale(F(1, 2), 1)
 
 
 def test_boosted_weak3_t2():
     out = boosted_pair(weak_pair(3), 2)
-    assert out.degree == 6
+    assert out.p.degree == 6
     assert out.k >= 2 * 2 // 3  # >= 2 (base k) / 3, verified directly
     assert out.k == 5  # weak pairs differ only in the constant term
     rep = verify_pair(out)

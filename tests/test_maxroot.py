@@ -73,7 +73,7 @@ def test_alpha_factor_examples():
 
 
 def test_all_ones_power_sum_branch():
-    prof = profile_of_roots(8, [1] * 8, 2)
+    prof = profile_of_roots(8, [1] * 8).truncate(2)
     res = approx_max_root(prof)
     assert res.branch == POWER_SUM
     assert res.estimate == 1
@@ -83,7 +83,7 @@ def test_all_ones_power_sum_branch():
 def test_power_sum_estimate_value():
     # k=2 <= ln 8: estimate is a certified lower root of p_2/n
     mu = [1, 2, 3, 4, 0, 0, 0, 0]
-    prof = profile_of_roots(8, mu, 2)
+    prof = profile_of_roots(8, mu).truncate(2)
     res = approx_max_root(prof)
     assert res.branch == POWER_SUM
     want = F(30, 8)
@@ -93,7 +93,7 @@ def test_power_sum_estimate_value():
 
 
 def test_loop_branch_on_small_n():
-    prof = profile_of_roots(4, [1, 2, 3, 4], 4)
+    prof = profile_of_roots(4, [1, 2, 3, 4]).truncate(4)
     res = approx_max_root(prof)
     assert res.branch == CHEBYSHEV_LOOP
     assert res.estimate <= 4 <= res.factor * res.estimate
@@ -124,10 +124,10 @@ def test_scale_equivariance_exact():
         mu = [F(rng.randint(0, 64), 8) for _ in range(n)]
         if sum(mu) == 0:
             mu[0] = F(1)
-        prof = profile_of_roots(n, mu, k)
+        prof = profile_of_roots(n, mu).truncate(k)
         res = approx_max_root(prof)
         for c in (F(3), F(7, 5), F(1, 3)):
-            scaled = profile_of_roots(n, [c * x for x in mu], k)
+            scaled = profile_of_roots(n, [c * x for x in mu]).truncate(k)
             res_c = approx_max_root(scaled)
             assert res_c.estimate == c * res.estimate
             assert res_c.factor == res.factor
@@ -203,7 +203,7 @@ def _dense_small(rng):
     mu = [F(rng.randint(0, 40), rng.choice([1, 2, 4])) for _ in range(n)]
     if sum(mu) == 0:
         mu[0] = F(1, 2)
-    return profile_of_roots(n, mu, k), max(mu)
+    return profile_of_roots(n, mu).truncate(k), max(mu)
 
 
 def _rank_bounded(rng):
@@ -264,7 +264,7 @@ def test_threshold_decision_matches_fraction_reference(case, num, shift, odd):
     # dyadic thresholds (odd = 1), as the loop makes them, and thresholds
     # whose denominator has an odd part, against sum_i T_k(nu_i / t) > n
     n, roots, k = case
-    prof = profile_of_roots(n, roots, k)
+    prof = profile_of_roots(n, roots).truncate(k)
     e1 = prof.e[0]
     coeffs = _threshold_coeffs(n, e1, *integer_power_sums(prof.e, k))
     t = F(num, odd << shift)
@@ -276,7 +276,7 @@ def test_threshold_decision_matches_fraction_reference(case, num, shift, odd):
 def test_no_threshold_at_or_above_the_root_bound_crosses(case, above):
     # the loop skips every pass with t >= u: there the sum must be <= n
     n, roots, k = case
-    prof = profile_of_roots(n, roots, k)
+    prof = profile_of_roots(n, roots).truncate(k)
     e1 = prof.e[0]
     u = _decided_thresholds(n, e1, *integer_power_sums(prof.e, k))[1]
     if k < 2:
@@ -328,7 +328,7 @@ def test_every_threshold_below_the_certified_crossing_crosses(case, bits, below)
     # over the dyadics with ``bits`` fraction bits just below c, the
     # loop's thresholds being dyadic
     n, roots, k = case
-    prof = profile_of_roots(n, roots, k)
+    prof = profile_of_roots(n, roots).truncate(k)
     e1 = prof.e[0]
     cross = _decided_thresholds(n, e1, *integer_power_sums(prof.e, k))[0]
     if cross is None:

@@ -18,7 +18,6 @@ from rootline.ratutil import (
     nth_root_lower,
     nth_root_upper,
     parse_rational,
-    sqrt_upper,
     to_fraction,
 )
 
@@ -34,17 +33,26 @@ def test_parse_and_format():
         parse_rational("1/0")
 
 
+@pytest.mark.parametrize("text", ["1_000/3", "\u0661/\u0662", " 3/4", "3 / 4", "3/4\n", "+3",
+                                  "1/-2", "-1/-2", "--1", "1/", "/2", "", "-", "0.5", "1e3",
+                                  "0x10", "1/2/3"])
+def test_parse_rational_reads_one_spelling(text):
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational(text)
+
+
 def test_to_fraction_refuses_floats():
     # a ValueError, so the CLI reports malformed input with exit status 2
     with pytest.raises(ValueError):
         to_fraction(0.5)
+    with pytest.raises(ValueError, match="True"):
+        to_fraction(True)  # JSON true is not a spelling of 1
 
 
 def test_decimal_render():
     assert decimal_render(F(0)) == "0"
     assert decimal_render(F(3, 4)) == "0.75"
     assert decimal_render(F(-7, 2)) == "-3.5"
-    assert decimal_render(F(1, 3), 5) == "0.33333"
 
 
 def test_iroot_floor():
@@ -120,7 +128,7 @@ def test_nth_root_exact_on_perfect_powers():
     assert nth_root_lower(F(16), 2) == 4
     assert nth_root_upper(F(16), 2) == 4
     assert nth_root_upper(F(27, 8), 3) == F(3, 2)
-    assert nth_root_lower(F(1), 2) == sqrt_upper(F(1)) == 1
+    assert nth_root_lower(F(1), 2) == nth_root_upper(F(1), 2) == 1
 
 
 def test_dyadic_rounding():
