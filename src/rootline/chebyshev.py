@@ -20,8 +20,6 @@ from rootline.ratutil import RationalLike, to_fraction
 def _cheb_coeffs(k: int) -> Tuple[int, ...]:
     if k == 0:
         return (1,)
-    if k == 1:
-        return (0, 1)
     prev2: List[int] = [1]
     prev1: List[int] = [0, 1]
     for _ in range(2, k + 1):

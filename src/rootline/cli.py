@@ -73,7 +73,7 @@ class RunManifest:
     def from_json_dict(cls, d: dict) -> "RunManifest":
         if not (isinstance(d, dict) and isinstance(d.get("subcommand"), str)
                 and isinstance(d.get("parameters", {}), dict)
-                and isinstance(d.get("seed"), (int, type(None)))
+                and (d.get("seed") is None or type(d["seed"]) is int)
                 and isinstance(d.get("output"), (str, type(None)))):
             raise ValueError('a manifest is a JSON object {"subcommand": str, '
                              '"parameters": {...}, "seed": int or null, "output": str or null}')
@@ -226,8 +226,6 @@ def _cmd_round(params: Dict, seed: Optional[int]) -> dict:
 
 def _cmd_selftest(params: Dict, seed: Optional[int]) -> dict:
     numbers = params["criteria"]
-    if numbers is not None:
-        numbers = [int(x) for x in numbers]
     seed = DEFAULT_SEED if seed is None else seed
     results = run_criteria(numbers, seed)
     for res in results:
@@ -256,17 +254,25 @@ _HANDLERS = {
 _NOT_PARAMETERS = ("help", "subcommand", "seed", "out")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def integer(text: str) -> int:
+    """An integer option's value, spelt -?[0-9]+ as ``parse_rational``
+    spells p (``int`` alone also reads " +3", "3_0" and non-ASCII digits)."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def criterion_list(text: str) -> List[int]:
+    return [integer(x) for x in text.split(",")]
 
 
 def _typed_parameters(subcommand: str, params: Dict) -> Dict:
     """Every option of the subcommand, by dest name: the manifest's value
-    checked against the option (an int for ``type=int``, a bool for a
+    checked against the option (an int for ``type=integer``, a bool for a
     flag, a string otherwise, one of the choices where there are choices,
-    and a list of criterion numbers for ``--criteria``), or the option's
-    default where the value is missing or null.  A key that no option
-    declares is refused."""
+    and for ``--criteria`` a list of criterion numbers, read as ints), or
+    the option's default where the value is missing or null.  A key that
+    no option declares is refused."""
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     actions = {a.dest: a for a in sub.choices[subcommand]._actions
@@ -284,13 +290,17 @@ def _typed_parameters(subcommand: str, params: Dict) -> Dict:
             continue
         if action.nargs == 0:
             ok, kind = isinstance(value, bool), "true or false"
-        elif action.type is int:
-            ok, kind = _is_int(value), "an integer"
+        elif action.type is integer:
+            ok, kind = type(value) is int, "an integer"
         elif action.type is None:
             ok, kind = isinstance(value, str), "a string"
-        else:  # --criteria, split into a list by its type
-            ok = isinstance(value, list) and all(_is_int(x) or isinstance(x, str) for x in value)
+        else:  # --criteria: ints, and strings that `integer` reads
             kind = "a list of criterion numbers"
+            ok = isinstance(value, list) and all(type(x) in (int, str) for x in value)
+            try:
+                value = [x if type(x) is int else integer(x) for x in value] if ok else value
+            except ValueError:
+                ok = False
         if ok and action.choices is not None and value not in action.choices:
             ok, kind = False, "one of " + ", ".join(action.choices)
         if not ok:
@@ -336,16 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx-root", help="estimate the largest root from a profile")
     p.add_argument("--profile", help="SymmetricProfile JSON file")
     p.add_argument("--coeffs", help="monic polynomial JSON file (alternative input)")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=integer)
 
     p = sub.add_parser("gen-pair", help="generate a coefficient-matched pair")
     p.add_argument("--kind", required=True, choices=["weak", "girth", "boosted", "noisy"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=integer)
+    p.add_argument("--k", type=integer)
     p.add_argument("--graph")
-    p.add_argument("--power", type=int, default=2)
+    p.add_argument("--power", type=integer, default=2)
     p.add_argument("--base", help="pair JSON file (boosted)")
-    p.add_argument("--t", type=int, default=2)
+    p.add_argument("--t", type=integer, default=2)
 
     p = sub.add_parser("verify-pair", help="re-check a pair's certificate")
     p.add_argument("--in", required=True)
@@ -358,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-invariance", help="trace powers across all signings")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=integer, required=True)
     p.add_argument("--diag", help='JSON file {"diag": ["p/q", ...]}')
 
     p = sub.add_parser("round", help="round an interlacing family")
@@ -367,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-check", action="store_true")
 
     p = sub.add_parser("selftest", help="run acceptance criteria")
-    p.add_argument("--criteria", type=lambda s: s.split(","),
+    p.add_argument("--criteria", type=criterion_list,
                    help="comma-separated list, default all")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=integer)
 
     p = sub.add_parser("manifest", help="run a saved manifest")
     p.add_argument("file")

@@ -392,9 +392,7 @@ def _scaled_diag(g: Graph, D: Optional[Sequence[RationalLike]]) -> Tuple[List[in
     if len(D) != g.n:
         raise ValueError("diagonal has wrong length")
     fracs = [to_fraction(d) for d in D]
-    L = 1
-    for f in fracs:
-        L = L * f.denominator // math.gcd(L, f.denominator)
+    L = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (L // f.denominator) for f in fracs], L
 
 

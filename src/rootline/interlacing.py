@@ -262,7 +262,7 @@ class KSInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "KSInstance":
-        if not (isinstance(d, dict) and isinstance(d.get("n"), int)
+        if not (isinstance(d, dict) and type(d.get("n")) is int
                 and isinstance(d.get("supports"), list)
                 and all(isinstance(sup, list) and all(
                     isinstance(ent, dict) and isinstance(ent.get("vector"), list)
@@ -504,8 +504,8 @@ class SRInstance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SRInstance":
-        if not (isinstance(d, dict) and isinstance(d.get("n"), int)
-                and isinstance(d.get("m"), int) and isinstance(d.get("table"), dict)
+        if not (isinstance(d, dict) and type(d.get("n")) is int
+                and type(d.get("m")) is int and isinstance(d.get("table"), dict)
                 and isinstance(d.get("vectors"), list)
                 and all(isinstance(v, list) for v in d["vectors"])):
             raise ValueError('an SR family is a JSON object {"n": int, "m": int, '

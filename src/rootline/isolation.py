@@ -27,9 +27,8 @@ integer arithmetic:
   at is the same from any bound;
 * the Descartes test runs the Taylor shift pass by pass and stops at the
   second sign variation, since the walk only tells 0, 1 and >= 2 apart;
-* refinement is sign bisection, so certified width bounds are a loop,
-  not an estimate; it walks the bisection grid and lands on the same
-  cell as step-by-step bisection;
+* refinement is step-by-step sign bisection (``refine_step``) on the
+  integer grid, so certified width bounds are a loop, not an estimate;
 * the Descartes walk runs right to left: ``isolate_real_roots`` drains
   it, while ``max_root`` stops each square-free factor's walk at its
   largest root, separates only those tops and the zero root, and refines
@@ -417,10 +416,6 @@ class RootInterval:
     def exact(self) -> bool:
         return self.lo_num == self.hi_num
 
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.hi_num - self.lo_num, self.den)
-
     def refine_step(self) -> None:
         """Halve once: keep the half whose ends differ in sign, or stop on
         a midpoint that is the root."""
@@ -440,36 +435,14 @@ class RootInterval:
             self.hi_num = mid
 
     def refine_below(self, width: Fraction) -> "RootInterval":
-        """Bisect until the enclosure is at most ``width`` wide.
-
-        The result is what repeated ``refine_step`` gives, found on the
-        bisection grid: with lo = A/L and hi - lo = W/L, s halvings (the
-        least s with W/(L 2^s) <= width) end in the level-s cell
-        (A 2^s + a W, A 2^s + (a+1) W)/(L 2^s) that holds the root, unless
-        a midpoint on the way is the root itself.
-        """
-        A, W, L = self.lo_num, self.hi_num - self.lo_num, self.den
-        big, unit = W * width.denominator, width.numerator * L
-        if big <= unit:  # exact (W = 0) or already narrow enough
-            return self
-        if width <= 0:
-            raise ValueError("refinement width must be positive")
-        s = max(0, big.bit_length() - unit.bit_length())
-        while (unit << s) < big:
-            s += 1
-        a = 0
-        for t in range(1, s + 1):
-            num = (A << t) + (2 * a + 1) * W
-            sign = _sign_at_ratio(self.poly, num, L << t)
-            if sign == 0:
-                self.lo_num = self.hi_num = num
-                self.den = L << t
-                self._sign_lo = 0
-                return self
-            a = 2 * a + (sign == self._sign_lo)
-        self.lo_num = (A << s) + a * W
-        self.hi_num = self.lo_num + W
-        self.den = L << s
+        """Bisect with ``refine_step`` until the enclosure is at most
+        ``width`` wide or is the root itself; a width <= 0 is refused
+        unless the enclosure already meets it."""
+        num, den = width.numerator, width.denominator
+        while (self.hi_num - self.lo_num) * den > num * self.den:
+            if num <= 0:
+                raise ValueError("refinement width must be positive")
+            self.refine_step()
         return self
 
     def scaled(self, r: Fraction) -> "RootInterval":

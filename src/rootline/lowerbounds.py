@@ -93,7 +93,7 @@ class LowerBoundPair:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LowerBoundPair":
-        if not (isinstance(d, dict) and isinstance(d.get("k"), int)
+        if not (isinstance(d, dict) and type(d.get("k")) is int
                 and isinstance(d.get("provenance"), str)
                 and isinstance(d.get("certificate", {}), dict)):
             raise ValueError('a pair is a JSON object {"p": ..., "q": ..., "k": int, '

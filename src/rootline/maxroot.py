@@ -268,8 +268,6 @@ def approx_max_root(prof: SymmetricProfile) -> ApproxResult:
         raise InconsistentProfileError("p_j < 0 is impossible for nonnegative roots")
     if power_sum:
         pk = psums[k - 1] / e1**k  # of the e_1-normalized roots
-        if k == 1:
-            return ApproxResult(e1 * pk / n, Fraction(n), 0, POWER_SUM)
         est = e1 * nth_root_lower(pk / n, k, _ROOT_BITS)
         return ApproxResult(est, alpha_factor(k, n), 0, POWER_SUM)
 

@@ -70,8 +70,6 @@ def format_rational(x: Fraction) -> str:
 def decimal_render(x: Fraction) -> str:
     """Human-oriented decimal rendering, truncated to 12 digits after the
     point; never authoritative."""
-    if x == 0:
-        return "0"
     sign = "-" if x < 0 else ""
     x = abs(x)
     ipart = x.numerator // x.denominator
@@ -101,8 +99,6 @@ def iroot_floor(a: int, k: int) -> int:
         raise ValueError("iroot_floor needs a >= 0, k >= 1")
     if a == 0:
         return 0
-    if k == 1:
-        return a
     shift = max(0, a.bit_length() - 53)
     log2_root = (math.log2(a >> shift) + shift) / k
     log2_root += (log2_root + 1) * 2.0**-40
@@ -120,18 +116,20 @@ def iroot_floor(a: int, k: int) -> int:
     return x
 
 
+def _scaled_root(x: Fraction, k: int, bits: int) -> Tuple[int, int, int]:
+    """(floor(a^(1/k)), a, d) with x^(1/k) = a^(1/k)/d: for x = p/q,
+    a = p q^(k-1) 2^(bits k) and d = q 2^bits, so that the integer root
+    carries >= `bits` significant bits."""
+    if x < 0:
+        raise ValueError(f"a k-th root needs x >= 0, not {x}")
+    radicand = x.numerator * x.denominator ** (k - 1) << bits * k
+    return iroot_floor(radicand, k), radicand, x.denominator << bits
+
+
 def nth_root_lower(x: Fraction, k: int, bits: int = 64) -> Fraction:
     """Rational r with r <= x**(1/k) < r * (1 + 2**(1-bits)), for x >= 0."""
-    if x < 0:
-        raise ValueError("nth_root_lower needs x >= 0")
-    if x == 0:
-        return Fraction(0)
-    # (p/q)^(1/k) = (p q^(k-1))^(1/k) / q; scale so the integer root
-    # carries >= `bits` significant bits.
-    p, q = x.numerator, x.denominator
-    scale = 1 << bits
-    m = iroot_floor(p * q ** (k - 1) * scale**k, k)
-    return Fraction(m, q * scale)
+    m, _, den = _scaled_root(x, k, bits)
+    return Fraction(m, den)
 
 
 def nth_root_upper(x: Fraction, k: int, bits: int = 64) -> Fraction:
@@ -139,17 +137,8 @@ def nth_root_upper(x: Fraction, k: int, bits: int = 64) -> Fraction:
 
     Exact (r**k == x) whenever x is the k-th power of a rational.
     """
-    if x < 0:
-        raise ValueError("nth_root_upper needs x >= 0")
-    if x == 0:
-        return Fraction(0)
-    p, q = x.numerator, x.denominator
-    scale = 1 << bits
-    radicand = p * q ** (k - 1) * scale**k
-    m = iroot_floor(radicand, k)
-    if m**k != radicand:
-        m += 1
-    return Fraction(m, q * scale)
+    m, radicand, den = _scaled_root(x, k, bits)
+    return Fraction(m + (m**k != radicand), den)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +152,6 @@ def dyadic_floor(x: Fraction, bits: int = 64) -> Fraction:
     For x > 0 the result r satisfies x * (1 - 2**(1-bits)) <= r <= x.
     Used to keep geometric iterates (t <- t/f) at bounded size.
     """
-    if x == 0:
-        return Fraction(0)
     if x < 0:
         return -dyadic_ceil(-x, bits)
     shift = bits - (x.numerator.bit_length() - x.denominator.bit_length())
@@ -176,8 +163,6 @@ def dyadic_floor(x: Fraction, bits: int = 64) -> Fraction:
 
 def dyadic_ceil(x: Fraction, bits: int = 64) -> Fraction:
     """Smallest dyadic rational >= x with about `bits` significant bits."""
-    if x == 0:
-        return Fraction(0)
     if x < 0:
         return -dyadic_floor(-x, bits)
     shift = bits - (x.numerator.bit_length() - x.denominator.bit_length())
@@ -241,13 +226,11 @@ def le_ln(k: Fraction, n: int) -> bool:
     """Decide k <= ln(n) exactly (k rational, n >= 1 integer).
 
     Equality k == ln(n) is impossible for rational k != 0 and integer
-    n >= 2 (ln n is transcendental), so refinement always terminates.
+    n >= 2 (ln n is transcendental), so refinement always terminates;
+    ln(1) = 0 comes back as the exact interval [0, 0].
     """
     if n < 1:
         raise ValueError("le_ln needs n >= 1")
-    if n == 1:
-        return k <= 0
-    k = Fraction(k)
     prec = _PREC
     while prec <= _MAX_PREC:
         lo, hi = ln_bounds(Fraction(n), prec)

@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from rootline.chebyshev import cheb_eval
@@ -126,6 +127,7 @@ def _direct_power_sums(mu: List[Fraction], upto: int) -> List[Fraction]:
     return out
 
 
+@lru_cache(maxsize=1)  # criteria 1-3 read one corpus run per seed
 def run_bracket_corpus(seed: int = DEFAULT_SEED) -> BracketOutcome:
     rng = random.Random(seed)
     bracket_failures: List[str] = []
@@ -162,17 +164,8 @@ def run_bracket_corpus(seed: int = DEFAULT_SEED) -> BracketOutcome:
                           runs, loop_runs)
 
 
-_BRACKET_CACHE: Dict[int, BracketOutcome] = {}
-
-
-def _bracket(seed: int) -> BracketOutcome:
-    if seed not in _BRACKET_CACHE:
-        _BRACKET_CACHE[seed] = run_bracket_corpus(seed)
-    return _BRACKET_CACHE[seed]
-
-
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
-    out = _bracket(seed)
+    out = run_bracket_corpus(seed)
     return CriterionResult(
         1, "max-root bracket estimate <= mu_max <= alpha * estimate",
         not out.bracket_failures,
@@ -182,7 +175,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
-    out = _bracket(seed)
+    out = run_bracket_corpus(seed)
     return CriterionResult(
         2, "power-sum chain (p_k/n)^(1/k) <= mu_max <= p_k^(1/k)",
         not out.chain_failures,
@@ -191,7 +184,7 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
-    out = _bracket(seed)
+    out = run_bracket_corpus(seed)
     return CriterionResult(
         3, "threshold-loop iteration bound",
         not out.iteration_failures,

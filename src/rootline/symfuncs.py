@@ -51,7 +51,7 @@ class SymmetricProfile:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SymmetricProfile":
-        if not (isinstance(d, dict) and isinstance(d.get("n"), int)
+        if not (isinstance(d, dict) and type(d.get("n")) is int
                 and isinstance(d.get("e"), list)):
             raise ValueError('a profile is a JSON object {"n": int, "e": ["p/q", ...]}')
         return cls(d["n"], tuple(to_fraction(v) for v in d["e"]))

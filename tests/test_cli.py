@@ -211,8 +211,11 @@ def test_exhaustive_check_refuses_more_leaves_than_its_budget(tmp_path, monkeypa
     (["approx-root", "--profile", "bad.json"], {"n": None, "e": ["1"]}),
     (["manifest", "bad.json"], [1]),
     (["manifest", "bad.json"], {"subcommand": "selftest", "parameters": {"criteria": 5}}),
+    (["manifest", "bad.json"], {"subcommand": "selftest", "parameters": {"criteria": [8]},
+                                "seed": True}),
 ], ids=["graph-edges-not-a-list", "graph-array", "diag-not-a-list", "diag-array",
-        "profile-n-list", "profile-n-null", "manifest-array", "manifest-criteria-number"])
+        "profile-n-list", "profile-n-null", "manifest-array", "manifest-criteria-number",
+        "manifest-seed-bool"])
 def test_malformed_input_exits_2(args, data, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(data))
     res = run_cli(args, tmp_path)
@@ -238,9 +241,13 @@ def test_malformed_input_exits_2(args, data, tmp_path):
     ("sign-search", {"graph": "C_4", "cap": 24}, "cap"),
     ("approx-root", {"profile": "prof.json", "n": 4}, "n"),
     ("selftest", {"criteria": [4], "seed": 7}, "seed"),
+    ("selftest", {"criteria": [" 8"]}, "criteria"),
+    ("selftest", {"criteria": [8, "\u0668"]}, "criteria"),
+    ("selftest", {"criteria": [True]}, "criteria"),
 ], ids=["graph-int", "profile-list", "family-null", "k-list", "k-bool", "kind-not-a-choice",
         "n-string", "flag-string", "criteria-string", "criteria-null-item",
-        "flag-spelling-undeclared", "cap-undeclared", "n-undeclared", "seed-undeclared"])
+        "flag-spelling-undeclared", "cap-undeclared", "n-undeclared", "seed-undeclared",
+        "criteria-space", "criteria-arabic-indic-digit", "criteria-bool"])
 def test_manifest_parameter_types_exit_2(subcommand, parameters, key, tmp_path, monkeypatch,
                                          capsys):
     (tmp_path / "ks.json").write_text(json.dumps(INPUTS["ks"][0]))
@@ -261,6 +268,32 @@ RETIRED_GRAPH_NAMES = ["cube", "q3", "levi", "C8", "C_08", " Heawood ", "K_{3,3}
 #: rational spellings parse_rational used to read, each of a value the
 #: commands below accept
 RETIRED_RATIONALS = ["1_000/3", "\u0661/\u0662", " 3 / 4 ", "+3", "-1/-2"]
+
+
+#: integer spellings ``int`` reads besides -?[0-9]+, each of a value the
+#: options below accept
+RETIRED_INTEGERS = [" +3", "+3", "\u0663", "3_0", " 3", "3\n"]
+
+
+@pytest.mark.parametrize("argv", [
+    *[["gen-pair", "--kind", "weak", "--n", value] for value in RETIRED_INTEGERS],
+    ["gen-pair", "--kind", "noisy", "--n", "7", "--k", "+3"],
+    ["gen-pair", "--kind", "girth", "--graph", "C_4", "--power", "\u0662"],
+    ["verify-invariance", "--graph", "C_4", "--k", "0_3"],
+    ["approx-root", "--coeffs", "c.json", "--k", " 1"],
+    ["selftest", "--criteria", " 8"],
+    ["selftest", "--criteria", "\u0668"],
+    ["selftest", "--criteria", "8", "--seed", "+1"],
+])
+def test_retired_integer_spellings_exit_2(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "c.json").write_text(json.dumps({"coeffs": ["2", "-3", "1"]}))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"invalid integer value: {argv[-1]!r}" in err or (
+        f"invalid criterion_list value: {argv[-1]!r}" in err)
 
 
 def _refusal(argv, capsys):
@@ -478,3 +511,16 @@ def test_field_mutation_exits_cleanly(kind, field, index, value, tmp_path, monke
         assert isinstance(payload, dict) and payload and "error" not in payload
     if status == 2:
         assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("kind, field", [("profile", "n"), ("pair", "k"), ("ks", "n"),
+                                         ("sr", "n"), ("sr", "m")])
+def test_boolean_integer_fields_exit_2(kind, field, tmp_path, monkeypatch, capsys):
+    # JSON true used to be read as the integer 1
+    valid, argv = INPUTS[kind]
+    data = {**valid, field: True}
+    if kind == "profile":
+        data["e"] = ["1"]  # k = 1 <= n, so only the spelling of n is wrong
+    (tmp_path / "in.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert f'"{field}": int' in _refusal(argv, capsys)

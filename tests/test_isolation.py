@@ -51,7 +51,7 @@ def test_sqrt2_isolation_width():
     roots = isolate_real_roots(P([-2, 0, 1]), F(1, 1000))
     assert len(roots) == 2
     for r in roots:
-        assert r.width <= F(1, 1000)
+        assert r.hi - r.lo <= F(1, 1000)
     # the enclosures contain +-sqrt(2): lo^2 and hi^2 straddle 2
     neg, pos = roots
     assert neg.lo**2 >= 2 >= neg.hi**2
@@ -86,7 +86,7 @@ def test_rational_roots_enclosed():
     assert len(roots) == 3
     for r, value in zip(roots, want):
         assert r.lo <= value <= r.hi
-        assert r.width <= F(1, 2**40)
+        assert r.hi - r.lo <= F(1, 2**40)
 
 
 def test_integer_root_grid():
@@ -563,11 +563,11 @@ def test_top_down_max_root_matches_full_isolation(p):
         return
     last = full[-1]
     assert top.multiplicity == last.multiplicity
-    assert top.width <= _WIDTH
+    assert top.hi - top.lo <= _WIDTH
     assert compare_roots(copy(top), copy(last)) == 0
     # the cells agree unless a search left the top enclosure narrow already
-    if (max_root(p, _UNREFINED).width > _WIDTH
-            and isolate_real_roots(p, _UNREFINED)[-1].width > _WIDTH):
+    unrefined = (max_root(p, _UNREFINED), isolate_real_roots(p, _UNREFINED)[-1])
+    if all(r.hi - r.lo > _WIDTH for r in unrefined):
         assert (top.lo, top.hi) == (last.lo, last.hi)
 
 
@@ -992,3 +992,32 @@ def test_compare_roots_takes_one_gcd_per_call(monkeypatch):
     monkeypatch.setattr(isolation, "int_poly_gcd", counted)
     assert compare_roots(r1, r2) == -1
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# refine_below is refine_step repeated: one sign evaluation per halving
+# ---------------------------------------------------------------------------
+
+
+def test_refine_below_signs_once_per_halving(monkeypatch):
+    import rootline.isolation as isolation
+
+    calls = []
+
+    def counted(poly, num, den):
+        calls.append(1)
+        return _sign_at_ratio(poly, num, den)
+
+    monkeypatch.setattr(isolation, "_sign_at_ratio", counted)
+    cases = _random_squarefree_intervals(random.Random("refine-signs"), 12)
+    cases.append(((-11, 21), F(1, 3), F(5, 7)))  # the first midpoint is the root
+    for poly, lo, hi in cases:
+        for width in (F(1, 2), F(1, 2**7), F(3, 10**7), F(1, 2**60)):
+            r = cell(poly, lo, hi)
+            den, wide = r.den, r.hi_num - r.lo_num
+            calls.clear()
+            r.refine_below(width)
+            halvings = r.den.bit_length() - den.bit_length()
+            assert r.den == den << halvings and len(calls) == halvings
+            need = next(s for s in range(200) if F(wide, den << s) <= width)
+            assert halvings == need or r.exact and halvings < need

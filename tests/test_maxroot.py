@@ -78,6 +78,8 @@ def test_all_ones_power_sum_branch():
     assert res.branch == POWER_SUM
     assert res.estimate == 1
     assert res.factor * res.estimate >= 1
+    res1 = approx_max_root(prof.truncate(1))  # k = 1: the mean e_1/n, factor n
+    assert (res1.estimate, res1.factor, res1.iterations, res1.branch) == (1, 8, 0, POWER_SUM)
 
 
 def test_power_sum_estimate_value():
@@ -90,6 +92,9 @@ def test_power_sum_estimate_value():
     assert res.estimate**2 <= want
     assert res.estimate**2 > want * (1 - F(1, 2**60))
     assert res.estimate <= 4 <= res.factor * res.estimate
+    res1 = approx_max_root(prof.truncate(1))  # k = 1: the mean e_1/n, factor n
+    assert (res1.estimate, res1.factor, res1.iterations, res1.branch) == (
+        F(10, 8), 8, 0, POWER_SUM)
 
 
 def test_loop_branch_on_small_n():

@@ -129,6 +129,7 @@ def test_nth_root_exact_on_perfect_powers():
     assert nth_root_upper(F(16), 2) == 4
     assert nth_root_upper(F(27, 8), 3) == F(3, 2)
     assert nth_root_lower(F(1), 2) == nth_root_upper(F(1), 2) == 1
+    assert nth_root_lower(F(0), 3) == nth_root_upper(F(0), 3) == 0
 
 
 def test_dyadic_rounding():
@@ -139,6 +140,7 @@ def test_dyadic_rounding():
         assert lo > x * (1 - F(1, 2**62))
         assert hi < x * (1 + F(1, 2**62))
         assert dyadic_floor(-x, 64) == -dyadic_ceil(x, 64)
+    assert dyadic_floor(F(0), 64) == dyadic_ceil(F(0), 64) == 0
 
 
 def test_ln_bounds():
@@ -167,6 +169,7 @@ def test_le_ln_decides_exactly():
     assert le_ln(F(1), 3)
     assert not le_ln(F(1), 2)
     assert le_ln(F(0), 1)
+    assert not le_ln(F(1, 10**30), 1)
     # a very tight rational just below ln(2): 0.693147180559945 < ln 2
     assert le_ln(F(693147180559945, 10**15), 2)
     assert not le_ln(F(693147180559946, 10**15), 2)

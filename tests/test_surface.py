@@ -1,8 +1,10 @@
 """Dead-code guard: every definition in ``rootline`` has a caller.
 
-A top-level function or class, or a public method, passes when its name
-appears somewhere in ``src/rootline`` or ``bench/`` outside its own
-definition, as a ``Name`` or an ``Attribute``.  Imports and the
+A top-level function or class passes when its name appears somewhere in
+``src/rootline`` or ``bench/`` outside its own definition, as a ``Name``
+or an ``Attribute``; a public method or property passes only through an
+``Attribute`` access, since a bare ``Name`` of the same spelling is a
+local or a parameter, never the method.  Imports and the
 package's ``__all__`` do not count: importing or re-exporting a name is
 not calling it.  The only other way to pass is an entry in ``KEEP`` with
 its reason, and ``KEEP`` lists only names the guard would flag without
@@ -54,16 +56,17 @@ KEEP_PARAMS = {
 
 
 def _references(tree):
-    """[(name, enclosing definitions)] for every name the module mentions."""
+    """[(name, whether an attribute, enclosing definitions)] for every name
+    the module mentions."""
     out = []
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing + (node,)
         if isinstance(node, ast.Name):
-            out.append((node.id, enclosing))
+            out.append((node.id, False, enclosing))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, enclosing))
+            out.append((node.attr, True, enclosing))
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
@@ -93,7 +96,9 @@ def unreferenced(keep=KEEP):
         for qualname, name, node in _definitions(path.stem, trees[path]):
             if qualname in keep:
                 continue
-            if not any(ref == name and node not in enclosing for ref, enclosing in refs):
+            is_method = qualname.count(".") == 2
+            if not any(ref == name and (attribute or not is_method) and node not in enclosing
+                       for ref, attribute, enclosing in refs):
                 missing.append(qualname)
     return missing
 
