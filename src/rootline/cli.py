@@ -59,7 +59,8 @@ class CliError(Exception):
 
 
 class CertificateFailure(Exception):
-    """A verification or certification failed (exit 1)."""
+    """A verification or certification failed (exit 1); its one argument
+    is the JSON-able payload to report."""
 
 
 @dataclass
@@ -156,7 +157,7 @@ def _cmd_verify_pair(params: Dict, seed: Optional[int]) -> dict:
     report = verify_pair(pair)
     out = report.to_json_dict()
     if not report.ok:
-        raise CertificateFailure(json.dumps(out, sort_keys=True))
+        raise CertificateFailure(out)
     return out
 
 
@@ -218,9 +219,9 @@ def _cmd_round(params: Dict, seed: Optional[int]) -> dict:
     if brute is not None:
         out["exhaustive_root_match"] = brute == oracle.coeffs((), inst.n)
         if not out["exhaustive_root_match"]:
-            raise CertificateFailure(json.dumps(out, sort_keys=True))
+            raise CertificateFailure(out)
     if not res.certified:
-        raise CertificateFailure(json.dumps(out, sort_keys=True))
+        raise CertificateFailure(out)
     return out
 
 
@@ -234,7 +235,7 @@ def _cmd_selftest(params: Dict, seed: Optional[int]) -> dict:
            "results": [r.to_json_dict() for r in results],
            "all_passed": all(r.passed for r in results)}
     if not out["all_passed"]:
-        raise CertificateFailure(json.dumps(out, sort_keys=True))
+        raise CertificateFailure(out)
     return out
 
 
@@ -319,7 +320,7 @@ def dispatch(manifest: RunManifest) -> Tuple[int, dict]:
     try:
         return 0, handler(params, manifest.seed)
     except CertificateFailure as exc:
-        return 1, json.loads(str(exc)) if str(exc).startswith("{") else {"error": str(exc)}
+        return 1, exc.args[0]
     except (ValueError, KeyError) as exc:
         raise CliError(str(exc)) from exc
 

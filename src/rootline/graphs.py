@@ -23,7 +23,8 @@ largest absolute row sum) and runs the batches on float64 BLAS below
 2^53, on int64 below 2^62, and on numpy object arrays of Python
 integers beyond, all through the same batch code; each choice is exact.
 The class characteristic polynomials come from the same trace batches
-by Newton's identities.  Outside the batches every matrix is a list of
+by Newton's identities: the kernel that ``poly.char_poly_int_rows``
+runs on a batch of one.  Outside the batches every matrix is a list of
 integer rows.  The search for the best signing returns exactly the
 signing a full lexicographic brute force would return (cross-checked in
 the tests).
@@ -42,7 +43,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from rootline.isolation import RootInterval, compare_roots, max_root
-from rootline.poly import ExactPolynomial, char_poly_int_rows
+from rootline.poly import (
+    ExactPolynomial,
+    _batch_traces,
+    _char_poly_from_traces,
+    _exact_dtype,
+    char_poly_int_rows,
+)
 from rootline.ratutil import RationalLike, to_fraction
 
 EXHAUSTION_CAP = 24
@@ -336,38 +343,6 @@ def _class_traces(g: Graph, free: List[int], diag: Sequence[int], scale: int, k:
         yield high << low, _batch_traces(mats, k)
 
 
-def _batch_traces(mats: np.ndarray, k: int) -> np.ndarray:
-    """traces[i-1, b] = trace(mats[b]^i) for i = 1..k.
-
-    `mats` holds symmetric integer matrices in float64, int64 or object
-    (Python integers), within the bound of `sign_invariance_report` for
-    that type.  float64 traces are returned as int64; the other types
-    are returned as they are.
-    """
-    out = np.empty((k, mats.shape[0]), dtype=mats.dtype)
-    out[0] = np.einsum("bii->b", mats)
-    # symmetric factors: trace(A^(2j-1)) = sum(A^j * A^(j-1)) and
-    # trace(A^(2j)) = sum(A^j * A^j), so two powers are held at a time
-    power = mats
-    for i in range(2, k + 1):
-        if i % 2:
-            prev, power = power, np.matmul(power, mats)
-            out[i - 1] = np.einsum("bij,bij->b", power, prev)
-        else:
-            out[i - 1] = np.einsum("bij,bij->b", power, power)
-    return out.astype(np.int64) if out.dtype == np.float64 else out
-
-
-def _exact_dtype(bound: int):
-    """The batch type that holds every integer of absolute value <= bound
-    exactly: float64, int64, or object for Python integers."""
-    if bound < 2**53:
-        return np.float64
-    if bound < 2**62:
-        return np.int64
-    return object
-
-
 # ---------------------------------------------------------------------------
 # exhaustive trace scan over all signings
 # ---------------------------------------------------------------------------
@@ -404,6 +379,11 @@ def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]],
     bits order, and reports the witness a literal scan over all signings
     would (see the module docstring).
 
+    Only the powers 1..min(k, n) are scanned.  By Newton's identities
+    the traces of powers 1..n fix the characteristic polynomial, hence
+    every later trace, so a signing that differs at all differs at some
+    power <= n, and the report for k > n is the report for n.
+
     The scan runs on the integer matrices M = L*(D + A_s), L the common
     denominator of D; trace(M^i) = L^i trace((D+A_s)^i), so agreement
     and the witness are those of D + A_s.
@@ -425,6 +405,7 @@ def sign_invariance_report(g: Graph, D: Optional[Sequence[RationalLike]],
     if k < 1:
         raise ValueError(f"need k >= 1 trace powers, got k={k}")
     _check_cap(g)
+    k = min(k, g.n)
     diag, L = _scaled_diag(g, D)
     rho = max(abs(d) + L * deg for d, deg in zip(diag, g.degrees()))
     return _scan_numpy(g, diag, L, k, _exact_dtype(g.n * rho ** k))
@@ -462,21 +443,6 @@ class BestSigning:
     char: ExactPolynomial
     lambda_max: RootInterval
     classes_searched: int
-
-
-def _char_poly_from_traces(p: Sequence[int]) -> Tuple[int, ...]:
-    """det(xI - A) descending, from p_i = trace(A^i), i = 1..n.
-
-    Newton's identities for the coefficients c_0 = 1, c_1, ..., c_n:
-    k * c_k = -(c_(k-1) p_1 + c_(k-2) p_2 + ... + c_0 p_k).
-    """
-    c = [1]
-    for k in range(1, len(p) + 1):
-        q, r = divmod(-sum(map(mul, reversed(c), p)), k)
-        if r:
-            raise AssertionError(f"power sums give a non-integral coefficient at x^{len(p) - k}")
-        c.append(q)
-    return tuple(c)
 
 
 def switching_class_char_polys(g: Graph) -> List[Tuple[Tuple[int, ...], int]]:

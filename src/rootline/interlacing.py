@@ -402,10 +402,11 @@ def _rank_one_char_poly(vectors: Sequence[Sequence[Fraction]], d: int) -> Tuple[
     """Characteristic polynomial of the d x d matrix M = sum v v^T, each v
     read as zero-padded to length d, as ascending integers over a scale.
 
-    Berkowitz runs on the integer Gram sum G = sum w w^T of w = L v, L the
-    common denominator of every entry.  G = L^2 M, so the x^(d-i)
-    coefficient c_i of det(xI - G) is L^(2i) times that of det(xI - M),
-    and det(xI - M) is the integers c_i L^(2(d-i)) over the scale L^(2d).
+    ``char_poly_int_rows`` runs on the symmetric integer Gram sum
+    G = sum w w^T of w = L v, L the common denominator of every entry.
+    G = L^2 M, so the x^(d-i) coefficient c_i of det(xI - G) is L^(2i)
+    times that of det(xI - M), and det(xI - M) is the integers
+    c_i L^(2(d-i)) over the scale L^(2d).
     """
     L = math.lcm(*(x.denominator for v in vectors for x in v))
     rows = [[0] * d for _ in range(d)]

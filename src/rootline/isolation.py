@@ -16,7 +16,7 @@ integer arithmetic:
   an end is read;
 * multiplicities come from the square-free decomposition, which first
   deflates the zero root (p = x^j f with f(0) != 0), runs Yun's loop on
-  f alone and gives x back to the factor of multiplicity j;
+  f alone and lists x as its own factor of multiplicity j;
 * the walk starts on (-2^h, 2^h) for the least h that passes an exact
   Fujiwara-type test, sum_i |c_(d-i)| 2^(-hi) < |c_d|, never above the
   Cauchy bound's h and for Chebyshev-like coefficients far below it (7
@@ -31,9 +31,9 @@ integer arithmetic:
   integer grid, so certified width bounds are a loop, not an estimate;
 * the Descartes walk runs right to left: ``isolate_real_roots`` drains
   it, while ``max_root`` stops each square-free factor's walk at its
-  largest root, separates only those tops and the zero root, and refines
-  only the winner; ``RootInterval.scaled`` turns an enclosure of a root
-  into one of the root times a rational, with no second isolation.
+  largest root, separates only those tops and refines only the winner;
+  ``RootInterval.scaled`` turns an enclosure of a root into one of the
+  root times a rational, with no second isolation.
 
 On top of the isolator sit exact decision procedures used by the
 certificate machinery: root counting on intervals, "no roots above a
@@ -158,12 +158,19 @@ def _divide_exact(f: Sequence[int], g: Sequence[int]) -> List[int]:
 
 def _sign_at_ratio(c: Sequence[int], num: int, den: int) -> int:
     """Sign of c at num/den for den > 0 (num/den need not be in lowest
-    terms): the sign of the integer den^d c(num/den), by Horner."""
-    acc = 0
-    denpow = 1
+    terms): the sign of the integer den^d c(num/den), by Horner.
+
+    Writing den = 2^s o with o odd, den^j is o^j shifted left by s j; on
+    the dyadic grids of refinement and of the threshold loop o = 1, so
+    each step is a multiplication by num plus a shift.
+    """
+    s = (den & -den).bit_length() - 1
+    odd = den >> s
+    acc, opow, shift = 0, 1, 0
     for coeff in reversed(c):
-        acc = acc * num + coeff * denpow
-        denpow *= den
+        acc = acc * num + ((coeff * opow) << shift)
+        opow *= odd
+        shift += s
     return (acc > 0) - (acc < 0)
 
 
@@ -273,8 +280,9 @@ def squarefree_decomposition(p: PolyLike) -> List[Tuple[IntPoly, int]]:
     multiplicity, factors primitive, square-free and pairwise coprime; the
     product of factor^mult is p up to a constant.
 
-    With p = x^j f and f(0) != 0, Yun's loop runs on f only and x joins
-    the factor of multiplicity j, so padding by x^j costs no iterations.
+    With p = x^j f and f(0) != 0, Yun's loop runs on f only and x is
+    listed as its own factor of multiplicity j, ahead of any other factor
+    of that multiplicity, so padding by x^j costs no iterations.
     Every divisor in the loop is primitive (a gcd's primitive part), so
     each quotient is an exact integer polynomial.
     """
@@ -294,11 +302,8 @@ def squarefree_decomposition(p: PolyLike) -> List[Tuple[IntPoly, int]]:
                    zip_longest(_divide_exact(d, a), _deriv(c), fillvalue=0)])
         i += 1
     if j:
-        at = next((t for t, (_, mult) in enumerate(out) if mult >= j), len(out))
-        if at < len(out) and out[at][1] == j:
-            out[at] = ((0,) + out[at][0], j)
-        else:
-            out.insert(at, ((0, 1), j))
+        out.insert(next((t for t, (_, mult) in enumerate(out) if mult >= j), len(out)),
+                   ((0, 1), j))
     return out
 
 
@@ -342,18 +347,16 @@ def _descartes01(q: Sequence[int]) -> Iterator[Tuple[int, int, bool, Tuple[Tuple
 
 
 def _squarefree_roots(q: IntPoly, multiplicity: int) -> Iterator[RootInterval]:
-    """The real roots of square-free q, each of the given multiplicity: a
-    zero root first if q has one, then the others from right to left.
+    """The real roots of square-free q, each of the given multiplicity,
+    from right to left.
 
-    Exact roots have lo == hi.  An open cell belongs to q with the exact
-    roots found on the way to it divided out, so its defining polynomial
-    is nonzero at both ends (a genuine sign-change certificate).  A cell
+    Exact roots have lo == hi; a linear q has its one root exact.  An
+    open cell belongs to q with the exact roots found on the way to it
+    divided out, so its defining polynomial is nonzero at both ends (a
+    genuine sign-change certificate).  A cell
     (c, k) of the unit interval maps onto (-2^h, 2^h) as the grid point
     c/2^k -> (c 2^(h+1) - 2^(h+k))/2^k.
     """
-    if q[0] == 0:  # simple zero root (q square-free)
-        yield RootInterval(q, 0, 0, 1, multiplicity)
-        q = _primitive(q[1:])
     if len(q) == 2:
         yield RootInterval(q, -q[0], -q[0], q[1], multiplicity)
     if len(q) <= 2:
@@ -529,16 +532,16 @@ def max_root(p: PolyLike,
     """Largest real root of p, or None if p has no real roots.
 
     Each square-free factor's walk stops at its largest root; only those
-    roots and the zero root are separated, and only the top one is
-    refined.  Every enclosure is an aligned dyadic cell, and refinement
-    reaches the same cell from any wider aligned cell that holds the root,
-    so the result is ``isolate_real_roots(p, precision)[-1]`` whenever
-    neither search has already left that root's enclosure at most
-    ``precision`` wide before refining it.
+    roots are separated, and only the top one is refined.  Every
+    enclosure is an aligned dyadic cell, and refinement reaches the same
+    cell from any wider aligned cell that holds the root, so the result
+    is ``isolate_real_roots(p, precision)[-1]`` whenever neither search
+    has already left that root's enclosure at most ``precision`` wide
+    before refining it.
     """
     tops: List[RootInterval] = []
     for factor, mult in squarefree_decomposition(p):
-        tops += islice(_squarefree_roots(factor, mult), 2 if factor[0] == 0 else 1)
+        tops += islice(_squarefree_roots(factor, mult), 1)
     return _separate(tops)[-1].refine_below(to_fraction(precision)) if tops else None
 
 

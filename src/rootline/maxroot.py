@@ -57,6 +57,7 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from rootline.chebyshev import _cheb_coeffs
+from rootline.isolation import _sign_at_ratio
 from rootline.ratutil import (
     dyadic_ceil,
     dyadic_floor,
@@ -144,7 +145,9 @@ def alpha_factor(k: int, n: int) -> Fraction:
 
 
 def _threshold_coeffs(n: int, e1: Fraction, scale: int, psums: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Integers c_0..c_k of the loop's threshold test, built once per call.
+    """The loop's threshold test as the integer polynomial
+    C(x) = sum_j c_j x^(k-j), ascending (c_k, ..., c_0), built once per
+    call: the test at t is C(t) > 0.
 
     The roots are normalized by e_1 > 0 (root sum 1).  The power sums
     come as :func:`~rootline.symfuncs.integer_power_sums` gives them,
@@ -153,9 +156,10 @@ def _threshold_coeffs(n: int, e1: Fraction, scale: int, psums: Tuple[int, ...]) 
     1/t = u/v (v > 0),
     sum_i T_k(mu_i / t) - n = (a_0 - 1) n + sum_j a_j P_j w^-j (u/v)^j,
     and multiplying by w^k v^k > 0 gives sum_j c_j u^j v^(k-j) with
-    c_0 = (a_0 - 1) n w^k and c_j = a_j P_j w^(k-j).  Any D that makes
-    every P_j integral will do: another D' scales every c_j by the same
-    (D'/D)^k > 0, which leaves each decision unchanged.
+    c_0 = (a_0 - 1) n w^k and c_j = a_j P_j w^(k-j), which is u^k C(t)
+    for t = v/u.  Any D that makes every P_j integral will do: another
+    D' scales every c_j by the same (D'/D)^k > 0, which leaves each
+    decision unchanged.
     """
     k = len(psums)
     w = scale * e1.numerator // e1.denominator
@@ -163,8 +167,8 @@ def _threshold_coeffs(n: int, e1: Fraction, scale: int, psums: Tuple[int, ...]) 
     wpow = [1] * (k + 1)
     for j in range(1, k + 1):
         wpow[j] = wpow[j - 1] * w
-    return ((a[0] - 1) * n * wpow[k],) + tuple(
-        a[j] * psums[j - 1] * wpow[k - j] for j in range(1, k + 1))
+    return tuple(a[j] * psums[j - 1] * wpow[k - j]
+                 for j in range(k, 0, -1)) + ((a[0] - 1) * n * wpow[k],)
 
 
 def _dyadic_root(num: int, den: int, j: int, up: bool) -> Optional[Fraction]:
@@ -204,27 +208,6 @@ def _decided_thresholds(n: int, e1: Fraction, scale: int, psums: Tuple[int, ...]
     lower = _dyadic_root(pj, n * wj, j, up=False) if j == k else None
     cross = None if lower is None else lower * (k * k) / (k * k + 2 * n - 2)
     return cross, upper
-
-
-def _cheb_sum_exceeds(coeffs: Tuple[int, ...], t: Fraction) -> bool:
-    """Exact decision  sum_i T_k(mu_i / t) > n  from :func:`_threshold_coeffs`.
-
-    The sign of sum_j c_j u^j v^(k-j), 1/t = u/v, by Horner's rule in v.
-    Writing u = 2^s o with o odd, u^j is a shift by s j times o^j; the
-    loop's thresholds are dyadic, so o = 1 there and every step is a
-    multiplication by the small v plus a shift.
-    """
-    u, v = t.denominator, t.numerator  # 1/t = u/v, v > 0
-    shift = (u & -u).bit_length() - 1
-    odd = u >> shift
-    acc = 0
-    opow = 1
-    for j, c in enumerate(coeffs):
-        acc *= v
-        if c:
-            acc += (c * opow) << (shift * j)
-        opow *= odd
-    return acc > 0
 
 
 def iteration_bound(k: int, n: int) -> int:
@@ -284,7 +267,7 @@ def approx_max_root(prof: SymmetricProfile) -> ApproxResult:
             crosses = cross is not None and t < cross
             if not crosses:
                 coeffs = coeffs or _threshold_coeffs(n, e1, scale, psums)
-                crosses = _cheb_sum_exceeds(coeffs, t)
+                crosses = _sign_at_ratio(coeffs, t.numerator, t.denominator) > 0
             if crosses:
                 return ApproxResult(e1 * t, alpha_factor(k, n), iterations, CHEBYSHEV_LOOP)
         t = dyadic_floor(t / f, _T_BITS)

@@ -8,16 +8,22 @@ constructions build integer coefficient lists and divide by the lead
 once.  The zero polynomial is the empty coefficient list and has degree
 -1.
 
-Characteristic polynomials are taken of integer matrices, given as rows,
-by the Samuelson-Berkowitz scheme: it is division free, so every
-intermediate value is an integer and no Fraction arithmetic is done.
-Callers with rational entries scale them to integers first.
+Characteristic polynomials are taken of symmetric integer matrices,
+given as rows, by one kernel: exact numpy batches of the traces of
+A^i, i = 1..n, in a type chosen from a bound on every number formed,
+then Newton's identities on Python integers.  The switching-class
+scans of ``graphs`` run the same batches over many matrices at once; a
+single matrix is a batch of one.  No Fraction arithmetic is done:
+callers with rational entries scale them to integers first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from operator import mul
+from typing import Iterable, Sequence, Tuple
+
+import numpy as np
 
 from rootline.ratutil import RationalLike, format_rational, to_fraction
 
@@ -126,39 +132,71 @@ class ExactPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def char_poly_int_rows(rows: Sequence[Sequence[int]]) -> List[int]:
-    """det(xI - A) coefficients, descending, by Samuelson-Berkowitz.
+def _batch_traces(mats: np.ndarray, k: int) -> np.ndarray:
+    """traces[i-1, b] = trace(mats[b]^i) for i = 1..k.
 
-    Division free, so integer rows stay integers throughout.
+    `mats` holds symmetric integer matrices in float64, int64 or object
+    (Python integers), within the bound of `sign_invariance_report` for
+    that type.  float64 traces are returned as int64; the other types
+    are returned as they are.
+    """
+    out = np.empty((k, mats.shape[0]), dtype=mats.dtype)
+    out[0] = np.einsum("bii->b", mats)
+    # symmetric factors: trace(A^(2j-1)) = sum(A^j * A^(j-1)) and
+    # trace(A^(2j)) = sum(A^j * A^j), so two powers are held at a time
+    power = mats
+    for i in range(2, k + 1):
+        if i % 2:
+            prev, power = power, np.matmul(power, mats)
+            out[i - 1] = np.einsum("bij,bij->b", power, prev)
+        else:
+            out[i - 1] = np.einsum("bij,bij->b", power, power)
+    return out.astype(np.int64) if out.dtype == np.float64 else out
+
+
+def _exact_dtype(bound: int):
+    """The batch type that holds every integer of absolute value <= bound
+    exactly: float64, int64, or object for Python integers."""
+    if bound < 2**53:
+        return np.float64
+    if bound < 2**62:
+        return np.int64
+    return object
+
+
+def _char_poly_from_traces(p: Sequence[int]) -> Tuple[int, ...]:
+    """det(xI - A) descending, from p_i = trace(A^i), i = 1..n.
+
+    Newton's identities for the coefficients c_0 = 1, c_1, ..., c_n:
+    k * c_k = -(c_(k-1) p_1 + c_(k-2) p_2 + ... + c_0 p_k).
+    """
+    c = [1]
+    for k in range(1, len(p) + 1):
+        q, r = divmod(-sum(map(mul, reversed(c), p)), k)
+        if r:
+            raise AssertionError(f"power sums give a non-integral coefficient at x^{len(p) - k}")
+        c.append(q)
+    return tuple(c)
+
+
+def char_poly_int_rows(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """det(xI - A) coefficients, descending, of a symmetric integer matrix.
+
+    The traces of A^i, i = 1..n, come from a batch of one in the type
+    `_exact_dtype` picks for n * rho^n, rho the largest absolute row
+    sum: the bound of `sign_invariance_report` at k = n, so every trace
+    is exact.  Newton's identities then give the coefficients.
     """
     n = len(rows)
     if n == 0:
-        return [1]
-    vec = [1, -rows[0][0]]
-    for r in range(1, n):
-        a = rows[r][r]
-        row = rows[r][:r]
-        col = [rows[i][r] for i in range(r)]
-        # s = [1, -a, -R.C, -R.A'C, -R.A'^2 C, ...], length r+2
-        s = [1, -a]
-        w = col
-        for j in range(2, r + 2):
-            s.append(-sum(x * y for x, y in zip(row, w)))
-            if j < r + 1:
-                w = [sum(rows[i][t] * w[t] for t in range(r)) for i in range(r)]
-        new_vec = []
-        for i in range(r + 2):
-            acc = 0
-            lo = max(0, i - len(s) + 1)
-            for j in range(lo, min(i, r) + 1):
-                acc += s[i - j] * vec[j]
-            new_vec.append(acc)
-        vec = new_vec
-    return vec
+        return (1,)
+    rho = max(sum(map(abs, row)) for row in rows)
+    batch = np.array([rows], dtype=_exact_dtype(n * rho**n))
+    return _char_poly_from_traces(_batch_traces(batch, n)[:, 0].tolist())
 
 
 def char_poly(rows: Sequence[Sequence[int]]) -> ExactPolynomial:
-    """Exact characteristic polynomial det(xI - A) of a square integer
+    """Exact characteristic polynomial det(xI - A) of a symmetric integer
     matrix, given as rows; monic of degree n.
 
     Sign convention: det(xI - A) = sum_k (-1)^k sigma_k(A) x^(n-k) where
@@ -168,4 +206,6 @@ def char_poly(rows: Sequence[Sequence[int]]) -> ExactPolynomial:
     """
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix is not square")
+    if any(rows[i][j] != rows[j][i] for i in range(len(rows)) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
     return ExactPolynomial(reversed(char_poly_int_rows(rows)))

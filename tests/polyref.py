@@ -5,9 +5,14 @@ its polynomials on integers.  ``RefPolynomial`` adds the textbook Fraction
 operations (``+ - * **``, evaluation, composition, scaling and the affine
 root map) so that tests can state what those integer builds must equal.
 It compares equal to an ``ExactPolynomial`` with the same coefficients.
+
+``berkowitz_char_poly`` is an independent characteristic-polynomial
+algorithm, division free on any square integer matrix, against which the
+library's trace kernel is checked.
 """
 
 from fractions import Fraction
+from typing import List, Sequence
 
 from rootline.poly import ExactPolynomial
 from rootline.ratutil import to_fraction
@@ -112,3 +117,34 @@ class RefPolynomial(ExactPolynomial):
 
     def monic(self) -> "RefPolynomial":
         return RefPolynomial.of(super().monic())
+
+
+def berkowitz_char_poly(rows: Sequence[Sequence[int]]) -> List[int]:
+    """det(xI - A) coefficients, descending, by Samuelson-Berkowitz.
+
+    Division free, so integer rows stay integers throughout.
+    """
+    n = len(rows)
+    if n == 0:
+        return [1]
+    vec = [1, -rows[0][0]]
+    for r in range(1, n):
+        a = rows[r][r]
+        row = rows[r][:r]
+        col = [rows[i][r] for i in range(r)]
+        # s = [1, -a, -R.C, -R.A'C, -R.A'^2 C, ...], length r+2
+        s = [1, -a]
+        w = col
+        for j in range(2, r + 2):
+            s.append(-sum(x * y for x, y in zip(row, w)))
+            if j < r + 1:
+                w = [sum(rows[i][t] * w[t] for t in range(r)) for i in range(r)]
+        new_vec = []
+        for i in range(r + 2):
+            acc = 0
+            lo = max(0, i - len(s) + 1)
+            for j in range(lo, min(i, r) + 1):
+                acc += s[i - j] * vec[j]
+            new_vec.append(acc)
+        vec = new_vec
+    return vec

@@ -115,6 +115,17 @@ def test_verify_invariance_subcommand(tmp_path):
     assert out["agree"] is False and out["witness"] is not None
 
 
+def test_verify_invariance_echoes_a_k_past_n(capsys):
+    # the report at k > n is the report at n, so k = 10^9 scans 14 powers
+    # of the Heawood graph and never forms rho^k
+    assert main(["verify-invariance", "--graph", "heawood", "--k", "14"]) == 0
+    at_n = json.loads(capsys.readouterr().out)
+    assert main(["verify-invariance", "--graph", "heawood", "--k", "1000000000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {**at_n, "k": 1000000000}
+    assert out["agree"] is False
+
+
 def test_round_subcommand(tmp_path):
     inst = KSInstance(2, ((((F(2), F(0)), F(1, 2)), ((F(0), F(1)), F(1, 2))),))
     (tmp_path / "ks.json").write_text(json.dumps(inst.to_json_dict()))

@@ -13,7 +13,6 @@ from rootline.graphs import (
     ExhaustionCapError,
     Graph,
     Signing,
-    _batch_traces,
     _class_bits,
     _coset_min,
     _cut_space_rows,
@@ -38,7 +37,7 @@ from rootline.graphs import (
     tutte_coxeter_graph,
 )
 from rootline.isolation import compare_roots, isolate_real_roots, max_root, max_root_geq
-from rootline.poly import char_poly
+from rootline.poly import _batch_traces, char_poly
 
 
 def best_signing_bruteforce(g: Graph, width: F = F(1, 2**30)) -> BestSigning:
@@ -207,6 +206,24 @@ def test_invariance_numpy_matches_exact_path():
         exact = _report_fields(_scan_numpy(g, diag, L, k, object))
         for dtype in (np.float64, np.int64):
             assert _report_fields(_scan_numpy(g, diag, L, k, dtype)) == exact, (g, dtype)
+
+
+def test_invariance_report_past_n_is_the_report_at_n():
+    # the traces of powers 1..n fix every later trace, so the literal scan
+    # of k > n powers reports what the scan of n powers does
+    rng = random.Random(48)
+    cases = 0
+    for name, g in CATALOG.items():
+        if g.n > 10:
+            continue
+        for D in (None, [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(g.n)]):
+            at_n = _report_fields(sign_invariance_report(g, D, g.n))
+            diag, L = _scaled_diag(g, D)
+            for k in (g.n + 1, 2 * g.n, 3 * g.n):
+                assert _report_fields(_scan_numpy(g, diag, L, k, object)) == at_n, (name, D, k)
+                assert _report_fields(sign_invariance_report(g, D, k)) == at_n, (name, D, k)
+                cases += 1
+    assert cases == 48
 
 
 #: C_4 plus a disjoint triangle: the first signing that differs (bits 1,

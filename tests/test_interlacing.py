@@ -612,7 +612,7 @@ def test_rounding_work_counts(monkeypatch):
     import rootline.maxroot as maxroot
 
     calls = {"border": 0, "horner": 0}
-    border, horner = _GramKernel.border, maxroot._cheb_sum_exceeds
+    border, horner = _GramKernel.border, maxroot._sign_at_ratio
 
     def counted_border(self, *args):
         calls["border"] += 1
@@ -623,7 +623,7 @@ def test_rounding_work_counts(monkeypatch):
         return horner(*args)
 
     monkeypatch.setattr(_GramKernel, "border", counted_border)
-    monkeypatch.setattr(maxroot, "_cheb_sum_exceeds", counted_horner)
+    monkeypatch.setattr(maxroot, "_sign_at_ratio", counted_horner)
     inst = two_block_ks_instance(random.Random(83), 8, 3, 256)
     res = round_family(inst.spec(), ks_oracle(inst), F(1, 8))
     assert (res.k_used, sum(s.candidates for s in res.steps)) == (256, 16)

@@ -35,7 +35,22 @@ from rootline.selftest import two_block_ks_instance
 
 
 def sign_at(poly, x):
-    return _sign_at_ratio(poly, x.numerator, x.denominator)
+    """Sign of poly at the rational x; Fraction coefficients (the Sturm
+    sequences below) are evaluated as one Fraction."""
+    if all(type(c) is int for c in poly):
+        return _sign_at_ratio(poly, x.numerator, x.denominator)
+    value = sum(c * x**i for i, c in enumerate(poly))
+    return (value > 0) - (value < 0)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-60, 60)), min_size=1, max_size=10),
+       st.integers(-500, 500), st.integers(0, 12), st.sampled_from([1, 1, 3, 5, 7, 15]))
+def test_sign_at_ratio_matches_fraction_value(c, num, shift, odd):
+    # den = odd * 2^shift, num/den not necessarily in lowest terms
+    x = F(num, odd << shift)
+    value = sum(coeff * x**i for i, coeff in enumerate(c))
+    assert _sign_at_ratio(c, num, odd << shift) == (value > 0) - (value < 0)
 
 
 def cell(poly, lo, hi):
@@ -157,8 +172,9 @@ def test_squarefree_decomposition_structure():
 
 
 def _fraction_yun(p):
-    """Yun's loop over Fraction on the whole polynomial, x^j included: the
-    reference for the integer decomposition with the zero root split off."""
+    """Yun's loop over Fraction on the whole polynomial, x^j included, then
+    x split out of its factor and listed ahead of the rest: the reference
+    for the integer decomposition with the zero root split off."""
 
     def deriv(c):
         return [i * c[i] for i in range(1, len(c))]
@@ -198,8 +214,6 @@ def _fraction_yun(p):
     f = [F(c) for c in _int_poly(p)]
     fp = deriv(f)
     g = gcd(f, fp)
-    if len(g) == 1:
-        return [(primitive(f), 1)]
     c = div(f, g)
     d = sub(div(fp, g), deriv(c))
     out, i = [], 1
@@ -210,7 +224,14 @@ def _fraction_yun(p):
         c = div(c, a)
         d = sub(div(d, a), deriv(c))
         i += 1
-    return out
+    split = []
+    for a, i in out:
+        if a[0] == 0:
+            split.append(((0, 1), i))
+            a = a[1:]
+        if len(a) > 1:
+            split.append((a, i))
+    return split
 
 
 def _random_factor(rng):

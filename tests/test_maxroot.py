@@ -11,8 +11,8 @@ from rootline.maxroot import (
     CHEBYSHEV_LOOP,
     POWER_SUM,
     InconsistentProfileError,
-    _cheb_sum_exceeds,
     _decided_thresholds,
+    _sign_at_ratio,
     _threshold_coeffs,
     alpha_factor,
     approx_max_root,
@@ -174,7 +174,7 @@ def test_inconsistent_profile_rejected_before_the_loop(e, monkeypatch):
     def no_loop(*args):
         raise AssertionError("threshold loop entered")
 
-    monkeypatch.setattr(maxroot, "_cheb_sum_exceeds", no_loop)
+    monkeypatch.setattr(maxroot, "_sign_at_ratio", no_loop)
     with pytest.raises(InconsistentProfileError):
         approx_max_root(SymmetricProfile(4, e))
 
@@ -220,6 +220,11 @@ def _rank_bounded(rng):
     return profile_of_roots(n, mu), max(mu)
 
 
+def _exceeds(coeffs, t):
+    """The loop's decision at threshold t: C(t) > 0."""
+    return _sign_at_ratio(coeffs, t.numerator, t.denominator) > 0
+
+
 def test_loop_decision_agrees_with_fraction_sum():
     # the integer decision inside the loop, on coefficients built once
     # per call from the integer power sums, must agree with the plain
@@ -236,7 +241,7 @@ def test_loop_decision_agrees_with_fraction_sum():
         t_hats = [F(rng.randint(1, 64), rng.randint(1, 64)) for _ in range(2)]
         t_hats += [near * F(rng.randint(80, 120), 100) for _ in range(2)]
         for t_hat in t_hats:
-            fast = _cheb_sum_exceeds(coeffs, t_hat)
+            fast = _exceeds(coeffs, t_hat)
             slow = root_sum_test(prof, e1 * t_hat) > n
             assert fast == slow
             seen.add(fast)
@@ -273,7 +278,7 @@ def test_threshold_decision_matches_fraction_reference(case, num, shift, odd):
     e1 = prof.e[0]
     coeffs = _threshold_coeffs(n, e1, *integer_power_sums(prof.e, k))
     t = F(num, odd << shift)
-    assert _cheb_sum_exceeds(coeffs, t) == _reference_exceeds(n, [x / e1 for x in roots], k, t)
+    assert _exceeds(coeffs, t) == _reference_exceeds(n, [x / e1 for x in roots], k, t)
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)

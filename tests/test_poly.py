@@ -3,11 +3,14 @@ import random
 from fractions import Fraction as F
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from polyref import RefPolynomial as P
+from polyref import berkowitz_char_poly
+from rootline.graphs import CATALOG, EXHAUSTION_CAP, Signing, matrix_power, signed_adjacency
 from rootline.interlacing import _rank_one_char_poly
-from rootline.poly import char_poly
+from rootline.poly import _exact_dtype, char_poly
 
 
 def test_mul_difference_of_squares():
@@ -124,6 +127,69 @@ def test_char_poly_needs_a_square_matrix():
         char_poly([[1, 2]])
 
 
+def test_char_poly_needs_a_symmetric_matrix():
+    # the trace kernel reads trace(A^(2j-1)) as sum(A^j * A^(j-1)), true
+    # only for symmetric A
+    for rows in ([[0, 1], [0, 0]], [[1, 2, 3], [2, 1, 0], [3, 1, 1]]):
+        with pytest.raises(ValueError, match="not symmetric"):
+            char_poly(rows)
+
+
+def _symmetric(rng, n, draw):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = draw(rng)
+    return rows
+
+
+def _matches_berkowitz(rows):
+    return char_poly(rows) == P(reversed(berkowitz_char_poly(rows)))
+
+
+def test_char_poly_matches_berkowitz_on_catalog_signings():
+    # signed adjacencies and their squares, n up to 14 (Heawood)
+    rng = random.Random(28)
+    for name, g in CATALOG.items():
+        if g.num_edges > EXHAUSTION_CAP:
+            continue
+        signings = [Signing.all_plus(g)] + [
+            Signing.from_bits(g, rng.getrandbits(g.num_edges)) for _ in range(6)]
+        for s in signings:
+            a = signed_adjacency(g, s)
+            assert _matches_berkowitz(a), (name, s.signs)
+            assert _matches_berkowitz(matrix_power(a, 2)), (name, s.signs)
+
+
+def test_char_poly_matches_berkowitz_on_gram_sums():
+    # sum v v^T of 8 vectors in {-2..2}^d, the rank-one sums of the leaves
+    rng = random.Random(8)
+    for d in range(1, 15):
+        for _ in range(3):
+            rows = [[0] * d for _ in range(d)]
+            for _ in range(8):
+                v = [rng.randint(-2, 2) for _ in range(d)]
+                for a in range(d):
+                    for b in range(d):
+                        rows[a][b] += v[a] * v[b]
+            assert _matches_berkowitz(rows), rows
+
+
+@pytest.mark.parametrize("low, high, dtype", [
+    (0, 9, np.float64),
+    (70, 95, np.int64),  # n rho^n between 2^53 and 2^62 at n = 6
+    (800, 900, object),  # past 2^62
+], ids=["float64", "int64", "object"])
+def test_char_poly_matches_berkowitz_in_each_batch_type(low, high, dtype):
+    rng = random.Random(f"tier:{low}")
+    n = 6
+    for _ in range(5):
+        rows = _symmetric(rng, n, lambda r: r.choice([-1, 1]) * r.randint(low, high))
+        rho = max(sum(map(abs, row)) for row in rows)
+        assert _exact_dtype(n * rho**n) is dtype
+        assert _matches_berkowitz(rows), rows
+
+
 def _char_poly_by_minors(rows):
     """Brute-force det(xI - A) by Leibniz expansion over Fractions; oracle
     for n <= 5."""
@@ -156,7 +222,7 @@ def _char_poly_by_minors(rows):
 def test_char_poly_matches_minor_expansion(n):
     rng = random.Random(100 + n)
     for _ in range(4):
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rows = _symmetric(rng, n, lambda r: r.randint(-9, 9))
         assert char_poly(rows) == _char_poly_by_minors(rows)
 
 
