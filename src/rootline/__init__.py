@@ -6,11 +6,7 @@ exact rational comparison or a certified interval.
 """
 
 from rootline.poly import ExactPolynomial, char_poly
-from rootline.symfuncs import (
-    SymmetricProfile,
-    power_sums_from_elementary,
-    profile_from_coefficients,
-)
+from rootline.symfuncs import SymmetricProfile, power_sums_from_elementary
 from rootline.maxroot import ApproxResult, alpha_factor, approx_max_root
 
 __all__ = [
@@ -18,7 +14,6 @@ __all__ = [
     "char_poly",
     "SymmetricProfile",
     "power_sums_from_elementary",
-    "profile_from_coefficients",
     "ApproxResult",
     "alpha_factor",
     "approx_max_root",

@@ -28,6 +28,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -89,13 +90,9 @@ def check_common_interlacing(polys: Sequence[ExactPolynomial]) -> bool:
             expanded.extend([r] * r.multiplicity)
         root_lists.append(expanded)
     for j in range(deg - 1):
-        top = root_lists[0][j]
-        for lst in root_lists[1:]:
-            if compare_roots(lst[j], top) > 0:
-                top = lst[j]
-        for lst in root_lists:
-            if compare_roots(top, lst[j + 1]) > 0:
-                return False
+        top = max((lst[j] for lst in root_lists), key=cmp_to_key(compare_roots))
+        if any(compare_roots(top, lst[j + 1]) > 0 for lst in root_lists):
+            return False
     return True
 
 
@@ -207,6 +204,17 @@ class _GramKernel:
 # ---------------------------------------------------------------------------
 
 
+#: the largest ambient dimension n of a family: the round walk's work and
+#: memory grow linearly in n
+DIMENSION_BUDGET = 1 << 20
+
+
+def _check_dimension(n: int) -> None:
+    if n > DIMENSION_BUDGET:
+        raise ValueError(f"ambient dimension {n} is above the family dimension budget "
+                         f"{DIMENSION_BUDGET}")
+
+
 @dataclass(frozen=True)
 class KSInstance:
     """Independent random vectors with explicit finite supports.
@@ -220,6 +228,7 @@ class KSInstance:
     supports: Tuple[Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...], ...]
 
     def __post_init__(self):
+        _check_dimension(self.n)
         for i, sup in enumerate(self.supports):
             if not sup:
                 raise ValueError(f"support {i} is empty")
@@ -464,6 +473,7 @@ class SRInstance:
     table: Tuple[Fraction, ...]  # index = subset bitmask, length 2^m
 
     def __post_init__(self):
+        _check_dimension(self.n)
         if self.m > SR_MAX_M:
             raise ValueError(f"dense table capped at m <= {SR_MAX_M}")
         if len(self.vectors) != self.m:

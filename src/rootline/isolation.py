@@ -10,7 +10,7 @@ integer arithmetic:
 * a root interval is either an exact rational point or an open
   interval on which its defining square-free polynomial changes sign;
 * every enclosure is held on integers, two numerators over one common
-  denominator: refinement, separation and comparison halve it by
+  denominator: refinement and comparison halve it by
   doubling the denominator, decide each midpoint by an integer sign and
   order ends by cross-multiplication, so no ``Fraction`` is built until
   an end is read;
@@ -31,7 +31,8 @@ integer arithmetic:
   integer grid, so certified width bounds are a loop, not an estimate;
 * the Descartes walk runs right to left: ``isolate_real_roots`` drains
   it, while ``max_root`` stops each square-free factor's walk at its
-  largest root, separates only those tops and refines only the winner;
+  largest root, takes the largest of those tops with ``compare_roots``
+  and refines only the winner;
   ``RootInterval.scaled`` turns an enclosure of a root into one of the
   root times a rational, with no second isolation.
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import islice, zip_longest
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -474,43 +476,16 @@ class RootInterval:
         return f"RootInterval(({self.lo}, {self.hi}), mult={self.multiplicity})"
 
 
-def _disjoint_ordered(a: RootInterval, b: RootInterval) -> bool:
-    """a's root provably precedes b's and the enclosures do not overlap.
-
-    An open enclosure's root lies strictly inside it, so touching ends
-    separate an exact root from an open one, but not two open ones.
-    """
-    a_hi, b_lo = a.hi_num * b.den, b.lo_num * a.den
-    return a_hi < b_lo or (a_hi == b_lo and a.exact != b.exact)
-
-
-def _separate(roots: List[RootInterval]) -> List[RootInterval]:
-    """Refine until the enclosures are pairwise disjoint and sorted.
-
-    Roots are pairwise distinct (square-free factors are coprime), so
-    bisection always separates them eventually; the re-sort each round
-    lets enclosures migrate past each other as they shrink.  The sort
-    keys are the ends over the common denominator of all enclosures.
-    """
-    while True:
-        common = math.lcm(*(r.den for r in roots))
-        roots.sort(key=lambda r: (r.lo_num * (common // r.den), r.hi_num * (common // r.den)))
-        clean = True
-        for a, b in zip(roots, roots[1:]):
-            if not _disjoint_ordered(a, b):
-                a.refine_step()
-                b.refine_step()
-                clean = False
-        if clean:
-            return roots
-
-
 def separated_roots(p: PolyLike) -> List[RootInterval]:
     """All real roots of p with multiplicity, in pairwise disjoint
     enclosures sorted ascending, not yet refined to any width: a caller
-    that reads only some of them refines only those."""
-    return _separate([root for factor, mult in squarefree_decomposition(p)
-                      for root in _squarefree_roots(factor, mult)])
+    that reads only some of them refines only those.  The roots are
+    distinct (Yun's factors are coprime), ``compare_roots`` orders two
+    only once their enclosures are disjoint, and a sort has compared each
+    pair it leaves adjacent."""
+    return sorted((root for factor, mult in squarefree_decomposition(p)
+                   for root in _squarefree_roots(factor, mult)),
+                  key=cmp_to_key(compare_roots))
 
 
 def isolate_real_roots(p: PolyLike,
@@ -532,17 +507,17 @@ def max_root(p: PolyLike,
     """Largest real root of p, or None if p has no real roots.
 
     Each square-free factor's walk stops at its largest root; only those
-    roots are separated, and only the top one is refined.  Every
+    roots are compared, and only the top one is refined.  Every
     enclosure is an aligned dyadic cell, and refinement reaches the same
     cell from any wider aligned cell that holds the root, so the result
     is ``isolate_real_roots(p, precision)[-1]`` whenever neither search
     has already left that root's enclosure at most ``precision`` wide
     before refining it.
     """
-    tops: List[RootInterval] = []
-    for factor, mult in squarefree_decomposition(p):
-        tops += islice(_squarefree_roots(factor, mult), 1)
-    return _separate(tops)[-1].refine_below(to_fraction(precision)) if tops else None
+    tops = [top for factor, mult in squarefree_decomposition(p)
+            for top in islice(_squarefree_roots(factor, mult), 1)]
+    top = max(tops, key=cmp_to_key(compare_roots), default=None)
+    return top and top.refine_below(to_fraction(precision))
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ from rootline.symfuncs import SymmetricProfile, profile_from_polynomial, profile
 
 _RATIO_WIDTH = Fraction(1, 2**48)
 
-#: the largest degree a generator builds; a larger one is refused before
-#: anything is allocated
+#: the largest degree a generator builds or a pair file may hold; a larger
+#: one is refused before anything is allocated
 DEGREE_BUDGET = 1024
 
 PROVENANCES = ("weak", "girth", "boosted", "noisy")
@@ -98,6 +98,10 @@ class LowerBoundPair:
                 and isinstance(d.get("certificate", {}), dict)):
             raise ValueError('a pair is a JSON object {"p": ..., "q": ..., "k": int, '
                              '"ratio_lower": "p/q", "provenance": ..., "certificate": {...}}')
+        for name in ("p", "q"):  # before any coefficient is read
+            coeffs = d[name].get("coeffs") if isinstance(d.get(name), dict) else None
+            if isinstance(coeffs, list):
+                _check_degree(len(coeffs) - 1)
         return cls(
             p=ExactPolynomial.from_json_dict(d["p"]),
             q=ExactPolynomial.from_json_dict(d["q"]),
@@ -473,10 +477,12 @@ def verify_pair(pair: LowerBoundPair) -> PairReport:
         add("noisy_single_differing_coefficient", single, f"differing powers {nz}")
         if single:
             j = nz[0]
-            ratio = p.coeff(j) / q.coeff(j)
+            pj, qj = p.coeff(j), q.coeff(j)
             bound = to_fraction(pair.certificate["coeff_ratio_bound"])
+            # p_j/q_j and q_j/p_j both in (0, bound], cross-multiplied
             add("noisy_coefficient_ratio_bound",
-                min(ratio, 1 / ratio) >= 1 / bound and max(ratio, 1 / ratio) <= bound,
-                f"ratio {float(ratio):.9g} <= bound {float(bound):.9g}")
+                pj * qj > 0 and abs(pj) <= bound * abs(qj) and abs(qj) <= bound * abs(pj),
+                f"ratio {float(pj / qj):.9g} <= bound {float(bound):.9g}" if pj and qj
+                else f"the coefficient of x^{j} is 0 in {'q' if pj else 'p'}")
 
     return PairReport(all(c.passed for c in checks), checks)

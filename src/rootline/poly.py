@@ -79,18 +79,6 @@ class ExactPolynomial:
             return self
         return ExactPolynomial([c / lead for c in self.coeffs])
 
-    def truncate_top(self, k: int) -> Tuple[Fraction, ...]:
-        """The k coefficients after the leading one, descending.
-
-        For a monic chi(x) = x^n + c_1 x^(n-1) + ... this is (c_1..c_k).
-        """
-        if self.is_zero:
-            raise ValueError("zero polynomial has no top coefficients")
-        n = self.degree
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= degree, got k={k}, degree={n}")
-        return tuple(self.coeff(n - i) for i in range(1, k + 1))
-
     # -- comparisons / hashing -----------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -176,8 +175,13 @@ def dyadic_ceil(x: Fraction, bits: int = 64) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _iv_from_fraction(ctx, x: Fraction):
-    return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
+#: the module's own interval context: each bound sets its precision, so
+#: mpmath's global ``mpmath.iv`` is never read or written
+_IV = mpmath.ctx_iv.MPIntervalContext()
+
+
+def _iv_from_fraction(x: Fraction):
+    return _IV.mpf(x.numerator) / _IV.mpf(x.denominator)
 
 
 def _iv_endpoints(value) -> Tuple[Fraction, Fraction]:
@@ -187,25 +191,12 @@ def _iv_endpoints(value) -> Tuple[Fraction, Fraction]:
     return Fraction(int(pa), int(qa)), Fraction(int(pb), int(qb))
 
 
-@contextmanager
-def _with_prec(prec: int):
-    """mpmath's interval context at ``prec`` bits, its previous precision
-    put back on exit (``mpmath.iv`` has no ``workprec``)."""
-    ctx = mpmath.iv
-    saved = ctx.prec
-    ctx.prec = prec
-    try:
-        yield ctx
-    finally:
-        ctx.prec = saved
-
-
 def ln_bounds(x: Fraction, prec: int = _PREC) -> Tuple[Fraction, Fraction]:
     """Certified rational (lo, hi) with lo <= ln(x) <= hi, x > 0."""
     if x <= 0:
         raise ValueError("ln_bounds needs x > 0")
-    with _with_prec(prec) as ctx:
-        return _iv_endpoints(ctx.log(_iv_from_fraction(ctx, x)))
+    _IV.prec = prec
+    return _iv_endpoints(_IV.log(_iv_from_fraction(x)))
 
 
 def cos_pi_bounds(r: Fraction) -> Tuple[Fraction, Fraction]:
@@ -217,8 +208,8 @@ def cos_pi_bounds(r: Fraction) -> Tuple[Fraction, Fraction]:
     # reduce mod 2 first: cos(pi r) has period 2 and huge multiples of pi
     # would needlessly inflate the interval
     r = Fraction(r.numerator % (2 * r.denominator), r.denominator)
-    with _with_prec(_PREC) as ctx:
-        lo, hi = _iv_endpoints(ctx.cos(ctx.pi * _iv_from_fraction(ctx, r)))
+    _IV.prec = _PREC
+    lo, hi = _iv_endpoints(_IV.cos(_IV.pi * _iv_from_fraction(r)))
     return max(lo, Fraction(-1)), min(hi, Fraction(1))
 
 

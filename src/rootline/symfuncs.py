@@ -214,25 +214,15 @@ def power_sums_from_elementary(prof: SymmetricProfile) -> Tuple[Fraction, ...]:
     return _over_powers(*integer_power_sums(prof.e, prof.k))
 
 
-def profile_from_coefficients(n: int, c: Sequence[RationalLike]) -> SymmetricProfile:
-    """Profile from the top coefficients c_1..c_k of a monic chi of degree n.
-
-    e_i = (-1)^i c_i.
-    """
-    cs = [to_fraction(v) for v in c]
-    if len(cs) > n:
-        raise ValueError("more coefficients than roots")
-    return SymmetricProfile(n, tuple((-1) ** i * cs[i - 1] for i in range(1, len(cs) + 1)))
-
-
-def profile_from_polynomial(p: ExactPolynomial, k: int = None) -> SymmetricProfile:
-    """Profile of a monic polynomial's root multiset, from its coefficients."""
+def profile_from_polynomial(p: ExactPolynomial, k: int) -> SymmetricProfile:
+    """Profile e_1..e_k of a monic polynomial's root multiset, from its top
+    coefficients: chi(x) = x^n + c_1 x^(n-1) + ... has e_i = (-1)^i c_i."""
     if p.is_zero or not p.is_monic():
         raise ValueError("profile requires a monic polynomial")
     n = p.degree
-    if k is None:
-        k = n
-    return profile_from_coefficients(n, p.truncate_top(k))
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= degree, got k={k}, degree={n}")
+    return SymmetricProfile(n, tuple((-1) ** i * p.coeff(n - i) for i in range(1, k + 1)))
 
 
 def extended_power_sums(prof: SymmetricProfile, upto: int) -> Tuple[Fraction, ...]:

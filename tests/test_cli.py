@@ -1,19 +1,26 @@
+import argparse
 import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rootline
+from polyref import RefPolynomial
 from rootline import cli, interlacing
 from rootline.cli import RunManifest, _typed_parameters, dispatch, main
 from rootline.graphs import EDGE_BUDGET, VERTEX_BUDGET, Graph
-from rootline.interlacing import SR_MAX_M, KSInstance
+from rootline.interlacing import DIMENSION_BUDGET, SR_MAX_M, KSInstance
 from rootline.lowerbounds import DEGREE_BUDGET, noisy_pair, weak_pair
+from rootline.ratutil import format_rational
 from rootline.symfuncs import profile_of_roots
 
 # Absolute directory of the imported package: the child runs in `cwd`,
@@ -47,8 +54,6 @@ def test_approx_root_subcommand(profile_file, tmp_path):
 
 
 def test_approx_root_from_coefficients(tmp_path):
-    from polyref import RefPolynomial
-
     poly = RefPolynomial.from_roots([1, 2, 3, 4])
     path = tmp_path / "poly.json"
     path.write_text(json.dumps(poly.to_json_dict()))
@@ -412,6 +417,58 @@ def test_gen_pair_above_the_degree_budget_exits_2(tmp_path):
         "error": f"degree {over} is above the pair degree budget {DEGREE_BUDGET}"}
 
 
+def _refuse_work(*args):
+    raise AssertionError("an over-budget input was worked on")
+
+
+def _noisy_weak_pair():
+    pair = weak_pair(3).to_json_dict()  # p and q differ at x^0, where p is 0
+    pair.update(provenance="noisy", certificate={"coeff_ratio_bound": "2"})
+    return pair
+
+
+@pytest.mark.parametrize("pair, zero_in", [
+    ({"p": {"coeffs": ["2", "-3", "1"]}, "q": {"coeffs": ["0", "-3", "1"]}, "k": 1,
+      "ratio_lower": "1", "provenance": "noisy", "certificate": {"coeff_ratio_bound": "2"}}, "q"),
+    (_noisy_weak_pair(), "p"),
+], ids=["q-zero", "weak-relabelled"])
+def test_noisy_check_on_a_zero_coefficient_exits_1(pair, zero_in, tmp_path):
+    # the coefficient ratio used to be divided out: ZeroDivisionError
+    (tmp_path / "pair.json").write_text(json.dumps(pair))
+    res = run_cli(["verify-pair", "--in", "pair.json"], tmp_path)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr == ""
+    (check,) = [c for c in json.loads(res.stdout)["checks"]
+                if c["name"] == "noisy_coefficient_ratio_bound"]
+    assert not check["passed"]
+    assert check["detail"] == f"the coefficient of x^0 is 0 in {zero_in}"
+
+
+def test_verify_pair_above_the_degree_budget_exits_2(tmp_path, monkeypatch, capsys):
+    # refused before either polynomial is built
+    pair = weak_pair(3).to_json_dict()
+    pair["q"]["coeffs"] = ["0"] * (DEGREE_BUDGET + 1) + ["1"]
+    (tmp_path / "pair.json").write_text(json.dumps(pair))
+    monkeypatch.setattr(rootline.poly.ExactPolynomial, "__init__", _refuse_work)
+    monkeypatch.chdir(tmp_path)
+    assert _refusal(["verify-pair", "--in", "pair.json"], capsys) == (
+        f"degree {DEGREE_BUDGET + 1} is above the pair degree budget {DEGREE_BUDGET}")
+
+
+@pytest.mark.parametrize("family", [
+    {"supports": [[{"vector": ["1"], "prob": "1"}]]},
+    {"m": 1, "vectors": [["1"]], "table": {"1": "1"}},
+], ids=["ks", "sr"])
+def test_family_above_the_dimension_budget_exits_2(family, tmp_path, monkeypatch, capsys):
+    (tmp_path / "family.json").write_text(json.dumps({"n": DIMENSION_BUDGET + 1, **family}))
+    for name in ("KSOracle", "SROracle", "round_family"):
+        monkeypatch.setattr(cli, name, _refuse_work)
+    monkeypatch.chdir(tmp_path)
+    assert _refusal(["round", "--family", "family.json", "--epsilon", "1/2"], capsys) == (
+        f"ambient dimension {DIMENSION_BUDGET + 1} is above the family dimension budget "
+        f"{DIMENSION_BUDGET}")
+
+
 def test_gen_pair_boosted_on_a_noisy_base_exits_2(tmp_path):
     # the noisy q's top root 3/2 + cos(pi/8) is irrational: no rescaling
     base = tmp_path / "noisy.json"
@@ -535,3 +592,206 @@ def test_boolean_integer_fields_exit_2(kind, field, tmp_path, monkeypatch, capsy
     (tmp_path / "in.json").write_text(json.dumps(data))
     monkeypatch.chdir(tmp_path)
     assert f'"{field}": int' in _refusal(argv, capsys)
+
+
+# ---------------------------------------------------------------------------
+# the dispatch property: manifests drawn from every subcommand's options,
+# each file drawn valid and then mutated in one place
+# ---------------------------------------------------------------------------
+
+#: JSON values put in place of a field, a list entry or a whole file: wrong
+#: types, the zero coefficient, a zero denominator and negative numbers
+MUTANTS = [None, True, -1, 0, 2, 1.5, "0", "-1/2", "1/0", "x", [], {}]
+
+#: small pairs, and a noisy pair whose q is 0 where p is 2
+PAIRS = [
+    weak_pair(3).to_json_dict(),
+    noisy_pair(2, 4).to_json_dict(),
+    {"p": {"coeffs": ["2", "-3", "1"]}, "q": {"coeffs": ["0", "-3", "1"]}, "k": 1,
+     "ratio_lower": "1", "provenance": "noisy", "certificate": {"coeff_ratio_bound": "2"}},
+]
+
+#: catalog names whose every subcommand runs in milliseconds, and one misspelling
+GRAPH_NAMES = ["C_4", "C_6", "Q_3", "K_3,3", "heawood", "tutte-coxeter", "c4"]
+
+#: criteria that run in milliseconds, and numbers and strings that are none
+CRITERIA = [5, 6, 8, 11, 0, 12, -1, "6", "x"]
+
+RATIONALS = ["0", "1", "-1", "1/2", "-3/2", "2/3", "1/0", "x", 1, 1.5, True]
+
+
+def _positions(data, out):
+    """(container, key) of every value inside the JSON value ``data``."""
+    items = (data.items() if isinstance(data, dict)
+             else enumerate(data) if isinstance(data, list) else ())
+    for key, value in items:
+        out.append((data, key))
+        _positions(value, out)
+    return out
+
+
+@st.composite
+def _mutated(draw, data):
+    """``data``, or a copy with one value replaced or removed, or a mutant
+    in place of the whole file."""
+    data = copy.deepcopy(data)
+    how = draw(st.sampled_from(["keep", "keep", "replace", "remove", "file"]))
+    positions = _positions(data, [])
+    if how == "file" or not positions and how != "keep":
+        return draw(st.sampled_from(MUTANTS))
+    if how != "keep":
+        container, key = draw(st.sampled_from(positions))
+        if how == "remove":
+            del container[key]
+        else:
+            container[key] = draw(st.sampled_from(MUTANTS))
+    return data
+
+
+@st.composite
+def _profile(draw):
+    n = draw(st.integers(1, 6))
+    roots = draw(st.lists(st.integers(-3, 6), min_size=n, max_size=n))
+    return profile_of_roots(n, roots).truncate(draw(st.integers(0, n))).to_json_dict()
+
+
+@st.composite
+def _polynomial(draw):
+    roots = draw(st.lists(st.integers(-3, 6), min_size=1, max_size=6))
+    return {"coeffs": [format_rational(c) for c in RefPolynomial.from_roots(roots).coeffs]}
+
+
+@st.composite
+def _pair(draw):
+    pair = copy.deepcopy(draw(st.sampled_from(PAIRS)))
+    if draw(st.booleans()):  # relabelled, with a drawn coefficient bound
+        pair["provenance"] = draw(st.sampled_from(["noisy", "weak", "girth", "other"]))
+        pair["certificate"] = {"coeff_ratio_bound": draw(st.sampled_from(RATIONALS))}
+    if draw(st.integers(0, 9)) == 0:  # one degree past the budget
+        pair["p"]["coeffs"] = ["0"] * (DEGREE_BUDGET + 1) + ["1"]
+    return pair
+
+
+@st.composite
+def _vector(draw, n):
+    return draw(st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2"]), min_size=1, max_size=n))
+
+
+@st.composite
+def _ks(draw):
+    n = draw(st.integers(1, 3))
+    supports = []
+    for _ in range(draw(st.integers(0, 3))):
+        probs = draw(st.sampled_from([["1"], ["1/2", "1/2"], ["1/3", "2/3"]]))
+        supports.append([{"vector": draw(_vector(n)), "prob": p} for p in probs])
+    if draw(st.integers(0, 9)) == 0:  # one dimension past the budget
+        n = DIMENSION_BUDGET + 1
+    return {"n": n, "supports": supports}
+
+
+@st.composite
+def _sr(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    masks = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=2, unique=True))
+    probs = ["1"] if len(masks) == 1 else ["1/4", "3/4"]
+    if draw(st.integers(0, 9)) == 0:
+        n = DIMENSION_BUDGET + 1
+    return {"n": n, "m": m, "vectors": [draw(_vector(n if n <= 3 else 3)) for _ in range(m)],
+            "table": {str(mask): p for mask, p in zip(masks, probs)}}
+
+
+@st.composite
+def _graph(draw):
+    n = draw(st.integers(1, 6))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(list)
+    return {"n": n, "edges": draw(st.lists(edge, max_size=8))}
+
+
+#: option dest -> the file it names, drawn valid before the mutation
+FILES = {
+    "profile": _profile(),
+    "coeffs": _polynomial(),
+    "in": _pair(),
+    "base": _pair(),
+    "family": st.one_of(_ks(), _sr()),
+    "diag": st.lists(st.sampled_from(RATIONALS), max_size=6).map(lambda d: {"diag": d}),
+}
+
+#: option dest -> its other values, for options that are not files or integers
+VALUES = {
+    "graph": st.sampled_from(GRAPH_NAMES),
+    "epsilon": st.sampled_from(RATIONALS),
+    "criteria": st.lists(st.sampled_from(CRITERIA), max_size=3),
+}
+
+
+@st.composite
+def _manifest(draw, directory):
+    """A manifest for a drawn subcommand: each option omitted, given a
+    mutant, or drawn from its kind, with every file written to directory."""
+    subcommand = draw(st.sampled_from(sorted(cli._HANDLERS)))
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    params = {}
+    for action in sub.choices[subcommand]._actions:
+        dest = action.dest
+        if dest in cli._NOT_PARAMETERS:
+            continue
+        how = draw(st.sampled_from(["draw", "draw", "draw", "omit", "mutant"]))
+        if dest == "criteria":  # omitted, it runs every criterion
+            how = "draw"
+        if how == "omit":
+            continue
+        if how == "mutant":
+            params[dest] = draw(st.sampled_from(MUTANTS))
+        elif dest in FILES or dest == "graph" and draw(st.booleans()):
+            path = directory / f"{dest}.json"
+            path.write_text(json.dumps(draw(_mutated(draw(FILES.get(dest, _graph()))))))
+            params[dest] = str(path)
+        elif dest in VALUES:
+            params[dest] = draw(VALUES[dest])
+        elif action.nargs == 0:
+            params[dest] = draw(st.booleans())
+        elif action.choices is not None:
+            params[dest] = draw(st.sampled_from([*action.choices, "other"]))
+        else:  # an integer option; n one degree past the pair budget
+            params[dest] = draw(st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 5, 8, 10**9,
+                                                 DEGREE_BUDGET + 1]))
+    if draw(st.integers(0, 9)) == 0:
+        params["undeclared"] = 1
+    return RunManifest(subcommand, params, seed=draw(st.sampled_from([None, 0, 7, -3])))
+
+
+def _guarded(name, size, budget):
+    """cli's ``name``, failing the test if it is ever called with a size
+    past ``budget``: over-budget input is refused before any work."""
+    real = getattr(cli, name)
+
+    def run(value, *args, **kwargs):
+        assert size(value) <= budget, f"{name} ran on a size past its budget"
+        return real(value, *args, **kwargs)
+
+    return mock.patch.object(cli, name, run)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(st.data())
+def test_dispatch_exits_0_1_or_2_on_drawn_manifests(data):
+    with tempfile.TemporaryDirectory() as directory, \
+            _guarded("verify_pair", lambda pair: max(pair.p.degree, pair.q.degree),
+                     DEGREE_BUDGET), \
+            _guarded("KSOracle", lambda inst: inst.n, DIMENSION_BUDGET), \
+            _guarded("SROracle", lambda inst: inst.n, DIMENSION_BUDGET), \
+            _guarded("brute_force_poly", lambda inst: inst.n, DIMENSION_BUDGET):
+        manifest = data.draw(_manifest(Path(directory)))
+        try:
+            status, payload = dispatch(manifest)
+        except (cli.CliError, ValueError) as exc:  # as main reports it
+            status, payload = 2, {"error": str(exc)}
+        json.dumps(payload, sort_keys=True)  # main writes it as JSON
+        assert status in (0, 1, 2)
+        if status == 1:  # a failed certificate, reported in full
+            assert payload and "error" not in payload
+        if status == 2:
+            assert isinstance(payload["error"], str) and payload["error"]

@@ -2,6 +2,7 @@ import math
 import random
 from copy import copy
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +19,6 @@ from rootline.isolation import (
     _open_roots,
     _primitive,
     _sign_at_ratio,
-    _separate,
     _variations01,
     compare_roots,
     int_poly_gcd,
@@ -620,7 +620,7 @@ def test_scaled_enclosure_on_exact_and_zero_roots():
 
 
 # ---------------------------------------------------------------------------
-# compare_roots and _separate against Fraction-endpoint references
+# compare_roots and sorting by it against Fraction-endpoint references
 # ---------------------------------------------------------------------------
 
 
@@ -702,31 +702,6 @@ def _compare_reference(r1, r2):
         r2.step()
 
 
-def _separate_reference(roots):
-    """_separate on Fraction endpoints: sort by (lo, hi), halve each
-    neighbouring pair that is not provably ordered, until none is left."""
-
-    def ordered(a, b):
-        if a.hi < b.lo:
-            return True
-        if a.exact and b.exact:
-            return a.lo < b.lo
-        if a.exact or b.exact:
-            return a.hi <= b.lo
-        return False
-
-    while True:
-        roots.sort(key=lambda r: (r.lo, r.hi))
-        clean = True
-        for a, b in zip(roots, roots[1:]):
-            if not ordered(a, b):
-                a.step()
-                b.step()
-                clean = False
-        if clean:
-            return roots
-
-
 def _assert_compare_like_reference(a, b):
     """a, b: (poly, lo, hi); checks both argument orders."""
     for (p1, lo1, hi1), (p2, lo2, hi2) in ((a, b), (b, a)):
@@ -737,10 +712,14 @@ def _assert_compare_like_reference(a, b):
         assert type(r1.lo) is F and type(r2.hi) is F
 
 
-def _assert_separate_like_reference(cells):
-    got = _separate([cell(p, lo, hi) for p, lo, hi in cells])
-    want = _separate_reference([_FractionEnclosure(p, lo, hi) for p, lo, hi in cells])
+def _assert_sort_like_reference(cells):
+    """Sorting cells of distinct roots by compare_roots refines them as the
+    Fraction reference does and leaves them ascending and disjoint."""
+    got = sorted((cell(p, lo, hi) for p, lo, hi in cells), key=cmp_to_key(compare_roots))
+    want = sorted((_FractionEnclosure(p, lo, hi) for p, lo, hi in cells),
+                  key=cmp_to_key(_compare_reference))
     assert [(r.poly, r.lo, r.hi) for r in got] == [(r.poly, r.lo, r.hi) for r in want]
+    assert all(a.hi < b.lo for a, b in zip(got, got[1:]))
 
 
 def _mul(*polys):
@@ -786,16 +765,16 @@ def test_compare_roots_matches_reference_on_seeded_cases():
         _assert_compare_like_reference(a, b)
 
 
-def test_separate_matches_reference_on_seeded_cases():
-    _assert_separate_like_reference([
+def test_sort_by_compare_roots_matches_reference_on_seeded_cases():
+    _assert_sort_like_reference([
         (SQRT2, F(-1, 3), F(2)), ((-3, 2), F(1), F(2)), ((-2, 1), F(2), F(2)),
         ((-7, 5), F(7, 5), F(7, 5)), ((2, 1), F(-2), F(-2)), ((-3, 0, 1), F(1, 3), F(7, 3)),
     ])
-    _assert_separate_like_reference([
+    _assert_sort_like_reference([
         (SQRT2, F(1), F(2)), (SQRT2, F(-2), F(-1)), ((-3, 0, 1), F(1), F(2)),
         ((-5, 0, 1), F(2), F(3)), ((-1, 0, 0, 1), F(1, 2), F(3, 2)), ((0, 1), F(0), F(0)),
     ])
-    _assert_separate_like_reference([
+    _assert_sort_like_reference([
         (_mul((-11, 8), (1, 0, 1)), F(1), F(2)), (SQRT2, F(1), F(2)), ((-3, 2), F(3, 2), F(3, 2)),
         ((-11, 21), F(1, 3), F(5, 7)), ((-1, 0, 2), F(1, 3), F(5, 7)),
     ])
@@ -857,8 +836,38 @@ def test_compare_roots_matches_reference_property(args):
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(st.lists(st.sampled_from([(f, x) for f in _FACTOR_LIST for x in _FACTORS[f]]),
                 min_size=2, max_size=6, unique=True), st.data())
-def test_separate_matches_reference_property(roots, data):
-    _assert_separate_like_reference([data.draw(_cell(f, x, [])) for f, x in roots])
+def test_sort_by_compare_roots_matches_reference_property(roots, data):
+    _assert_sort_like_reference([data.draw(_cell(f, x, [])) for f, x in roots])
+
+
+def _holds_one_root(r, factor):
+    """The enclosure r holds exactly one root of the irreducible factor:
+    r's exact point is a root, or the factor is nonzero at both open ends
+    and has one root between them.  A factor that vanishes at an end is
+    linear, so it has no root inside."""
+    if r.exact:
+        return sign_at(factor, r.lo) == 0
+    if not (sign_at(factor, r.lo) and sign_at(factor, r.hi)):
+        return False
+    return _sturm_count(factor, r.lo, r.hi) == 1
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FACTOR_LIST), st.integers(1, 3)),
+                min_size=1, max_size=4, unique_by=lambda t: t[0]))
+def test_separated_roots_are_ascending_disjoint_and_one_per_root(planted):
+    p = _mul(*(f for f, mult in planted for _ in range(mult)))
+    roots = separated_roots(p)
+    assert all(a.hi < b.lo for a, b in zip(roots, roots[1:]))
+    for r in roots:  # one root of one planted factor, with its multiplicity
+        (mult,) = [m for f, m in planted if _holds_one_root(r, f)]
+        assert r.multiplicity == mult
+    assert len(roots) == sum(len(_FACTORS[f]) for f, _ in planted)
+    assert sum(r.multiplicity for r in roots) == sum(m * len(_FACTORS[f]) for f, m in planted)
+    top_factor, top_mult = max(planted, key=lambda t: max(_FACTORS[t[0]]))
+    top = max_root(p, F(1, 2**20))
+    assert _holds_one_root(top, top_factor) and top.multiplicity == top_mult
+    assert top.exact or _sturm_count(top_factor, top.lo, F(4)) == 1  # its largest root
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from polyref import berkowitz_char_poly
 from rootline.graphs import CATALOG, EXHAUSTION_CAP, Signing, matrix_power, signed_adjacency
 from rootline.interlacing import _rank_one_char_poly
 from rootline.poly import _exact_dtype, char_poly
+from rootline.symfuncs import profile_from_polynomial
 
 
 def test_mul_difference_of_squares():
@@ -267,5 +268,10 @@ def test_poly_json_round_trip():
 
 
 def test_truncate_top():
+    # the top coefficients after the leading one, as a profile: e_i = (-1)^i c_i
     chi = P.from_roots([1, 2, 3])  # x^3 - 6x^2 + 11x - 6
-    assert chi.truncate_top(2) == (F(-6), F(11))
+    assert profile_from_polynomial(chi, 2).e == (F(6), F(11))
+    assert profile_from_polynomial(chi, 3).e == (F(6), F(11), F(6))
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="need 0 <= k <= degree"):
+            profile_from_polynomial(chi, k)

@@ -13,7 +13,6 @@ from rootline.symfuncs import (
     extended_power_sums,
     integer_power_sums,
     power_sums_from_elementary,
-    profile_from_coefficients,
     profile_from_polynomial,
     profile_of_roots,
     profiles_equal_up_to_k,
@@ -84,10 +83,12 @@ def test_power_sums_match_bruteforce():
 
 
 def test_profile_from_coefficients():
-    assert profile_from_coefficients(3, [-3, 2]).e == (F(3), F(2))
-    assert profile_from_coefficients(4, []).k == 0
-    chi = P.from_roots([1, 2, 3])
-    assert profile_from_polynomial(chi, 2).e == (F(6), F(11))
+    # the profile is read off the top coefficients: e_i = (-1)^i c_i
+    assert profile_from_polynomial(P([2, -3, 1]), 2).e == (F(3), F(2))
+    empty = profile_from_polynomial(P.from_roots([1, 1, 1, 1]), 0)
+    assert (empty.n, empty.k) == (4, 0)
+    with pytest.raises(ValueError, match="monic"):
+        profile_from_polynomial(P([1, 2]), 1)
 
 
 def test_profiles_equal_examples():
